@@ -23,6 +23,7 @@ from .forecast import ForecastResult, forecast
 from .inference import (
     FitOptions,
     FitReport,
+    LikelihoodError,
     conditional_loglik,
     fit,
     kendall_tau,
@@ -541,7 +542,11 @@ def _cmd_fit(args):
     print(f"{variant.value}: loglik {report.loglik:.4f}, aic {report.aic:.2f}, "
           f"bic {report.bic:.2f}, converged {report.converged}")
     check = conditional_loglik(report.params_hat, series)
-    assert abs(check - report.loglik) < 1e-9
+    if not abs(check - report.loglik) < 1e-9:
+        raise LikelihoodError(
+            f"fitted loglik {report.loglik!r} differs from conditional_loglik {check!r} "
+            "at the estimates"
+        )
 
 
 def _cmd_compare(args):

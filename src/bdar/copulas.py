@@ -11,9 +11,11 @@ All evaluators accept scalars or numpy arrays and broadcast.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 # Coordinates may overshoot [0, 1] by at most this much (accumulated floating
 # point drift in cumulative sums) before they are rejected.
@@ -119,6 +121,91 @@ def _cdf_core(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
     out = np.where(vv == 1.0, np.where(uu == 1.0, 1.0, uu), out)
     out = np.where((uu == 0.0) | (vv == 0.0), 0.0, out)
     return out
+
+
+def _gumbel_partials(u: np.ndarray, v: np.ndarray, delta: float):
+    # With x = -log u, y = -log v and s = (x^d + y^d)^(1/d), C = exp(-s) has
+    #   dC/du = C s w_u / (x u),  w_u = x^d / (x^d + y^d) = expit(d (la - lb)),
+    #   dC/dd = C s (w_min |la - lb| + log1p(r) / d) / d,  r = e^(-d |la - lb|),
+    # where w_min = r / (1 + r) is the smaller weight: every term is positive.
+    x, y = -np.log(u), -np.log(v)
+    la, lb = np.log(x), np.log(y)
+    gap = np.abs(la - lb)
+    r = np.exp(-delta * gap)
+    log1p_r = np.log1p(r)
+    log_s = np.maximum(la, lb) + log1p_r / delta
+    # log(C s) = -s + log s; dC/du = C s w_u / (x u) with log(x u) = la - x
+    log_cs = log_s - np.exp(log_s)
+    du = np.exp(log_cs + special.log_expit(delta * (la - lb)) - la + x)
+    dv = np.exp(log_cs + special.log_expit(delta * (lb - la)) - lb + y)
+    dd = np.exp(log_cs) * (r / (1.0 + r) * gap + log1p_r / delta) / delta
+    return du, dv, dd
+
+
+def _frank_positive_partials(u: np.ndarray, v: np.ndarray, delta: float):
+    # delta > 0. With a = e^-du, b = e^-dv, c = e^-d the numerator of the
+    # closed form is N = a(1 - b) + (b - c) (see _frank_cdf), and
+    #   dC/du = a(1 - b) / N = expit(d(v - u) + log(1 - b) - log(1 - e^-d(1-v))),
+    # symmetrically for v. Euler's relation gives
+    #   d * dC/dd = u dC/du + v dC/dv - C - K,  K = c(1 - a)(1 - b) / (N(1 - c)) >= 0.
+    du_, dv_ = delta * u, delta * v
+    log_1ma = np.log(-np.expm1(-du_))
+    log_1mb = np.log(-np.expm1(-dv_))
+    log_u_far = np.log(-np.expm1(du_ - delta))
+    log_v_far = np.log(-np.expm1(dv_ - delta))
+    # delta * (v - u), not dv_ - du_: near the comonotone corner the two
+    # products are ~1e10 and their difference would lose ~6 digits
+    gap = delta * (v - u)
+    du = special.expit(gap + log_1mb - log_v_far)
+    dv = special.expit(log_1ma - log_u_far - gap)
+    if delta < _FRANK_SERIES_DELTA:
+        return du, dv, _frank_delta_series(u, v, delta)
+    log_num = np.logaddexp(log_1mb - du_, log_v_far - dv_)
+    log_1mc = math.log(-math.expm1(-delta))
+    cdf = (log_1mc - log_num) / delta
+    k = np.exp(log_1ma + log_1mb - log_num - (delta + log_1mc))
+    return du, dv, (u * du + v * dv - cdf - k) / delta
+
+
+# Below this |delta| the Euler form of dC/dd cancels (its terms are O(1) and
+# its value is O(delta)), so dC/dd comes from the Taylor series in delta.
+_FRANK_SERIES_DELTA = 1e-2
+
+
+def _frank_delta_series(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
+    # C = uv + sum_k c_k delta^k with P = uv(1-u)(1-v), U = u(1-u), V = v(1-v),
+    # Q = (1-2u)(1-2v): c1 = P/2, c2 = PQ/12, c3 = P(6UV - U - V)/24,
+    # c4 = PQ(36UV - 3U - 3V - 1)/720. Truncation error ~ (delta/2pi)^4 relative.
+    uu, vv = u * (1.0 - u), v * (1.0 - v)
+    p, q = uu * vv, (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
+    return p * (
+        0.5
+        + delta * q / 6.0
+        + delta**2 * (6.0 * p - uu - vv) / 8.0
+        + delta**3 * q * (36.0 * p - 3.0 * uu - 3.0 * vv - 1.0) / 180.0
+    )
+
+
+def _cdf_partials(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray):
+    """(dC/du, dC/dv, dC/ddelta) at points strictly inside the unit square.
+
+    Inside the Frank independence band the partials are those of the
+    delta -> 0 limit, dC/ddelta = uv(1-u)(1-v)/2. On the edges the partials
+    are known without the closed forms (C(u, 1) = u, C(u, 0) = 0), so callers
+    add those terms themselves.
+    """
+    if spec.family is CopulaFamily.PRODUCT:
+        return vv, uu, np.zeros(np.broadcast(uu, vv).shape)
+    delta = spec.delta
+    if spec.family is CopulaFamily.GUMBEL:
+        return _gumbel_partials(uu, vv, delta)
+    if abs(delta) < FRANK_INDEPENDENCE_TOL:
+        return vv, uu, _frank_delta_series(uu, vv, 0.0)
+    if delta > 0:
+        return _frank_positive_partials(uu, vv, delta)
+    # C(u, v; delta) = u - C(u, 1 - v; -delta)
+    du, dv, dd = _frank_positive_partials(uu, 1.0 - vv, -delta)
+    return 1.0 - du, dv, dd
 
 
 def copula_cdf(spec: CopulaSpec, u, v):

@@ -3,9 +3,13 @@
 Fitting maximises the exact one-step conditional log-likelihood over a
 reparameterised (unconstrained) space: keep probabilities through a scaled
 logistic map onto [0, 1), innovation marginals through additive log ratios,
-Gumbel dependence through 1 + exp, Frank dependence unmapped. Standard
-errors come from the finite-difference Hessian on that scale, pushed back to
-the reported scale by the delta method.
+Gumbel dependence through 1 + exp, Frank dependence through a signed log
+map. The objective returns the negative log-likelihood together with its
+exact gradient, taken by the chain rule through the copula partials, the
+innovation and mechanism cells and the transforms, so L-BFGS-B needs one
+call per step. Standard errors come from the Hessian on the unconstrained
+scale (central differences of that gradient), pushed back to the reported
+scale by the delta method with the transforms' closed-form Jacobian.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec
-from .joint import CategoricalMarginal, _innovation_cells, _mechanism_cells
+from .joint import (
+    CategoricalMarginal,
+    _innovation_cells,
+    _innovation_cells_vjp,
+    _mechanism_cells,
+    _mechanism_cells_vjp,
+)
 from .model import Bdar1Params, BivariateOrdinalSeries, Variant, transition_tensor
 from .rng import substream
 
@@ -76,6 +86,17 @@ def eta_to_simplex(eta) -> np.ndarray:
     return w / w.sum()
 
 
+def _phi_slope(eta: float) -> float:
+    """d(phi)/d(eta) of the scaled logistic map: PHI_CAP expit(eta) expit(-eta)."""
+    e = math.exp(-abs(eta))
+    return PHI_CAP * e / (1.0 + e) ** 2
+
+
+def _simplex_jacobian(p: np.ndarray) -> np.ndarray:
+    """d(p)/d(eta) of the additive log-ratio softmax, shape (d, d - 1)."""
+    return np.diag(p)[:, :-1] - np.outer(p, p[:-1])
+
+
 def delta_to_eta(delta: float, family: CopulaFamily) -> float:
     if family is CopulaFamily.GUMBEL:
         return float(np.log(max(delta - 1.0, 1e-12)))
@@ -87,6 +108,11 @@ def eta_to_delta(eta: float, family: CopulaFamily) -> float:
     if family is CopulaFamily.GUMBEL:
         return float(1.0 + np.exp(eta))
     return float(np.sign(eta) * np.expm1(abs(eta)))
+
+
+def _delta_slope(eta: float, family: CopulaFamily) -> float:
+    """d(delta)/d(eta): delta - 1 for Gumbel, 1 + |delta| for Frank."""
+    return math.exp(eta if family is CopulaFamily.GUMBEL else abs(eta))
 
 
 @dataclass(frozen=True)
@@ -183,18 +209,41 @@ class _Layout:
             names.append("delta_eps")
         return names
 
-    def report_values(self, x: np.ndarray) -> np.ndarray:
-        """Constrained parameters in report order (simplexes without their last entry)."""
-        params = self.unpack(x)
-        vals = list(params.m1.probs[:-1]) + list(params.m2.probs[:-1])
-        vals.append(params.phi1)
-        if self.variant is not Variant.M2:
-            vals.append(params.phi2)
+    def _scalar_slopes(self, x: np.ndarray) -> np.ndarray:
+        """d(natural)/d(eta) of the keep-rate and dependence coordinates."""
+        pos = self.d1 - 1 + self.d2 - 1
+        slopes = [_phi_slope(x[pos + i]) for i in range(self.n_phi)]
+        pos += self.n_phi
+        for family in (self.alpha_family, self.eps_family):
+            if family is not None:
+                slopes.append(_delta_slope(x[pos], family))
+                pos += 1
+        return np.asarray(slopes)
+
+    def chain(self, x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps) -> np.ndarray:
+        """Gradient on the unconstrained vector from gradients on the raw parameters."""
+        g_scalar = [g_phi1 + g_phi2] if self.variant is Variant.M2 else [g_phi1, g_phi2]
         if self.alpha_family is not None:
-            vals.append(params.copula_alpha.delta)
+            g_scalar.append(g_alpha)
         if self.eps_family is not None:
-            vals.append(params.copula_eps.delta)
-        return np.asarray(vals, dtype=float)
+            g_scalar.append(g_eps)
+        return np.concatenate([
+            g_p1 @ _simplex_jacobian(p1),
+            g_p2 @ _simplex_jacobian(p2),
+            self._scalar_slopes(x) * g_scalar,
+        ])
+
+    def report_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """d(report values)/dx: simplexes without their last entry, then keep
+        rates and dependence parameters, in ``report_names`` order."""
+        p1, p2 = self.raw_unpack(x)[:2]
+        k1, k2 = self.d1 - 1, self.d2 - 1
+        jac = np.zeros((self.size, self.size))
+        jac[:k1, :k1] = _simplex_jacobian(p1)[:-1]
+        jac[k1 : k1 + k2, k1 : k1 + k2] = _simplex_jacobian(p2)[:-1]
+        rest = np.arange(k1 + k2, self.size)
+        jac[rest, rest] = self._scalar_slopes(x)
+        return jac
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +285,8 @@ def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> flo
 
 
 def _central_gradient(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function: the oracle the
+    analytic objective gradient is tested against."""
     g = np.empty_like(x)
     for i in range(len(x)):
         h = rel_step * max(1.0, abs(x[i]))
@@ -246,43 +297,17 @@ def _central_gradient(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def _fd_hessian(fun, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate step max(1e-4, 1e-4*|x_i|)."""
-    k = len(x)
+def _fd_hessian(grad, x: np.ndarray) -> np.ndarray:
+    """Symmetrised central differences of the gradient, per-coordinate step
+    max(1e-4, 1e-4*|x_i|)."""
     h = np.maximum(1e-4, 1e-4 * np.abs(x))
-    hess = np.empty((k, k))
-    f0 = fun(x)
-    for i in range(k):
-        for j in range(i, k):
-            if i == j:
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h[i]
-                xm[i] -= h[i]
-                hess[i, i] = (fun(xp) - 2.0 * f0 + fun(xm)) / h[i] ** 2
-            else:
-                xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-                xpp[[i, j]] += h[[i, j]]
-                xmm[[i, j]] -= h[[i, j]]
-                xpm[i] += h[i]
-                xpm[j] -= h[j]
-                xmp[i] -= h[i]
-                xmp[j] += h[j]
-                hess[i, j] = hess[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (
-                    4.0 * h[i] * h[j]
-                )
-    return hess
-
-
-def _fd_jacobian(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    f0 = np.asarray(fun(x))
-    jac = np.empty((len(f0), len(x)))
+    hess = np.empty((len(x), len(x)))
     for i in range(len(x)):
-        h = rel_step * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
-    return jac
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        hess[:, i] = (grad(xp) - grad(xm)) / (2.0 * h[i])
+    return 0.5 * (hess + hess.T)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +325,16 @@ class FitOptions:
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Estimates, uncertainty, and bookkeeping from one conditional ML fit."""
+    """Estimates, uncertainty, and bookkeeping from one conditional ML fit.
+
+    ``converged`` is the success flag of the L-BFGS-B run that returned the
+    reported point (a restart, a ridge-polish refit or the M5 corner refit).
+    ``n_iterations`` is the total number of L-BFGS-B iterations over every
+    run of the fit, including the restarts that lost and, for M5, the
+    shared-mechanism sub-fit. ``max_gradient_norm`` is the largest absolute
+    entry of the objective's gradient at the estimate, on the unconstrained
+    scale.
+    """
 
     params_hat: Bdar1Params
     std_errors: dict | None  # name -> standard error; None if Hessian not usable
@@ -432,36 +466,67 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout, options: FitO
 
 
 def _make_objective(layout: _Layout, counts: np.ndarray):
-    """Negative log-likelihood over the unconstrained vector.
+    """Negative log-likelihood and its gradient over the unconstrained vector.
 
     Works from the sufficient statistics (transition counts) and the raw cell
-    helpers shared with the table builders; agrees with
-    ``-conditional_loglik(layout.unpack(x), data)`` to rounding.
+    helpers shared with the table builders; the value agrees with
+    ``-conditional_loglik(layout.unpack(x), data)`` to rounding. The gradient
+    is exact: the chain rule runs back through the four-term mixture, the
+    mechanism and innovation cells (copula partials) and the transforms.
+    Terms floored at ``MIN_TERM_PROB`` and clamped cells carry no gradient.
     """
     s_idx, l_idx, i_idx, j_idx = np.nonzero(counts)
     weights = counts[s_idx, l_idx, i_idx, j_idx]
     keep1 = (i_idx == s_idx).astype(float)
     keep2 = (j_idx == l_idx).astype(float)
     both = keep1 * keep2
+    cell = i_idx * layout.d2 + j_idx
     is_common = layout.variant is Variant.M2
 
-    def negll(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
-        pe, _ = _innovation_cells(p1, p2, spec_eps or PRODUCT)
-        pe_obs = pe[i_idx, j_idx]
+        spec_eps = spec_eps or PRODUCT
+        pe, _ = _innovation_cells(p1, p2, spec_eps)
         if is_common:
-            probs = (1.0 - phi1) * pe_obs + phi1 * both
+            mech = np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
         else:
-            mech, _ = _mechanism_cells(phi1, phi2, spec_alpha or PRODUCT)
-            probs = (
-                mech[0, 0] * pe_obs
-                + mech[1, 0] * keep1 * p2[j_idx]
-                + mech[0, 1] * keep2 * p1[i_idx]
-                + mech[1, 1] * both
-            )
-        return -float(weights @ np.log(np.clip(probs, MIN_TERM_PROB, None)))
+            spec_alpha = spec_alpha or PRODUCT
+            mech, _ = _mechanism_cells(phi1, phi2, spec_alpha)
+        # mechanism outcome (keep1, keep2) -> P(observed pair | outcome)
+        terms = (pe[i_idx, j_idx], keep2 * p1[i_idx], keep1 * p2[j_idx], both)
+        probs = sum(m * term for m, term in zip(mech.ravel(), terms))
+        floored = np.maximum(probs, MIN_TERM_PROB)
+        value = -float(weights @ np.log(floored))
 
-    return negll
+        g_probs = np.where(probs >= MIN_TERM_PROB, -weights / floored, 0.0)
+        g_mech = np.array([g_probs @ term for term in terms]).reshape(2, 2)
+        g_pe = np.bincount(cell, weights=mech[0, 0] * g_probs, minlength=pe.size)
+        g_p1, g_p2, g_eps = _innovation_cells_vjp(
+            p1, p2, spec_eps, g_pe.reshape(pe.shape) * (pe > 0.0)
+        )
+        g_p1 += np.bincount(i_idx, weights=mech[0, 1] * keep2 * g_probs, minlength=layout.d1)
+        g_p2 += np.bincount(j_idx, weights=mech[1, 0] * keep1 * g_probs, minlength=layout.d2)
+        if is_common:
+            g_phi1, g_phi2, g_alpha = g_mech[1, 1] - g_mech[0, 0], 0.0, 0.0
+        else:
+            g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(
+                phi1, phi2, spec_alpha, g_mech * (mech > 0.0)
+            )
+        grad = layout.chain(x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps)
+        return value, grad
+
+    return objective
+
+
+def _lbfgsb(objective, x0: np.ndarray, layout: _Layout, options: FitOptions):
+    return optimize.minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=layout.bounds(),
+        options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": options.gtol},
+    )
 
 
 def _maximize_layout(
@@ -473,24 +538,20 @@ def _maximize_layout(
     near-independence and near-comonotone corners) where quasi-Newton runs
     stall at slightly different points; a bounded 1-d search per delta
     coordinate plus a refit pins the result to its plateau value.
+
+    Returns ``(x, f, success, n_iter)``: the best point, its objective, the
+    success flag of the L-BFGS-B run that returned it, and the iterations of
+    every run made here.
     """
-    negll = _make_objective(layout, counts)
-
-    def grad(x):
-        return _central_gradient(negll, x)
-
+    objective = _make_objective(layout, counts)
     bounds = layout.bounds()
-    lbfgsb_options = {"maxiter": options.max_iter, "ftol": 1e-12, "gtol": options.gtol}
-    x_hat, f_hat, success, n_iter = None, np.inf, False, 0
+    best, n_iter = None, 0
     for x0 in _default_starts(data, layout, options):
-        res = optimize.minimize(
-            negll, x0, jac=grad, method="L-BFGS-B", bounds=bounds, options=lbfgsb_options
-        )
-        if res.fun < f_hat:
-            x_hat = np.asarray(res.x, dtype=float)
-            f_hat = float(res.fun)
-            success = bool(res.success)
-            n_iter = int(res.nit)
+        res = _lbfgsb(objective, x0, layout, options)
+        n_iter += int(res.nit)
+        if best is None or res.fun < best.fun:
+            best = res
+    x_hat, f_hat, success = np.asarray(best.x, dtype=float), float(best.fun), bool(best.success)
 
     for _ in range(2 if layout.n_delta else 0):
         moved = False
@@ -500,7 +561,7 @@ def _maximize_layout(
             def along(eta, j=j, frozen=frozen):
                 x = frozen.copy()
                 x[j] = eta
-                return negll(x)
+                return objective(x)[0]
 
             scalar = optimize.minimize_scalar(
                 along, bounds=bounds[j], method="bounded", options={"xatol": 1e-10}
@@ -512,13 +573,12 @@ def _maximize_layout(
                 moved = True
         if not moved:
             break
-        res = optimize.minimize(
-            negll, x_hat, jac=grad, method="L-BFGS-B", bounds=bounds, options=lbfgsb_options
-        )
-        if res.fun < f_hat:
-            x_hat = np.asarray(res.x, dtype=float)
-            f_hat = float(res.fun)
-            n_iter += int(res.nit)
+        # L-BFGS-B only accepts descent steps, so the refit ends at or below
+        # the polished point and its flag describes the reported point
+        res = _lbfgsb(objective, x_hat, layout, options)
+        n_iter += int(res.nit)
+        if res.fun <= f_hat:
+            x_hat, f_hat, success = np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
     return x_hat, f_hat, success, n_iter
 
 
@@ -531,11 +591,13 @@ def fit(
 ) -> FitReport:
     """Conditional maximum-likelihood fit of one model variant.
 
-    Runs a quasi-Newton search (L-BFGS-B with central finite-difference
-    gradients) from several deterministic starting points: method-of-moments
+    Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
+    objective) from several deterministic starting points: method-of-moments
     keep probabilities from the lag-1 repeat rate, empirical marginals, and a
     spread of dependence levels from near-independence to strong. The best
-    optimum is kept. Same data, seed, and options give an identical report.
+    optimum is kept, then polished along the dependence coordinates; for M5
+    it is also compared with a refit from the shared-mechanism corner. Same
+    data, seed, and options give an identical report.
     """
     options = options or FitOptions()
     if data.n < options.min_length:
@@ -549,7 +611,7 @@ def fit(
             )
     layout = _Layout.build(variant, data.d1, data.d2, copula_alpha_family, copula_eps_family)
     counts = transition_counts(data)
-    negll = _make_objective(layout, counts)
+    objective = _make_objective(layout, counts)
     x_hat, f_hat, success, n_iter = _maximize_layout(layout, counts, data, options)
 
     # The shared-mechanism variant lives on the closure of the full model
@@ -562,39 +624,28 @@ def fit(
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, copula_eps_family)
         x2, _, _, nit2 = _maximize_layout(m2_layout, counts, data, options)
-        n_iter += nit2
         k = (data.d1 - 1) + (data.d2 - 1)
         x_corner = np.concatenate(
             [x2[:k], [x2[k], x2[k], layout.bounds()[k + 2][1], x2[k + 1]]]
         )
-        f_corner = negll(x_corner)
-        if f_corner < f_hat:
-            x_hat, f_hat = x_corner, f_corner
-        res = optimize.minimize(
-            negll,
-            x_corner,
-            jac=lambda x: _central_gradient(negll, x),
-            method="L-BFGS-B",
-            bounds=layout.bounds(),
-            options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": options.gtol},
-        )
-        if res.fun < f_hat:
-            x_hat, f_hat = np.asarray(res.x, dtype=float), float(res.fun)
-            n_iter += int(res.nit)
+        res = _lbfgsb(objective, x_corner, layout, options)
+        n_iter += nit2 + int(res.nit)
+        if res.fun <= f_hat:
+            x_hat, f_hat, success = np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
 
     def grad(x):
-        return _central_gradient(negll, x)
+        return objective(x)[1]
 
     max_grad = float(np.max(np.abs(grad(x_hat))))
     loglik = -f_hat
     aic, bic = information_criteria(loglik, layout.size, data.n)
 
     std_errors = None
-    hess = _fd_hessian(negll, x_hat)
+    hess = _fd_hessian(grad, x_hat)
     try:
         np.linalg.cholesky(hess)  # positive-definiteness gate
         cov_eta = np.linalg.inv(hess)
-        jac = _fd_jacobian(layout.report_values, x_hat)
+        jac = layout.report_jacobian(x_hat)
         diag = np.diag(jac @ cov_eta @ jac.T)
         if np.all(np.isfinite(diag)) and np.all(diag >= 0.0):
             std_errors = {

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaSpec, _cdf_core
+from .copulas import CopulaSpec, _cdf_core, _cdf_partials
 
 PROB_SUM_TOL = 1e-10
+
+# The largest double below 1.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -147,20 +150,67 @@ def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> tuple[np.nda
     return np.clip(cells, 0.0, None), max_clamp
 
 
+def _mechanism_cells_vjp(phi1: float, phi2: float, spec: CopulaSpec, g_cells: np.ndarray):
+    """Pull a gradient on the 2x2 mechanism cells back to (phi1, phi2, delta).
+
+    ``g_cells`` must be zero on cells that ``_mechanism_cells`` clamped.
+    """
+    # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
+    # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway
+    du, dv, dd = _cdf_partials(
+        spec, np.float64(min(1.0 - phi1, _BELOW_ONE)), np.float64(min(1.0 - phi2, _BELOW_ONE))
+    )
+    # p00 enters the four cells with signs +, -, -, +; phi1 enters the
+    # (0, 1) cell with -1 and the (1, 1) cell with +1, and p00 through u = 1 - phi1
+    g_p00 = g_cells[0, 0] - g_cells[0, 1] - g_cells[1, 0] + g_cells[1, 1]
+    g_phi1 = g_cells[1, 1] - g_cells[0, 1] - g_p00 * float(du)
+    g_phi2 = g_cells[1, 1] - g_cells[1, 0] - g_p00 * float(dv)
+    return g_phi1, g_phi2, g_p00 * float(dd)
+
+
+def _cdf_edges(p: np.ndarray) -> np.ndarray:
+    """Marginal CDF grid 0, F(1), ..., F(d-1), 1 with both ends exact."""
+    f = np.empty(len(p) + 1)
+    f[0] = 0.0
+    np.cumsum(p, out=f[1:])
+    f[-1] = 1.0
+    return f
+
+
 def _innovation_cells(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec) -> tuple[np.ndarray, float]:
     """Raw d1 x d2 innovation cells: rectangle masses over the marginal CDF grids."""
-    f1 = np.empty(len(p1) + 1)
-    f1[0] = 0.0
-    np.cumsum(p1, out=f1[1:])
-    f1[-1] = 1.0
-    f2 = np.empty(len(p2) + 1)
-    f2[0] = 0.0
-    np.cumsum(p2, out=f2[1:])
-    f2[-1] = 1.0
+    f1 = _cdf_edges(p1)
+    f2 = _cdf_edges(p2)
     grid = _cdf_core(spec, f1[:, None], f2[None, :])
     cells = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
     max_clamp = float(max(0.0, -cells.min()))
     return np.clip(cells, 0.0, None), max_clamp
+
+
+def _innovation_cells_vjp(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec, g_cells: np.ndarray):
+    """Pull a gradient on the innovation cells back to (p1, p2, delta).
+
+    The adjoint of the rectangle differencing: an interior grid point is a
+    corner of four cells (signs +, -, -, +), a point on the edge u = 1 or
+    v = 1 of two, where C(1, v) = v and C(u, 1) = u make the partial along
+    the edge 1 and dC/ddelta 0. The grid's fixed ends (0 and the forced 1)
+    take no gradient. ``g_cells`` must be zero on cells that
+    ``_innovation_cells`` clamped.
+    """
+    g = g_cells
+    inner = g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:] + g[1:, 1:]
+    f1 = _cdf_edges(p1)
+    f2 = _cdf_edges(p2)
+    du, dv, dd = _cdf_partials(spec, f1[1:-1, None], f2[None, 1:-1])
+    g_f1 = (inner * du).sum(axis=1) + g[:-1, -1] - g[1:, -1]
+    g_f2 = (inner * dv).sum(axis=0) + g[-1, :-1] - g[-1, 1:]
+    # F(k) is the sum of the first k probabilities; the last one enters no
+    # grid point
+    g_p1 = np.zeros(len(p1))
+    g_p1[:-1] = np.cumsum(g_f1[::-1])[::-1]
+    g_p2 = np.zeros(len(p2))
+    g_p2[:-1] = np.cumsum(g_f2[::-1])[::-1]
+    return g_p1, g_p2, float(np.vdot(inner, dd))
 
 
 def bernoulli_joint(phi1: float, phi2: float, spec: CopulaSpec) -> MechanismTable:

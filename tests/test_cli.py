@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdar import Bdar1Params, conditional_loglik
+from bdar import Bdar1Params, FitReport, cli, conditional_loglik
 from bdar.cli import (
     BUNDLED_PARAMS,
     BUNDLED_SERIES,
@@ -247,6 +247,43 @@ class TestCompare:
         config = _fixture_config(tmp_path, variants=["m2", "zzz"])
         with pytest.raises(ValueError):
             run_compare(config)
+
+
+class TestFitCommand:
+    def test_m5_fit_matches_golden_file(self, tmp_path):
+        # delta_eps and its standard error sit on a flat likelihood ridge
+        # (98 +- 5,000 on the fixture), so only the well-identified
+        # parameters are held to the frozen fit
+        golden = json.loads((BUNDLED_SERIES.parent / "golden_fit_m5.json").read_text())
+        code = main([
+            "fit", "--input", str(BUNDLED_SERIES),
+            "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS),
+            "--output", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        got = json.loads((tmp_path / "out" / "fit_m5.json").read_text())
+        assert got["loglik"] == pytest.approx(golden["loglik"], abs=1e-6)
+        est = FitReport.from_json_dict(got).estimates()
+        want = FitReport.from_json_dict(golden).estimates()
+        for name in want.keys() - {"delta_eps"}:
+            assert est[name] == pytest.approx(want[name], rel=1e-5), name
+        for name in golden["std_errors"].keys() - {"delta_eps"}:
+            assert got["std_errors"][name] == pytest.approx(
+                golden["std_errors"][name], rel=1e-4
+            ), name
+
+    def test_fit_loglik_mismatch_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "conditional_loglik", lambda params, series: -1.5)
+        code = main([
+            "fit", "--input", str(BUNDLED_SERIES), "--variant", "m1",
+            "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS),
+            "--output", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "differs from conditional_loglik -1.5" in err
+        fitted = json.loads((tmp_path / "out" / "fit_m1.json").read_text())["loglik"]
+        assert f"fitted loglik {fitted!r}" in err
 
 
 class TestForecastCommand:

@@ -10,6 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdar import CopulaFamily, CopulaSpec, copula_cdf, rectangle_mass
+from bdar.copulas import (
+    _FRANK_SERIES_DELTA,
+    FRANK_INDEPENDENCE_TOL,
+    _cdf_core,
+    _cdf_partials,
+)
 
 GUMBEL2_AT_HALF = 0.37521422724648177
 FRANK5_AT_HALF = 0.37714851074652086
@@ -183,3 +189,61 @@ def test_frank_large_delta_against_slow_reference():
             d = mpf(float(delta))
             want = float(-mp_log(1 + (mp_expm1(-d * u) * mp_expm1(-d * v)) / mp_expm1(-d)) / d)
             assert copula_cdf(spec, u, v) == pytest.approx(want, abs=1e-12)
+
+
+# (family, delta, dC/du, dC/dv, dC/ddelta) at (u, v) = (0.3, 0.7), from a
+# 50-digit mpmath differentiation of the closed forms
+PARTIALS_AT_03_07 = [
+    ("frank", 5.0, 0.90219189042460858, 0.097808109575391416, 0.0067239940498256328),
+    ("frank", -3.0, 0.59657317140998263, 0.40342682859001737, 0.018955961462300277),
+    ("frank", 0.02, 0.70084072517148517, 0.29915927482851483, 0.022026137558085448),
+    ("frank", 1e-4, 0.70000420001819965, 0.29999579998180035, 0.022049882391433601),
+    ("gumbel", 2.0, 0.91048038647545552, 0.11559784394154602, 0.025079038415729412),
+    ("gumbel", 1.0 + 1e-9, 0.70000000040557237, 0.29999999980884957, 0.17616129122697434),
+]
+
+
+class TestCdfPartials:
+    @pytest.mark.parametrize("family, delta, du, dv, dd", PARTIALS_AT_03_07)
+    def test_frozen_values(self, family, delta, du, dv, dd):
+        got = _cdf_partials(CopulaSpec(family, delta), np.float64(0.3), np.float64(0.7))
+        assert [float(g) for g in got] == pytest.approx([du, dv, dd], rel=1e-11)
+
+    def test_product(self):
+        du, dv, dd = _cdf_partials(PRODUCT, np.float64(0.3), np.float64(0.7))
+        assert (float(du), float(dv), float(dd)) == (0.7, 0.3, 0.0)
+
+    # the independence band stands in for its delta -> 0 limit, an O(delta)
+    # step; the series and the Euler form are the same function
+    @pytest.mark.parametrize("edge, tol", [(FRANK_INDEPENDENCE_TOL, 1e-8), (_FRANK_SERIES_DELTA, 1e-9)])
+    def test_frank_continuous_across_branches(self, edge, tol):
+        uu, vv = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 5))
+        for sign in (1.0, -1.0):
+            below = _cdf_partials(frank(sign * edge * (1 - 1e-9)), uu, vv)
+            above = _cdf_partials(frank(sign * edge * (1 + 1e-9)), uu, vv)
+            for a, b in zip(below, above):
+                assert np.max(np.abs(a - b)) <= tol
+
+    @given(
+        spec=st.one_of(
+            st.floats(1.001, 40.0).map(gumbel),
+            st.floats(0.1, 40.0).map(frank),
+            st.floats(-40.0, -0.1).map(frank),
+        ),
+        u=st.floats(0.02, 0.98),
+        v=st.floats(0.02, 0.98),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_central_differences(self, spec, u, v):
+        h = 1e-6
+
+        def cdf(uu, vv, delta=spec.delta):
+            return float(_cdf_core(CopulaSpec(spec.family, delta), np.float64(uu), np.float64(vv)))
+
+        want = [
+            (cdf(u + h, v) - cdf(u - h, v)) / (2 * h),
+            (cdf(u, v + h) - cdf(u, v - h)) / (2 * h),
+            (cdf(u, v, spec.delta + h) - cdf(u, v, spec.delta - h)) / (2 * h),
+        ]
+        got = [float(g) for g in _cdf_partials(spec, np.float64(u), np.float64(v))]
+        assert got == pytest.approx(want, rel=1e-5, abs=1e-7)

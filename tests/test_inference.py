@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from bdar import (
     Bdar1Params,
@@ -23,8 +24,11 @@ from bdar import (
     likelihood_ratio_test,
     simulate,
 )
-from bdar.copulas import CopulaFamily
+from bdar import inference
+from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
 from bdar.inference import (
+    _FRANK_ETA_BOUNDS,
+    _GUMBEL_ETA_BOUNDS,
     _central_gradient,
     _Layout,
     _make_objective,
@@ -87,11 +91,11 @@ class TestConditionalLoglik:
     def test_objective_equals_public_loglik(self, study_params):
         series = simulate(study_params, 500, substream(41, "objective"))
         layout = _Layout.build("m5", 3, 3, "gumbel", "gumbel")
-        negll = _make_objective(layout, transition_counts(series))
+        objective = _make_objective(layout, transition_counts(series))
         rng = np.random.default_rng(14)
         for _ in range(5):
             x = rng.normal(size=layout.size)
-            assert negll(x) == pytest.approx(
+            assert objective(x)[0] == pytest.approx(
                 -conditional_loglik(layout.unpack(x), series), abs=1e-9
             )
 
@@ -130,24 +134,96 @@ class TestTransforms:
         assert eta_to_phi(1e9) < 1.0
 
 
+def _delta_etas(family: CopulaFamily):
+    """Optimizer-scale dependence values, weighted toward the hard regimes.
+
+    Frank skips 1e-8 <= |delta| < 0.1: there the closed-form CDF in
+    ``copulas`` carries rounding noise of order 1e-16/|delta|, which swamps
+    any finite-difference oracle (``test_copulas`` checks the partials on
+    that stretch).
+    """
+    if family is CopulaFamily.FRANK:
+        lo, hi = _FRANK_ETA_BOUNDS
+        return st.one_of(
+            st.floats(-0.99 * FRANK_INDEPENDENCE_TOL, 0.99 * FRANK_INDEPENDENCE_TOL),
+            st.floats(lo, -0.1),
+            st.floats(0.1, hi),
+            st.sampled_from([lo, hi]),
+        )
+    lo, hi = _GUMBEL_ETA_BOUNDS
+    return st.one_of(
+        st.floats(lo, math.log(1e-12)),  # delta - 1 down to 1e-12 and below
+        st.floats(lo, hi),
+        st.just(hi),
+    )
+
+
+@st.composite
+def _objective_cases(draw):
+    variant = draw(st.sampled_from(["m1", "m2", "m3", "m4", "m5"]))
+    families = st.sampled_from([CopulaFamily.FRANK, CopulaFamily.GUMBEL])
+    layout = _Layout.build(
+        variant, draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(families), draw(families)
+    )
+    n_alr = layout.d1 + layout.d2 - 2
+    x = [draw(st.floats(-3.0, 3.0)) for _ in range(n_alr)]
+    x += [draw(st.floats(-4.0, 6.0)) for _ in range(layout.n_phi)]
+    x += [draw(_delta_etas(f)) for f in (layout.alpha_family, layout.eps_family) if f is not None]
+    return layout, np.asarray(x), draw(st.integers(0, 2**32 - 1))
+
+
+def _straddles_turn(layout: _Layout, x: np.ndarray) -> bool:
+    """Near its comonotone (countermonotone) limit a copula turns over within
+    about 1/|delta| of u = v (u + v = 1); a finite-difference step of ~1e-7
+    straddles that turn when a pair of its arguments sits that close."""
+    p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
+    pairs = []
+    if spec_eps is not None:
+        pairs.append((spec_eps.delta, np.cumsum(p1)[:-1, None], np.cumsum(p2)[None, :-1]))
+    if spec_alpha is not None:
+        pairs.append((spec_alpha.delta, 1.0 - phi1, 1.0 - phi2))
+    for delta, u, v in pairs:
+        gap = np.abs(u - v) if delta > 0 else np.abs(u + v - 1.0)
+        if abs(delta) > 1e5 and np.min(gap) < 1e-3:
+            return True
+    return False
+
+
 class TestGradient:
-    def test_matches_independent_finite_difference(self, study_params):
-        series = simulate(study_params, 800, substream(61, "grad"))
-        layout = _Layout.build("m5", 3, 3, "gumbel", "gumbel")
-        negll = _make_objective(layout, transition_counts(series))
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            x = layout.pack(study_params) + rng.normal(scale=0.3, size=layout.size)
-            got = _central_gradient(negll, x)
-            oracle = np.empty_like(x)
-            for i in range(len(x)):
-                h = 1e-5 * max(1.0, abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                oracle[i] = (negll(xp) - negll(xm)) / (2 * h)
-            scale = np.maximum(np.abs(oracle), 1e-8)
-            assert np.max(np.abs(got - oracle) / scale) < 1e-4
+    @given(case=_objective_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_match_oracles(self, case):
+        layout, x, seed = case
+        assume(not _straddles_turn(layout, x))
+        series = simulate(layout.unpack(x), 150, substream(seed, "gradient-oracle"))
+        objective = _make_objective(layout, transition_counts(series))
+        f, grad = objective(x)
+        assert np.isfinite(f) and np.all(np.isfinite(grad))
+        try:
+            assert f == pytest.approx(-conditional_loglik(layout.unpack(x), series), abs=1e-9)
+        except LikelihoodError:
+            pass  # the objective floors impossible terms instead of raising
+
+        def value(y):
+            return objective(y)[0]
+
+        oracle = _central_gradient(value, x)
+        families = [f for f in (layout.alpha_family, layout.eps_family) if f is not None]
+        for j, family in zip(range(layout.size - layout.n_delta, layout.size), families):
+            if family is CopulaFamily.FRANK and abs(x[j]) < FRANK_INDEPENDENCE_TOL:
+                # Inside the band the value is flat in delta, and the signed
+                # log map has a kink in its second derivative at 0, so the
+                # oracle steps out of the band in delta (wide enough to clear
+                # the closed form's noise) and applies d(delta)/d(eta) = 1 + |delta|.
+                def along(t, j=j):
+                    y = x.copy()
+                    y[j] = delta_to_eta(t[0], family)
+                    return value(y)
+
+                delta = eta_to_delta(x[j], family)
+                oracle[j] = _central_gradient(along, np.array([delta]), 1e-3)[0] * (1 + abs(delta))
+        tol = 1e-5 * np.abs(oracle) + 1e-7 * (1.0 + abs(f))
+        assert np.all(np.abs(grad - oracle) <= tol), (grad, oracle)
 
 
 class TestFit:
@@ -212,6 +288,68 @@ class TestFit:
             assert lls["m5"] >= lls[nested] - 1e-6, nested
         assert lls["m3"] >= lls["m1"] - 1e-6
         assert lls["m4"] >= lls["m1"] - 1e-6
+
+
+class _CappedOptimize:
+    """Stand-in for ``scipy.optimize`` whose L-BFGS-B runs can be cut short.
+
+    ``cap(x0)`` returns an iteration cap for the run starting at ``x0`` (or
+    None for the fit's own cap); every result is kept in call order.
+    """
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.results = []
+        self.minimize_scalar = optimize.minimize_scalar
+
+    def minimize(self, fun, x0, **kwargs):
+        cap = self.cap(np.asarray(x0))
+        if cap is not None:
+            kwargs["options"] = {**kwargs["options"], "maxiter": cap}
+        res = optimize.minimize(fun, x0, **kwargs)
+        self.results.append(res)
+        return res
+
+
+class TestFitBookkeeping:
+    """``converged`` and ``n_iterations`` describe the run that produced the
+    reported point and the whole fit, whichever phase won."""
+
+    def test_polish_refit_wins(self, monkeypatch, study_params):
+        series = simulate(study_params, 400, substream(77, "polish-wins"))
+        n_starts = FitOptions().n_restarts
+        capped = _CappedOptimize(lambda x0: 2 if len(capped.results) < n_starts else None)
+        monkeypatch.setattr(inference, "optimize", capped)
+        report = fit(series, "m3", "gumbel", "gumbel")
+        restarts, refits = capped.results[:n_starts], capped.results[n_starts:]
+        assert refits, "the ridge polish did not move the capped restarts"
+        assert not any(r.success for r in restarts)
+        assert report.converged is bool(refits[-1].success) is True
+        assert report.loglik == -refits[-1].fun
+        assert report.n_iterations == sum(r.nit for r in capped.results)
+
+    def test_corner_refit_wins(self, monkeypatch, study_params):
+        series = simulate(study_params, 400, substream(78, "corner-wins"))
+        m5_size = _Layout.build("m5", 3, 3, "gumbel", "gumbel").size
+        seen_m2 = []
+
+        def cap(x0):
+            # every run of the M5 layout before the shared-mechanism sub-fit
+            # stops after one iteration; the sub-fit and the corner refit run
+            if len(x0) < m5_size:
+                seen_m2.append(True)
+            return None if seen_m2 else 1
+
+        capped = _CappedOptimize(cap)
+        monkeypatch.setattr(inference, "optimize", capped)
+        report = fit(series, "m5", "gumbel", "gumbel")
+        sizes = [len(r.x) for r in capped.results]
+        assert sizes[-1] == m5_size and sizes[-2] < m5_size  # the corner refit ran last
+        first_m2 = sizes.index(sizes[-2])
+        assert not any(r.success for r in capped.results[:first_m2])
+        assert report.converged is bool(capped.results[-1].success) is True
+        assert report.loglik == -capped.results[-1].fun
+        assert report.n_iterations == sum(r.nit for r in capped.results)
 
 
 class TestInformationCriteria:
