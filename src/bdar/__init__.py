@@ -32,6 +32,8 @@ from .model import (
     Bdar1Params,
     BivariateOrdinalSeries,
     CrossMoments,
+    TransitionKernel,
+    Transitions,
     Variant,
     cross_moments,
     dar1_conditional_pmf,
@@ -60,6 +62,8 @@ __all__ = [
     "LikelihoodError",
     "LrtResult",
     "MechanismTable",
+    "TransitionKernel",
+    "Transitions",
     "UnobservedStateError",
     "Variant",
     "bernoulli_joint",

@@ -439,7 +439,7 @@ def run_replicate_study(config: RunConfig) -> Path:
     eps_family = (
         true_params.copula_eps.family.value if true_params.copula_eps else config.copula_eps
     )
-    truth = _named_true_values(true_params)
+    truth = true_params.named_values()
     rows = []
     for t_len in config.sample_sizes:
         for rep in range(config.replicates):
@@ -466,21 +466,6 @@ def run_replicate_study(config: RunConfig) -> Path:
         rows,
     )
     return out_path
-
-
-def _named_true_values(params: Bdar1Params) -> dict:
-    out = {f"p1_{i + 1}": params.m1.probs[i] for i in range(params.d1)}
-    out.update({f"p2_{i + 1}": params.m2.probs[i] for i in range(params.d2)})
-    if params.variant is Variant.M2:
-        out["phi"] = params.phi1
-    else:
-        out["phi1"] = params.phi1
-        out["phi2"] = params.phi2
-    if params.copula_alpha is not None and params.variant in (Variant.M4, Variant.M5):
-        out["delta_alpha"] = params.copula_alpha.delta
-    if params.copula_eps is not None and params.variant in (Variant.M2, Variant.M3, Variant.M5):
-        out["delta_eps"] = params.copula_eps.delta
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -86,11 +86,22 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
     return x + np.log1p(-np.exp(-x))
 
 
+# Below this |delta| the Frank CDF is evaluated in its expm1/log1p form;
+# away from independence that form cancels as the textbook one does.
+_FRANK_SMALL_DELTA = 1.0
+
+
 def _frank_cdf(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     # The textbook form -log(1 + (e^-du - 1)(e^-dv - 1)/(e^-d - 1))/d cancels
     # catastrophically once d*min(u, v) exceeds ~37 (all expm1 terms round to
-    # -1). Both branches below are cancellation-free for any magnitude.
+    # -1). The large-|delta| branches below are cancellation-free for any
+    # magnitude, but near independence their logs of size |log delta| cancel
+    # to an O(delta) value; there -log1p(-a b)/d with a = expm1(-du)/expm1(-d)
+    # and b = -expm1(-dv) keeps full relative precision.
     with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(delta) < _FRANK_SMALL_DELTA:
+            a = np.expm1(-delta * u) / math.expm1(-delta)
+            return -np.log1p(a * np.expm1(-delta * v)) / delta
         if delta > 0:
             # Numerator a + b - ab - c (a = e^-du, b = e^-dv, c = e^-d)
             # factored into the positive terms a(1 - b) + b(1 - c/b).

@@ -1,11 +1,11 @@
-"""h-step-ahead forecasting by Monte Carlo and by exact transition powers.
+"""h-step-ahead forecasting by Monte Carlo and by exact pushes of the kernel.
 
-Trajectories evolve as joint pairs: each step draws one (state, state) pair
-from the exact one-step joint conditional pmf given the trajectory's current
-pair. Marginal forecast distributions then fall out by summation, which is
-the same thing as drawing each margin from its own conditional. The exact
-h-step pmf (dense transition-matrix powers) serves as the oracle for the
-Monte Carlo path.
+Trajectories evolve as joint pairs through the model's own recursion: each
+step draws a keep/innovate pair and an innovation pair per trajectory and
+carries the kept states forward. Marginal forecast distributions then fall
+out by summation. The exact h-step pmf, the point mass at the anchor pushed
+h times through the one-step kernel in O(d1 d2) per step, serves as the
+oracle for the Monte Carlo path.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bdar1Params, transition_tensor
-
-# Dense matrix powers become unreasonable past this many joint states.
-MAX_EXACT_STATES = 10_000
+# transition_tensor has no caller here; perfbench hooks bdar.forecast.transition_tensor
+from .model import Bdar1Params, TransitionKernel, transition_tensor  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +69,10 @@ def forecast(
     """Monte Carlo forecast of the next ``horizon`` steps from ``last_state``.
 
     ``rng`` may be a seed (recorded in the result) or a prebuilt generator.
-    Trajectory i consumes column i of the per-step uniform draws, so the
-    aggregate is independent of how trajectories would be partitioned across
-    workers, and a fixed seed reproduces the result exactly.
+    Each step draws all mechanism pairs, then all innovation pairs, as
+    ``simulate`` does; trajectory i consumes element i of each step's
+    mechanism draws and element i of its innovation draws, and a fixed seed
+    reproduces the result exactly.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -89,19 +88,13 @@ def forecast(
 
     d1, d2 = params.d1, params.d2
     n_states = d1 * d2
-    cum_rows = np.cumsum(transition_tensor(params).reshape(n_states, n_states), axis=1)
-    cum_rows[:, -1] = 1.0
-
-    current = np.full(n_sims, (s - 1) * d2 + (l - 1), dtype=np.int64)
+    kernel = TransitionKernel.from_params(params)
+    i = np.full(n_sims, s - 1, dtype=np.int64)
+    j = np.full(n_sims, l - 1, dtype=np.int64)
     joint_counts = np.empty((horizon, d1, d2), dtype=np.int64)
     for h in range(horizon):
-        u = gen.random(n_sims)
-        nxt = np.empty(n_sims, dtype=np.int64)
-        for k in np.unique(current):
-            mask = current == k
-            nxt[mask] = np.searchsorted(cum_rows[k], u[mask], side="right")
-        joint_counts[h] = np.bincount(nxt, minlength=n_states).reshape(d1, d2)
-        current = nxt
+        i, j = kernel.sample(i, j, gen)
+        joint_counts[h] = np.bincount(i * d2 + j, minlength=n_states).reshape(d1, d2)
 
     joint = joint_counts / float(n_sims)
     marginal1 = joint.sum(axis=2)
@@ -126,21 +119,17 @@ def forecast(
 def exact_forecast_pmf(
     params: Bdar1Params, last_state: tuple[int, int], horizon: int
 ) -> list[np.ndarray]:
-    """Exact h-step joint pmfs: the point mass at ``last_state`` pushed through
-    the one-step transition operator h times. Converges to the stationary
-    joint pmf as h grows."""
+    """Exact h-step joint pmfs: the point mass at ``last_state`` pushed
+    through the one-step kernel h times, O(h d1 d2) in all. Converges to the
+    stationary joint pmf as h grows."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s, l = _validate_last_state(params, last_state)
-    d1, d2 = params.d1, params.d2
-    n_states = d1 * d2
-    if n_states > MAX_EXACT_STATES:
-        raise ValueError(f"state space too large for dense powers ({n_states} joint states)")
-    matrix = transition_tensor(params).reshape(n_states, n_states)
-    dist = np.zeros(n_states)
-    dist[(s - 1) * d2 + (l - 1)] = 1.0
+    kernel = TransitionKernel.from_params(params)
+    dist = np.zeros((params.d1, params.d2))
+    dist[s - 1, l - 1] = 1.0
     out = []
     for _ in range(horizon):
-        dist = dist @ matrix
-        out.append(dist.reshape(d1, d2).copy())
+        dist = kernel.push(dist)
+        out.append(dist)
     return out

@@ -29,7 +29,15 @@ from .joint import (
     _mechanism_cells,
     _mechanism_cells_vjp,
 )
-from .model import Bdar1Params, BivariateOrdinalSeries, Variant, transition_tensor
+# transition_tensor has no caller here; perfbench hooks bdar.inference.transition_tensor
+from .model import (  # noqa: F401
+    Bdar1Params,
+    BivariateOrdinalSeries,
+    TransitionKernel,
+    Transitions,
+    Variant,
+    transition_tensor,
+)
 from .rng import substream
 
 # Keep probabilities are mapped onto [0, PHI_CAP] so the stationarity
@@ -268,20 +276,17 @@ def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> flo
     """
     if data.d1 > params.d1 or data.d2 > params.d2:
         raise ValueError("data states exceed the parameter state space")
-    counts = transition_counts(data)
-    tensor = transition_tensor(params)[: data.d1, : data.d2, : data.d1, : data.d2]
-    observed = counts > 0
-    probs = tensor[observed]
-    if probs.min() < MIN_TERM_PROB:
-        bad = np.argwhere(observed & (tensor < MIN_TERM_PROB))[0] + 1
-        for t in range(1, data.n):
-            if (data.z1[t - 1], data.z2[t - 1], data.z1[t], data.z2[t]) == tuple(bad):
-                raise LikelihoodError(
-                    f"transition ({bad[0]},{bad[1]}) -> ({bad[2]},{bad[3]}) at t={t + 1} "
-                    "has zero probability under these parameters"
-                )
-        raise LikelihoodError("an observed transition has zero probability")  # pragma: no cover
-    return float(np.sum(counts[observed] * np.log(probs)))
+    obs = Transitions.from_counts(transition_counts(data))
+    log_probs = TransitionKernel.from_params(params).log_prob(obs)
+    bad = np.flatnonzero(log_probs < math.log(MIN_TERM_PROB))
+    if len(bad):
+        s, l, i, j = (int(a[bad[0]]) + 1 for a in (obs.s, obs.l, obs.i, obs.j))
+        hit = (data.z1[:-1] == s) & (data.z2[:-1] == l) & (data.z1[1:] == i) & (data.z2[1:] == j)
+        raise LikelihoodError(
+            f"transition ({s},{l}) -> ({i},{j}) at t={int(np.argmax(hit)) + 2} "
+            "has zero probability under these parameters"
+        )
+    return float(obs.weights @ log_probs)
 
 
 def _central_gradient(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -350,19 +355,7 @@ class FitReport:
 
     def estimates(self) -> dict:
         """All natural-scale estimates by name, including derived last simplex entries."""
-        p = self.params_hat
-        out = {f"p1_{i + 1}": p.m1.probs[i] for i in range(p.d1)}
-        out.update({f"p2_{i + 1}": p.m2.probs[i] for i in range(p.d2)})
-        if p.variant is Variant.M2:
-            out["phi"] = p.phi1
-        else:
-            out["phi1"] = p.phi1
-            out["phi2"] = p.phi2
-        if p.variant in (Variant.M4, Variant.M5):
-            out["delta_alpha"] = p.copula_alpha.delta
-        if p.variant in (Variant.M2, Variant.M3, Variant.M5):
-            out["delta_eps"] = p.copula_eps.delta
-        return out
+        return self.params_hat.named_values()
 
     def to_json_dict(self) -> dict:
         return {
@@ -468,19 +461,18 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout, options: FitO
 def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
-    Works from the sufficient statistics (transition counts) and the raw cell
-    helpers shared with the table builders; the value agrees with
-    ``-conditional_loglik(layout.unpack(x), data)`` to rounding. The gradient
-    is exact: the chain rule runs back through the four-term mixture, the
-    mechanism and innovation cells (copula partials) and the transforms.
+    Works from the sufficient statistics (transition counts), the raw cell
+    helpers shared with the table builders and the ``TransitionKernel``
+    mixture that ``conditional_loglik`` uses, so the value equals
+    ``-conditional_loglik(layout.unpack(x), data)`` wherever no term is
+    floored. The gradient is exact: the chain rule runs back through the
+    four-term mixture, the mechanism and innovation cells (copula partials)
+    and the transforms.
     Terms floored at ``MIN_TERM_PROB`` and clamped cells carry no gradient.
     """
-    s_idx, l_idx, i_idx, j_idx = np.nonzero(counts)
-    weights = counts[s_idx, l_idx, i_idx, j_idx]
-    keep1 = (i_idx == s_idx).astype(float)
-    keep2 = (j_idx == l_idx).astype(float)
-    both = keep1 * keep2
-    cell = i_idx * layout.d2 + j_idx
+    obs = Transitions.from_counts(counts)
+    weights = obs.weights
+    cell = obs.i * layout.d2 + obs.j
     is_common = layout.variant is Variant.M2
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -492,9 +484,9 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
         else:
             spec_alpha = spec_alpha or PRODUCT
             mech, _ = _mechanism_cells(phi1, phi2, spec_alpha)
-        # mechanism outcome (keep1, keep2) -> P(observed pair | outcome)
-        terms = (pe[i_idx, j_idx], keep2 * p1[i_idx], keep1 * p2[j_idx], both)
-        probs = sum(m * term for m, term in zip(mech.ravel(), terms))
+        kernel = TransitionKernel(mech, pe, p1, p2)
+        terms = kernel.terms(obs)
+        probs = kernel.mix(terms)
         floored = np.maximum(probs, MIN_TERM_PROB)
         value = -float(weights @ np.log(floored))
 
@@ -504,8 +496,8 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
         g_p1, g_p2, g_eps = _innovation_cells_vjp(
             p1, p2, spec_eps, g_pe.reshape(pe.shape) * (pe > 0.0)
         )
-        g_p1 += np.bincount(i_idx, weights=mech[0, 1] * keep2 * g_probs, minlength=layout.d1)
-        g_p2 += np.bincount(j_idx, weights=mech[1, 0] * keep1 * g_probs, minlength=layout.d2)
+        g_p1 += np.bincount(obs.i, weights=mech[0, 1] * obs.keep2 * g_probs, minlength=layout.d1)
+        g_p2 += np.bincount(obs.j, weights=mech[1, 0] * obs.keep1 * g_probs, minlength=layout.d2)
         if is_common:
             g_phi1, g_phi2, g_alpha = g_mech[1, 1] - g_mech[0, 0], 0.0, 0.0
         else:

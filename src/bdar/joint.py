@@ -75,25 +75,6 @@ class MechanismTable:
             raise ValueError("column margin does not reproduce phi2")
         object.__setattr__(self, "pi", pi)
 
-    @property
-    def cells(self) -> np.ndarray:
-        return self.pi
-
-    @property
-    def row_states(self) -> np.ndarray:
-        return np.array([0, 1])
-
-    @property
-    def col_states(self) -> np.ndarray:
-        return np.array([0, 1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "states1": [0, 1],
-            "states2": [0, 1],
-            "cells": [float(x) for x in self.pi.ravel()],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class InnovationTable:
@@ -117,22 +98,10 @@ class InnovationTable:
             raise ValueError("column sums do not reproduce the second marginal")
         object.__setattr__(self, "p", p)
 
-    @property
-    def cells(self) -> np.ndarray:
-        return self.p
-
-    @property
-    def row_states(self) -> np.ndarray:
-        return np.arange(1, self.marginal1.d + 1)
-
-    @property
-    def col_states(self) -> np.ndarray:
-        return np.arange(1, self.marginal2.d + 1)
-
     def to_json_dict(self) -> dict:
         return {
-            "states1": [int(s) for s in self.row_states],
-            "states2": [int(s) for s in self.col_states],
+            "states1": list(range(1, self.marginal1.d + 1)),
+            "states2": list(range(1, self.marginal2.d + 1)),
             "cells": [float(x) for x in self.p.ravel()],
         }
 
@@ -243,22 +212,17 @@ def innovation_joint(
     return InnovationTable(p=cells, marginal1=m1, marginal2=m2, max_clamp=max_clamp)
 
 
-def sample_joint(table, rng: np.random.Generator, size: int | None = None):
-    """Draw state pairs from a joint table by inverse CDF.
+def sample_joint(cells: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """Draw cells of a 2-d joint pmf by inverse CDF, as 0-based (row, col) indices.
 
-    The table is flattened row-major and a single uniform indexes the
-    cumulative cells, so draws are reproducible given a seeded generator.
-    Returns a (i, j) pair of ints, or a pair of arrays when ``size`` is set.
+    The cells are flattened row-major and a single uniform indexes their
+    cumulative sum, so draws are reproducible given a seeded generator.
+    Returns a pair of ints, or a pair of arrays when ``size`` is set.
     """
-    cells = table.cells.ravel()
-    cum = np.cumsum(cells)
+    cum = np.cumsum(cells.ravel())
     cum[-1] = 1.0
-    n_col = table.cells.shape[1]
     u = rng.random() if size is None else rng.random(size)
-    k = np.searchsorted(cum, u, side="right")
-    rows, cols = k // n_col, k % n_col
-    i = table.row_states[rows]
-    j = table.col_states[cols]
+    rows, cols = np.divmod(np.searchsorted(cum, u, side="right"), cells.shape[1])
     if size is None:
-        return int(i), int(j)
-    return i, j
+        return int(rows), int(cols)
+    return rows, cols

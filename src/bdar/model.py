@@ -5,14 +5,16 @@ draws fresh from an innovation distribution on the same state space. The
 bivariate BDAR(1) couples two such series twice over: the two keep/innovate
 indicators are joined by one copula, the two innovations by another.
 
-This module holds the parameter container, the exact conditional and
-stationary pmfs, moment recursions, and path simulation.
+This module holds the parameter container, the one-step transition kernel,
+the exact conditional and stationary pmfs, moment recursions, and path
+simulation.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +130,22 @@ class Bdar1Params:
     def innovation_table(self) -> InnovationTable:
         return innovation_joint(self.m1, self.m2, self.copula_eps or PRODUCT)
 
+    def named_values(self) -> dict:
+        """Natural-scale parameters by name: both full simplexes, the keep
+        rate(s), then the dependence parameters the variant leaves free."""
+        out = {f"p1_{i + 1}": p for i, p in enumerate(self.m1.probs)}
+        out.update({f"p2_{i + 1}": p for i, p in enumerate(self.m2.probs)})
+        if self.variant is Variant.M2:
+            out["phi"] = self.phi1
+        else:
+            out["phi1"] = self.phi1
+            out["phi2"] = self.phi2
+        if self.variant in (Variant.M4, Variant.M5):
+            out["delta_alpha"] = self.copula_alpha.delta
+        if self.variant in (Variant.M2, Variant.M3, Variant.M5):
+            out["delta_eps"] = self.copula_eps.delta
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant.value,
@@ -218,28 +236,118 @@ def dar1_conditional_pmf(phi: float, marginal: CategoricalMarginal, prev: int) -
     return out
 
 
-def joint_conditional_pmf(params: Bdar1Params, prev1: int, prev2: int) -> np.ndarray:
-    """One-step joint conditional pmf of the pair given the previous pair.
+class Transitions(NamedTuple):
+    """Distinct observed one-step transitions (s, l) -> (i, j) with their counts.
 
-    Mixes four cases by the mechanism cells: both kept (point mass at the
-    previous pair), both innovated (joint innovation pmf), and the two
-    one-kept cases (indicator times the other innovation marginal).
+    States are 0-based. ``keep1`` and ``keep2`` are 1.0 where the first or
+    second series repeated its state and 0.0 elsewhere; ``both`` is their
+    product.
     """
+
+    s: np.ndarray
+    l: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    weights: np.ndarray
+    keep1: np.ndarray
+    keep2: np.ndarray
+    both: np.ndarray
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "Transitions":
+        """The nonzero cells of a (d1, d2, d1, d2) transition-count array."""
+        d1, d2 = counts.shape[:2]
+        flat = counts.ravel()
+        k = np.flatnonzero(flat)
+        prev, cur = np.divmod(k, d1 * d2)
+        s, l = np.divmod(prev, d2)
+        i, j = np.divmod(cur, d2)
+        keep1 = (i == s).astype(float)
+        keep2 = (j == l).astype(float)
+        return cls(s, l, i, j, flat[k], keep1, keep2, keep1 * keep2)
+
+
+class TransitionKernel(NamedTuple):
+    """The one-step BDAR(1) transition as a four-term mixture.
+
+    P(i, j | s, l) = mech[0, 0] pe[i, j] + mech[0, 1] p1[i] 1[j = l]
+    + mech[1, 0] 1[i = s] p2[j] + mech[1, 1] 1[i = s, j = l]: the 2x2
+    mechanism cells (index 1 = keep) weigh the innovation pmf ``pe`` and its
+    marginals ``p1``, ``p2``. Nothing of size (d1 d2)^2 is ever built.
+    """
+
+    mech: np.ndarray
+    pe: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+
+    @classmethod
+    def from_params(cls, params: Bdar1Params) -> "TransitionKernel":
+        return cls(
+            params.mechanism_table().pi,
+            params.innovation_table().p,
+            params.m1.as_array(),
+            params.m2.as_array(),
+        )
+
+    def terms(self, obs: Transitions) -> tuple:
+        """P(observed pair | mechanism outcome) for the outcomes in
+        ``mech.ravel()`` order: both innovate, only the second keeps, only
+        the first keeps, both keep."""
+        return (
+            self.pe[obs.i, obs.j],
+            obs.keep2 * self.p1[obs.i],
+            obs.keep1 * self.p2[obs.j],
+            obs.both,
+        )
+
+    def mix(self, terms: tuple) -> np.ndarray:
+        """Transition probabilities from the per-outcome ``terms``."""
+        m00, m01, m10, m11 = self.mech.ravel().tolist()
+        t00, t01, t10, t11 = terms
+        return m00 * t00 + m01 * t01 + m10 * t10 + m11 * t11
+
+    def log_prob(self, obs: Transitions) -> np.ndarray:
+        """Log probability of each observed transition (-inf where it is 0)."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.mix(self.terms(obs)))
+
+    def push(self, dist: np.ndarray) -> np.ndarray:
+        """The pmf of the next pair given the pmf ``dist`` of the current one,
+        in O(d1 d2)."""
+        m00, m01, m10, m11 = self.mech.ravel().tolist()
+        return (
+            (m00 * dist.sum()) * self.pe
+            + m10 * np.outer(dist.sum(axis=1), self.p2)
+            + m01 * np.outer(self.p1, dist.sum(axis=0))
+            + m11 * dist
+        )
+
+    def sample(self, i: np.ndarray, j: np.ndarray, rng: np.random.Generator):
+        """Advance 0-based pairs (i, j) one step: draw every mechanism pair,
+        then every innovation pair, then carry the kept states forward."""
+        a1, a2 = sample_joint(self.mech, rng, size=len(i))
+        e1, e2 = sample_joint(self.pe, rng, size=len(i))
+        return np.where(a1 == 1, i, e1), np.where(a2 == 1, j, e2)
+
+
+def joint_conditional_pmf(params: Bdar1Params, prev1: int, prev2: int) -> np.ndarray:
+    """One-step joint conditional pmf of the pair given the previous pair:
+    the kernel pushed once from a point mass."""
     if not 1 <= prev1 <= params.d1:
         raise ValueError(f"state {prev1} outside 1..{params.d1}")
     if not 1 <= prev2 <= params.d2:
         raise ValueError(f"state {prev2} outside 1..{params.d2}")
-    mech = params.mechanism_table()
-    pe = params.innovation_table().p
-    out = mech.pi[0, 0] * pe
-    out[prev1 - 1, :] += mech.pi[1, 0] * params.m2.as_array()
-    out[:, prev2 - 1] += mech.pi[0, 1] * params.m1.as_array()
-    out[prev1 - 1, prev2 - 1] += mech.pi[1, 1]
-    return out
+    dist = np.zeros((params.d1, params.d2))
+    dist[prev1 - 1, prev2 - 1] = 1.0
+    return TransitionKernel.from_params(params).push(dist)
 
 
 def transition_tensor(params: Bdar1Params) -> np.ndarray:
-    """All joint conditionals at once: tensor[s-1, l-1, i-1, j-1] = P(i, j | s, l)."""
+    """All joint conditionals at once: tensor[s-1, l-1, i-1, j-1] = P(i, j | s, l).
+
+    A dense (d1 d2)^2 array, kept as the small-d oracle of ``TransitionKernel``.
+    """
     mech = params.mechanism_table()
     pe = params.innovation_table().p
     p1 = params.m1.as_array()
@@ -329,14 +437,6 @@ def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int) -> np.ndarray
     return np.where(last_fresh > 0, fresh[np.maximum(last_fresh - 1, 0)], init)
 
 
-def _draw_from_matrix(pmf: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
-    flat = pmf.ravel()
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return k // pmf.shape[1] + 1, k % pmf.shape[1] + 1
-
-
 def simulate(
     params: Bdar1Params,
     length: int,
@@ -356,19 +456,22 @@ def simulate(
         raise ValueError("length must be >= 2")
     if burn_in is not None and burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    # states are 0-based until the path is complete
     if init is None:
         burn = 0 if burn_in is None else burn_in
-        init1, init2 = _draw_from_matrix(stationary_joint_pmf(params), rng)
+        init1, init2 = sample_joint(stationary_joint_pmf(params), rng)
     else:
         burn = 100 if burn_in is None else burn_in
-        init1, init2 = int(init[0]), int(init[1])
-        if not (1 <= init1 <= params.d1 and 1 <= init2 <= params.d2):
+        init1, init2 = int(init[0]) - 1, int(init[1]) - 1
+        if not (0 <= init1 < params.d1 and 0 <= init2 < params.d2):
             raise ValueError(f"initial state {init} outside the state space")
     n = length + burn - 1
-    a1, a2 = sample_joint(params.mechanism_table(), rng, size=n)
-    e1, e2 = sample_joint(params.innovation_table(), rng, size=n)
+    a1, a2 = sample_joint(params.mechanism_table().pi, rng, size=n)
+    e1, e2 = sample_joint(params.innovation_table().p, rng, size=n)
     z1 = np.concatenate([[init1], _carry_forward(a1, e1, init1)])
     z2 = np.concatenate([[init2], _carry_forward(a2, e2, init2)])
+    z1 += 1
+    z2 += 1
     return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
 
 

@@ -191,6 +191,21 @@ def test_frank_large_delta_against_slow_reference():
             assert copula_cdf(spec, u, v) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [s * 10.0**e for e in (-8, -7, -5, -3, -1, -0.05) for s in (1, -1)])
+def test_frank_near_independence_against_slow_reference(delta):
+    # 1e-8 <= |delta| < 1: a form whose logs cancel to an O(delta) value
+    # would be off by ~1e-16/|delta| here
+    from mpmath import expm1 as mp_expm1
+    from mpmath import log as mp_log
+    from mpmath import mp, mpf
+
+    mp.dps = 50
+    d = mpf(delta)
+    for u, v in ((0.3, 0.7), (0.05, 0.9), (0.5, 0.5), (0.99, 0.01), (1e-3, 0.2)):
+        want = float(-mp_log(1 + mp_expm1(-d * u) * mp_expm1(-d * v) / mp_expm1(-d)) / d)
+        assert abs(copula_cdf(frank(delta), u, v) - want) <= 2e-16
+
+
 # (family, delta, dC/du, dC/dv, dC/ddelta) at (u, v) = (0.3, 0.7), from a
 # 50-digit mpmath differentiation of the closed forms
 PARTIALS_AT_03_07 = [

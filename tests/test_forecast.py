@@ -1,4 +1,4 @@
-"""Forecasting tests: Monte-Carlo path against the exact transition powers."""
+"""Forecasting tests: Monte-Carlo path against the exact pushes of the kernel."""
 
 import numpy as np
 import pytest
@@ -32,14 +32,25 @@ class TestExactForecastPmf:
         with pytest.raises(ValueError, match="outside"):
             exact_forecast_pmf(study_params, (0, 1), 3)
 
-    def test_guards_state_space_size(self):
-        big = Bdar1Params(
-            variant="m1", phi1=0.5, phi2=0.5,
-            m1=CategoricalMarginal((1 / 150,) * 150),
-            m2=CategoricalMarginal((1 / 150,) * 150),
+    def test_large_state_space(self):
+        # 150 x 150 states: a dense transition matrix would take 4 GB
+        w = 1.0 + np.arange(150) % 7
+        p = Bdar1Params(
+            variant="m5", phi1=0.5, phi2=0.3,
+            m1=CategoricalMarginal(tuple(w / w.sum())),
+            m2=CategoricalMarginal(tuple(w[::-1] / w.sum())),
+            copula_alpha=CopulaSpec("frank", 4.0), copula_eps=CopulaSpec("frank", 3.0),
         )
-        with pytest.raises(ValueError, match="too large"):
-            exact_forecast_pmf(big, (1, 1), 2)
+        out = exact_forecast_pmf(p, (150, 1), 120)
+        assert np.max(np.abs(out[-1] - stationary_joint_pmf(p))) <= 1e-15
+        # one step is the (150, 1) slice of the dense tensor, built cell by cell
+        mech, pe = p.mechanism_table().pi, p.innovation_table().p
+        want = mech[0, 0] * pe
+        want[149, :] += mech[1, 0] * p.m2.as_array()
+        want[:, 0] += mech[0, 1] * p.m1.as_array()
+        want[149, 0] += mech[1, 1]
+        assert np.max(np.abs(out[0] - want)) <= 1e-16
+        assert np.max(np.abs(out[0] - joint_conditional_pmf(p, 150, 1))) <= 1e-16
 
 
 class TestMonteCarloForecast:

@@ -135,19 +135,16 @@ class TestTransforms:
 
 
 def _delta_etas(family: CopulaFamily):
-    """Optimizer-scale dependence values, weighted toward the hard regimes.
-
-    Frank skips 1e-8 <= |delta| < 0.1: there the closed-form CDF in
-    ``copulas`` carries rounding noise of order 1e-16/|delta|, which swamps
-    any finite-difference oracle (``test_copulas`` checks the partials on
-    that stretch).
-    """
+    """Optimizer-scale dependence values, weighted toward the hard regimes:
+    for Frank the independence band, 1e-8 <= |delta| < 0.1 just outside it
+    (where eta ~ delta) and the bounds."""
     if family is CopulaFamily.FRANK:
         lo, hi = _FRANK_ETA_BOUNDS
         return st.one_of(
             st.floats(-0.99 * FRANK_INDEPENDENCE_TOL, 0.99 * FRANK_INDEPENDENCE_TOL),
-            st.floats(lo, -0.1),
-            st.floats(0.1, hi),
+            st.floats(-0.1, -FRANK_INDEPENDENCE_TOL),
+            st.floats(FRANK_INDEPENDENCE_TOL, 0.1),
+            st.floats(lo, hi),
             st.sampled_from([lo, hi]),
         )
     lo, hi = _GUMBEL_ETA_BOUNDS

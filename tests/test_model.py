@@ -4,14 +4,21 @@ Monte-Carlo oracles run at moderate sizes here with pinned seeds; the full
 criterion-sized versions live in test_acceptance.py.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdar import (
     Bdar1Params,
     BivariateOrdinalSeries,
     CategoricalMarginal,
     CopulaSpec,
+    TransitionKernel,
+    Transitions,
+    conditional_loglik,
     cross_moments,
     dar1_conditional_pmf,
     dar1_simulate,
@@ -133,8 +140,9 @@ class TestJointConditionalPmf:
         rng = substream(77, "one-step")
         from bdar.joint import sample_joint
 
-        a1, a2 = sample_joint(study_params.mechanism_table(), rng, size=n)
-        e1, e2 = sample_joint(study_params.innovation_table(), rng, size=n)
+        a1, a2 = sample_joint(study_params.mechanism_table().pi, rng, size=n)
+        e1, e2 = sample_joint(study_params.innovation_table().p, rng, size=n)
+        e1, e2 = e1 + 1, e2 + 1
         s, l = 1, 1
         z1 = a1 * s + (1 - a1) * e1
         z2 = a2 * l + (1 - a2) * e2
@@ -165,6 +173,79 @@ class TestJointConditionalPmf:
                 assert np.allclose(
                     tensor[s - 1, l - 1], joint_conditional_pmf(study_params, s, l), atol=1e-15
                 )
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Any variant, either family, d up to 6, keep rates up to 0.95."""
+    variant = draw(st.sampled_from(["m1", "m2", "m3", "m4", "m5"]))
+
+    def marginal():
+        w = [draw(st.floats(0.05, 1.0)) for _ in range(draw(st.integers(2, 6)))]
+        return CategoricalMarginal(tuple(np.asarray(w) / sum(w)))
+
+    def copula():
+        if draw(st.booleans()):
+            return CopulaSpec("gumbel", draw(st.floats(1.0, 30.0)))
+        return CopulaSpec("frank", draw(st.floats(-30.0, 30.0)))
+
+    phi1 = draw(st.floats(0.0, 0.95))
+    phi2 = phi1 if variant == "m2" else draw(st.floats(0.0, 0.95))
+    return Bdar1Params(
+        variant=variant, phi1=phi1, phi2=phi2, m1=marginal(), m2=marginal(),
+        copula_alpha=copula() if variant in ("m4", "m5") else None,
+        copula_eps=copula() if variant in ("m2", "m3", "m5") else None,
+    ), draw(st.integers(0, 2**32 - 1))
+
+
+class TestTransitionKernel:
+    """The O(d1 d2) kernel against the dense transition tensor."""
+
+    @given(case=_kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracles(self, case):
+        p, seed = case
+        rng = np.random.default_rng(seed)
+        kernel = TransitionKernel.from_params(p)
+        n_states = p.d1 * p.d2
+        tensor = transition_tensor(p)
+
+        dist = rng.dirichlet(np.ones(n_states)).reshape(p.d1, p.d2)
+        want = (dist.ravel() @ tensor.reshape(n_states, n_states)).reshape(p.d1, p.d2)
+        assert np.max(np.abs(kernel.push(dist) - want)) <= 1e-14
+
+        counts = rng.integers(0, 3, size=tensor.shape).astype(float)
+        obs = Transitions.from_counts(counts)
+        assert np.array_equal(obs.weights, counts[obs.s, obs.l, obs.i, obs.j])
+        assert obs.weights.sum() == counts.sum()
+        with np.errstate(divide="ignore"):
+            want_log = np.log(tensor[obs.s, obs.l, obs.i, obs.j])
+        assert np.allclose(kernel.log_prob(obs), want_log, rtol=0.0, atol=1e-13)
+
+        series = simulate(p, 60, substream(seed, "kernel-oracle"))
+        z1, z2 = series.z1, series.z2
+        want_ll = math.fsum(
+            math.log(joint_conditional_pmf(p, z1[t - 1], z2[t - 1])[z1[t] - 1, z2[t] - 1])
+            for t in range(1, series.n)
+        )
+        assert conditional_loglik(p, series) == pytest.approx(want_ll, rel=1e-12, abs=1e-12)
+
+    def test_stationary_is_fixed_point_of_push(self, random_params_factory):
+        rng = np.random.default_rng(37)
+        for family in ("gumbel", "frank"):
+            for _ in range(25):
+                d1, d2 = rng.integers(2, 7, size=2)
+                p = random_params_factory(rng, d1=int(d1), d2=int(d2), family=family)
+                stat = stationary_joint_pmf(p)
+                assert np.max(np.abs(TransitionKernel.from_params(p).push(stat) - stat)) <= 1e-15
+
+    def test_sample_follows_the_kernel(self, study_params):
+        kernel = TransitionKernel.from_params(study_params)
+        n = 200_000
+        i, j = kernel.sample(np.full(n, 1), np.full(n, 2), substream(5, "kernel-sample"))
+        freq = np.bincount(i * 3 + j, minlength=9).reshape(3, 3) / n
+        want = joint_conditional_pmf(study_params, 2, 3)
+        assert np.all(np.abs(freq - want) <= 4.0 * np.sqrt(want * (1.0 - want) / n) + 1e-12)
 
 
 class TestStationaryJointPmf:
