@@ -137,11 +137,6 @@ def ingest(path, col1: str, col2: str):
     return labels, np.asarray(y1), np.asarray(y2)
 
 
-def discretize(raw, rule: DiscretizationRule) -> np.ndarray:
-    """Apply a discretization rule to one raw series."""
-    return rule.apply(raw)
-
-
 # --------------------------------------------------------------------------
 # Config
 # --------------------------------------------------------------------------

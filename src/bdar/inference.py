@@ -59,6 +59,12 @@ _FRANK_ETA_BOUNDS = (-25.0, 25.0)
 _PHI_ETA_BOUNDS = (-40.0, 40.0)
 _ALR_ETA_BOUNDS = (-30.0, 30.0)
 
+# L-BFGS-B projected-gradient tolerance of every run of a fit.
+LBFGSB_GTOL = 1e-8
+
+# Shortest series a fit accepts.
+MIN_SERIES_LENGTH = 20
+
 
 class LikelihoodError(ValueError):
     """An observed transition has (numerically) zero probability."""
@@ -322,10 +328,8 @@ def _fd_hessian(grad, x: np.ndarray) -> np.ndarray:
 @dataclass
 class FitOptions:
     max_iter: int = 500
-    gtol: float = 1e-8
     n_restarts: int = 5
     seed: int = 0
-    min_length: int = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +337,7 @@ class FitReport:
     """Estimates, uncertainty, and bookkeeping from one conditional ML fit.
 
     ``converged`` is the success flag of the L-BFGS-B run that returned the
-    reported point (a restart, a ridge-polish refit or the M5 corner refit).
+    reported point: the best restart or, for M5, the corner refit.
     ``n_iterations`` is the total number of L-BFGS-B iterations over every
     run of the fit, including the restarts that lost and, for M5, the
     shared-mechanism sub-fit. ``max_gradient_norm`` is the largest absolute
@@ -434,7 +438,9 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout, options: FitO
         (uniform1, uniform2, 0.3, 0.3, "negative", "negative"),
         # shared-mechanism corner: equal keep rates, mechanism copula pinned
         # at its comonotone bound (only the mechanism; a pinned innovation
-        # copula would start on a likelihood cliff)
+        # copula would start on a likelihood cliff). Restarts, this one
+        # included, can stop short of the M2 fit; the corner refit in ``fit``
+        # closes the gap (test_m5_reaches_shared_mechanism_fit).
         (p1_hat, p2_hat, phi_mid, phi_mid, "corner", "strong"),
     ]
     starts = []
@@ -517,61 +523,27 @@ def _lbfgsb(objective, x0: np.ndarray, layout: _Layout, options: FitOptions):
         jac=True,
         method="L-BFGS-B",
         bounds=layout.bounds(),
-        options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": options.gtol},
+        options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": LBFGSB_GTOL},
     )
 
 
 def _maximize_layout(
     layout: _Layout, counts: np.ndarray, data: BivariateOrdinalSeries, options: FitOptions
 ):
-    """Best L-BFGS-B optimum over the default restarts, plus a ridge polish.
-
-    Dependence parameters can sit on an exponentially flattening ridge (the
-    near-independence and near-comonotone corners) where quasi-Newton runs
-    stall at slightly different points; a bounded 1-d search per delta
-    coordinate plus a refit pins the result to its plateau value.
+    """Best L-BFGS-B optimum over the default restarts.
 
     Returns ``(x, f, success, n_iter)``: the best point, its objective, the
     success flag of the L-BFGS-B run that returned it, and the iterations of
     every run made here.
     """
     objective = _make_objective(layout, counts)
-    bounds = layout.bounds()
     best, n_iter = None, 0
     for x0 in _default_starts(data, layout, options):
         res = _lbfgsb(objective, x0, layout, options)
         n_iter += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-    x_hat, f_hat, success = np.asarray(best.x, dtype=float), float(best.fun), bool(best.success)
-
-    for _ in range(2 if layout.n_delta else 0):
-        moved = False
-        for j in range(layout.size - layout.n_delta, layout.size):
-            frozen = x_hat
-
-            def along(eta, j=j, frozen=frozen):
-                x = frozen.copy()
-                x[j] = eta
-                return objective(x)[0]
-
-            scalar = optimize.minimize_scalar(
-                along, bounds=bounds[j], method="bounded", options={"xatol": 1e-10}
-            )
-            if scalar.fun < f_hat - 1e-13:
-                x_hat = x_hat.copy()
-                x_hat[j] = float(scalar.x)
-                f_hat = float(scalar.fun)
-                moved = True
-        if not moved:
-            break
-        # L-BFGS-B only accepts descent steps, so the refit ends at or below
-        # the polished point and its flag describes the reported point
-        res = _lbfgsb(objective, x_hat, layout, options)
-        n_iter += int(res.nit)
-        if res.fun <= f_hat:
-            x_hat, f_hat, success = np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
-    return x_hat, f_hat, success, n_iter
+    return np.asarray(best.x, dtype=float), float(best.fun), bool(best.success), n_iter
 
 
 def fit(
@@ -587,13 +559,13 @@ def fit(
     objective) from several deterministic starting points: method-of-moments
     keep probabilities from the lag-1 repeat rate, empirical marginals, and a
     spread of dependence levels from near-independence to strong. The best
-    optimum is kept, then polished along the dependence coordinates; for M5
-    it is also compared with a refit from the shared-mechanism corner. Same
-    data, seed, and options give an identical report.
+    optimum is kept; for M5 it is also compared with a refit from the
+    shared-mechanism corner, which wins ties. Same data, seed, and options
+    give an identical report.
     """
     options = options or FitOptions()
-    if data.n < options.min_length:
-        raise ValueError(f"need at least {options.min_length} observations, got {data.n}")
+    if data.n < MIN_SERIES_LENGTH:
+        raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
     for name, z, d in (("series 1", data.z1, data.d1), ("series 2", data.z2, data.d2)):
         seen = np.bincount(z - 1, minlength=d)
         if np.any(seen == 0):

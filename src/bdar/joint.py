@@ -98,13 +98,6 @@ class InnovationTable:
             raise ValueError("column sums do not reproduce the second marginal")
         object.__setattr__(self, "p", p)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "states1": list(range(1, self.marginal1.d + 1)),
-            "states2": list(range(1, self.marginal2.d + 1)),
-            "cells": [float(x) for x in self.p.ravel()],
-        }
-
 
 def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> tuple[np.ndarray, float]:
     """Raw 2x2 mechanism cells plus the clamp applied to negative rounding."""

@@ -174,13 +174,3 @@ class TestSampling:
 def test_mechanism_table_validates_margins():
     with pytest.raises(ValueError, match="phi1"):
         MechanismTable(pi=np.array([[0.5, 0.0], [0.0, 0.5]]), phi1=0.4, phi2=0.5)
-
-
-def test_table_json_shape():
-    m1 = CategoricalMarginal((0.5, 0.5))
-    m2 = CategoricalMarginal((0.2, 0.3, 0.5))
-    doc = innovation_joint(m1, m2, PRODUCT).to_json_dict()
-    assert doc["states1"] == [1, 2]
-    assert doc["states2"] == [1, 2, 3]
-    assert len(doc["cells"]) == 6
-    assert sum(doc["cells"]) == pytest.approx(1.0, abs=1e-12)
