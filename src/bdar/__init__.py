@@ -9,7 +9,6 @@ variants, simulation, moment formulas, and Monte-Carlo forecasting.
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf, rectangle_mass
 from .forecast import ForecastResult, exact_forecast_pmf, forecast
 from .inference import (
-    FitOptions,
     FitReport,
     LikelihoodError,
     LrtResult,
@@ -55,7 +54,6 @@ __all__ = [
     "CopulaFamily",
     "CopulaSpec",
     "CrossMoments",
-    "FitOptions",
     "FitReport",
     "ForecastResult",
     "InnovationTable",

@@ -21,7 +21,6 @@ import numpy as np
 
 from .forecast import ForecastResult, forecast
 from .inference import (
-    FitOptions,
     FitReport,
     LikelihoodError,
     conditional_loglik,
@@ -55,13 +54,12 @@ BUNDLED_PARAMS = _DATA_DIR / "synthetic_quarterly_params.json"
 class DiscretizationRule:
     """Maps raw values to states by breakpoint intervals.
 
-    With ``right_closed`` (the default) state k covers (b_k, b_{k+1}], except
-    the first interval which is closed on both ends so the lowest breakpoint
-    itself is state 1. Values outside [b_1, b_last] are errors.
+    State k covers the right-closed band (b_k, b_{k+1}], except the first
+    band, which is closed on both ends so the lowest breakpoint itself is
+    state 1. Values outside [b_1, b_last] are errors.
     """
 
     breakpoints: tuple
-    right_closed: bool = True
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -86,8 +84,7 @@ class DiscretizationRule:
                 f"value {y[i]} at position {i} outside the breakpoint range "
                 f"[{bps[0]}, {bps[-1]}]"
             )
-        side = "left" if self.right_closed else "right"
-        states = np.searchsorted(bps[1:-1], y, side=side) + 1
+        states = np.searchsorted(bps[1:-1], y, side="left") + 1
         return states.astype(np.int64)
 
 
@@ -155,8 +152,6 @@ class RunConfig:
     n_sims: int = 10_000
     horizon: int = 12
     output: str = "out"
-    restarts: int = 5
-    max_iter: int = 500
     params: str | None = None
     last_state: list | None = None
     length: int = 104
@@ -207,9 +202,6 @@ class RunConfig:
                 raise ValueError("quantile breakpoints need raw data")
             return quantile_breakpoints(pooled, int(self.quantiles))
         return None
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(max_iter=self.max_iter, n_restarts=self.restarts, seed=self.seed)
 
 
 def load_ordinal(config: RunConfig) -> tuple[list, BivariateOrdinalSeries]:
@@ -293,7 +285,6 @@ def run_compare(config: RunConfig) -> dict:
                 variant,
                 copula_alpha_family=config.copula_alpha,
                 copula_eps_family=config.copula_eps,
-                options=config.fit_options(),
             )
         except Exception as exc:  # per-model failures must not abort the rest
             failures[variant.value] = str(exc)
@@ -446,7 +437,6 @@ def run_replicate_study(config: RunConfig) -> Path:
                     true_params.variant,
                     copula_alpha_family=alpha_family,
                     copula_eps_family=eps_family,
-                    options=config.fit_options(),
                 )
             except Exception as exc:
                 rows.append([int(t_len), rep, "ERROR", "", "", str(exc)])
@@ -514,7 +504,6 @@ def _cmd_fit(args):
         variant,
         copula_alpha_family=config.copula_alpha,
         copula_eps_family=config.copula_eps,
-        options=config.fit_options(),
     )
     out_dir = Path(config.output)
     _write_json(out_dir / f"fit_{variant.value}.json", report.to_json_dict())
@@ -571,8 +560,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--quantiles", type=int, help="discretize by pooled quantiles into k states")
     parser.add_argument("--copula-alpha", dest="copula_alpha", help="mechanism copula family")
     parser.add_argument("--copula-eps", dest="copula_eps", help="innovation copula family")
-    parser.add_argument("--restarts", type=int, help="optimizer restarts")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="optimizer iteration cap")
     parser.add_argument("--params", help="params JSON file")
     parser.add_argument("--n-sims", dest="n_sims", type=int, help="simulated trajectories")
     parser.add_argument("--horizon", type=int, help="forecast horizon")

@@ -214,8 +214,11 @@ def _cdf_partials(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray):
         return vv, uu, _frank_delta_series(uu, vv, 0.0)
     if delta > 0:
         return _frank_positive_partials(uu, vv, delta)
-    # C(u, v; delta) = u - C(u, 1 - v; -delta)
-    du, dv, dd = _frank_positive_partials(uu, 1.0 - vv, -delta)
+    # C(u, v; delta) = u - C(u, 1 - v; -delta). An edge v below ~5.6e-17
+    # reflects onto 1 - v = 1.0, where log(1 - e^-d(1-v)) is log(0); the
+    # partials there are the finite v -> 0 limits, so the divide is expected.
+    with np.errstate(divide="ignore"):
+        du, dv, dd = _frank_positive_partials(uu, 1.0 - vv, -delta)
     return 1.0 - du, dv, dd
 
 

@@ -38,7 +38,6 @@ from .model import (  # noqa: F401
     Variant,
     transition_tensor,
 )
-from .rng import substream
 
 # Keep probabilities are mapped onto [0, PHI_CAP] so the stationarity
 # inequality phi < 1 stays strict and the both-kept mechanism mass stays
@@ -59,8 +58,9 @@ _FRANK_ETA_BOUNDS = (-25.0, 25.0)
 _PHI_ETA_BOUNDS = (-40.0, 40.0)
 _ALR_ETA_BOUNDS = (-30.0, 30.0)
 
-# L-BFGS-B projected-gradient tolerance of every run of a fit.
+# L-BFGS-B projected-gradient tolerance and iteration cap of every run of a fit.
 LBFGSB_GTOL = 1e-8
+LBFGSB_MAX_ITER = 500
 
 # Shortest series a fit accepts.
 MIN_SERIES_LENGTH = 20
@@ -325,13 +325,6 @@ def _fd_hessian(grad, x: np.ndarray) -> np.ndarray:
 # Fitting
 # --------------------------------------------------------------------------
 
-@dataclass
-class FitOptions:
-    max_iter: int = 500
-    n_restarts: int = 5
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class FitReport:
     """Estimates, uncertainty, and bookkeeping from one conditional ML fit.
@@ -355,7 +348,6 @@ class FitReport:
     converged: bool
     n_iterations: int
     max_gradient_norm: float
-    seed: int = 0
 
     def estimates(self) -> dict:
         """All natural-scale estimates by name, including derived last simplex entries."""
@@ -373,7 +365,6 @@ class FitReport:
             "converged": self.converged,
             "n_iterations": self.n_iterations,
             "max_gradient_norm": self.max_gradient_norm,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -389,7 +380,6 @@ class FitReport:
             converged=bool(d["converged"]),
             n_iterations=int(d["n_iterations"]),
             max_gradient_norm=float(d["max_gradient_norm"]),
-            seed=int(d.get("seed", 0)),
         )
 
 
@@ -422,7 +412,7 @@ def _start_deltas(family: CopulaFamily | None, level: str) -> float | None:
     return table[family][level]
 
 
-def _default_starts(data: BivariateOrdinalSeries, layout: _Layout, options: FitOptions) -> list:
+def _default_starts(data: BivariateOrdinalSeries, layout: _Layout) -> list:
     p1_hat = _empirical_marginal(data.z1, layout.d1)
     p2_hat = _empirical_marginal(data.z2, layout.d2)
     phi1_hat = _moment_phi(data.z1, p1_hat)
@@ -457,11 +447,7 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout, options: FitO
         if layout.eps_family is not None:
             x.append(delta_to_eta(_start_deltas(layout.eps_family, level_eps), layout.eps_family))
         starts.append(np.asarray(x, dtype=float))
-    if options.n_restarts > len(starts):
-        rng = substream(options.seed, "fit-extra-starts")
-        for _ in range(options.n_restarts - len(starts)):
-            starts.append(starts[0] + rng.normal(scale=0.5, size=layout.size))
-    return starts[: max(options.n_restarts, 1)]
+    return starts
 
 
 def _make_objective(layout: _Layout, counts: np.ndarray):
@@ -484,12 +470,12 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
         spec_eps = spec_eps or PRODUCT
-        pe, _ = _innovation_cells(p1, p2, spec_eps)
+        pe = _innovation_cells(p1, p2, spec_eps)
         if is_common:
             mech = np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
         else:
             spec_alpha = spec_alpha or PRODUCT
-            mech, _ = _mechanism_cells(phi1, phi2, spec_alpha)
+            mech = _mechanism_cells(phi1, phi2, spec_alpha)
         kernel = TransitionKernel(mech, pe, p1, p2)
         terms = kernel.terms(obs)
         probs = kernel.mix(terms)
@@ -516,20 +502,18 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     return objective
 
 
-def _lbfgsb(objective, x0: np.ndarray, layout: _Layout, options: FitOptions):
+def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
     return optimize.minimize(
         objective,
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=layout.bounds(),
-        options={"maxiter": options.max_iter, "ftol": 1e-12, "gtol": LBFGSB_GTOL},
+        options={"maxiter": LBFGSB_MAX_ITER, "ftol": 1e-12, "gtol": LBFGSB_GTOL},
     )
 
 
-def _maximize_layout(
-    layout: _Layout, counts: np.ndarray, data: BivariateOrdinalSeries, options: FitOptions
-):
+def _maximize_layout(layout: _Layout, counts: np.ndarray, data: BivariateOrdinalSeries):
     """Best L-BFGS-B optimum over the default restarts.
 
     Returns ``(x, f, success, n_iter)``: the best point, its objective, the
@@ -538,8 +522,8 @@ def _maximize_layout(
     """
     objective = _make_objective(layout, counts)
     best, n_iter = None, 0
-    for x0 in _default_starts(data, layout, options):
-        res = _lbfgsb(objective, x0, layout, options)
+    for x0 in _default_starts(data, layout):
+        res = _lbfgsb(objective, x0, layout)
         n_iter += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
@@ -551,19 +535,17 @@ def fit(
     variant,
     copula_alpha_family="frank",
     copula_eps_family="frank",
-    options: FitOptions | None = None,
 ) -> FitReport:
     """Conditional maximum-likelihood fit of one model variant.
 
     Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
-    objective) from several deterministic starting points: method-of-moments
+    objective) from five deterministic starting points: method-of-moments
     keep probabilities from the lag-1 repeat rate, empirical marginals, and a
     spread of dependence levels from near-independence to strong. The best
     optimum is kept; for M5 it is also compared with a refit from the
-    shared-mechanism corner, which wins ties. Same data, seed, and options
-    give an identical report.
+    shared-mechanism corner, which wins ties. The same data give an
+    identical report.
     """
-    options = options or FitOptions()
     if data.n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
     for name, z, d in (("series 1", data.z1, data.d1), ("series 2", data.z2, data.d2)):
@@ -576,7 +558,7 @@ def fit(
     layout = _Layout.build(variant, data.d1, data.d2, copula_alpha_family, copula_eps_family)
     counts = transition_counts(data)
     objective = _make_objective(layout, counts)
-    x_hat, f_hat, success, n_iter = _maximize_layout(layout, counts, data, options)
+    x_hat, f_hat, success, n_iter = _maximize_layout(layout, counts, data)
 
     # The shared-mechanism variant lives on the closure of the full model
     # (mechanism copula at its comonotone bound, equal keep rates). Plain
@@ -587,12 +569,12 @@ def fit(
     # for any data.
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, copula_eps_family)
-        x2, _, _, nit2 = _maximize_layout(m2_layout, counts, data, options)
+        x2, _, _, nit2 = _maximize_layout(m2_layout, counts, data)
         k = (data.d1 - 1) + (data.d2 - 1)
         x_corner = np.concatenate(
             [x2[:k], [x2[k], x2[k], layout.bounds()[k + 2][1], x2[k + 1]]]
         )
-        res = _lbfgsb(objective, x_corner, layout, options)
+        res = _lbfgsb(objective, x_corner, layout)
         n_iter += nit2 + int(res.nit)
         if res.fun <= f_hat:
             x_hat, f_hat, success = np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
@@ -629,7 +611,6 @@ def fit(
         converged=success,
         n_iterations=n_iter,
         max_gradient_norm=max_grad,
-        seed=options.seed,
     )
 
 

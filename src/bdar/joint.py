@@ -61,7 +61,6 @@ class MechanismTable:
     pi: np.ndarray
     phi1: float
     phi2: float
-    max_clamp: float = 0.0
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -83,7 +82,6 @@ class InnovationTable:
     p: np.ndarray
     marginal1: CategoricalMarginal
     marginal2: CategoricalMarginal
-    max_clamp: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -99,8 +97,8 @@ class InnovationTable:
         object.__setattr__(self, "p", p)
 
 
-def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> tuple[np.ndarray, float]:
-    """Raw 2x2 mechanism cells plus the clamp applied to negative rounding."""
+def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> np.ndarray:
+    """The 2x2 mechanism cells, with negative rounding clamped to 0."""
     p00 = float(_cdf_core(spec, np.float64(1.0 - phi1), np.float64(1.0 - phi2)))
     cells = np.array(
         [
@@ -108,8 +106,7 @@ def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> tuple[np.nda
             [(1.0 - phi2) - p00, phi1 + phi2 - 1.0 + p00],
         ]
     )
-    max_clamp = float(max(0.0, -cells.min()))
-    return np.clip(cells, 0.0, None), max_clamp
+    return np.clip(cells, 0.0, None)
 
 
 def _mechanism_cells_vjp(phi1: float, phi2: float, spec: CopulaSpec, g_cells: np.ndarray):
@@ -139,14 +136,14 @@ def _cdf_edges(p: np.ndarray) -> np.ndarray:
     return f
 
 
-def _innovation_cells(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec) -> tuple[np.ndarray, float]:
-    """Raw d1 x d2 innovation cells: rectangle masses over the marginal CDF grids."""
+def _innovation_cells(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec) -> np.ndarray:
+    """The d1 x d2 innovation cells: rectangle masses over the marginal CDF
+    grids, with negative rounding clamped to 0."""
     f1 = _cdf_edges(p1)
     f2 = _cdf_edges(p2)
     grid = _cdf_core(spec, f1[:, None], f2[None, :])
     cells = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
-    max_clamp = float(max(0.0, -cells.min()))
-    return np.clip(cells, 0.0, None), max_clamp
+    return np.clip(cells, 0.0, None)
 
 
 def _innovation_cells_vjp(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec, g_cells: np.ndarray):
@@ -185,8 +182,8 @@ def bernoulli_joint(phi1: float, phi2: float, spec: CopulaSpec) -> MechanismTabl
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
         if not 0.0 <= phi < 1.0:
             raise ValueError(f"{name}={phi} outside [0, 1)")
-    cells, max_clamp = _mechanism_cells(float(phi1), float(phi2), spec)
-    return MechanismTable(pi=cells, phi1=float(phi1), phi2=float(phi2), max_clamp=max_clamp)
+    cells = _mechanism_cells(float(phi1), float(phi2), spec)
+    return MechanismTable(pi=cells, phi1=float(phi1), phi2=float(phi2))
 
 
 def comonotone_mechanism(phi: float) -> MechanismTable:
@@ -201,8 +198,8 @@ def innovation_joint(
     m1: CategoricalMarginal, m2: CategoricalMarginal, spec: CopulaSpec
 ) -> InnovationTable:
     """Joint innovation pmf: rectangle masses over the marginal CDF grids."""
-    cells, max_clamp = _innovation_cells(m1.as_array(), m2.as_array(), spec)
-    return InnovationTable(p=cells, marginal1=m1, marginal2=m2, max_clamp=max_clamp)
+    cells = _innovation_cells(m1.as_array(), m2.as_array(), spec)
+    return InnovationTable(p=cells, marginal1=m1, marginal2=m2)
 
 
 def sample_joint(cells: np.ndarray, rng: np.random.Generator, size: int | None = None):

@@ -159,6 +159,10 @@ class Bdar1Params:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Bdar1Params":
+        missing = [key for key in ("variant", "phi1", "phi2", "p1", "p2") if key not in d]
+        if missing:
+            raise ValueError(f"parameter set lacks the keys {missing}")
+
         def spec(entry):
             return None if entry is None else CopulaSpec.from_json_dict(entry)
 
@@ -181,8 +185,6 @@ class BivariateOrdinalSeries:
     z2: np.ndarray
     d1: int
     d2: int
-    labels1: tuple | None = None
-    labels2: tuple | None = None
 
     def __post_init__(self):
         z1 = np.asarray(self.z1, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Deterministic named random substreams.
 
 Every source of randomness in the package is derived from a single integer
-seed plus a descriptive key, so replicate studies, fits, and forecasts are
+seed plus a descriptive key, so simulations, replicate studies and forecasts are
 reproducible and independent of execution order or worker count.
 """
 

@@ -56,10 +56,6 @@ class TestDiscretizationRule:
         states = RULE.apply(y)
         assert np.all(np.diff(states) >= 0)
 
-    def test_left_closed_variant(self):
-        rule = DiscretizationRule((0.0, 1.0, 2.0), right_closed=False)
-        assert list(rule.apply([0.0, 1.0, 2.0])) == [1, 2, 2]
-
     def test_needs_ascending_breakpoints(self):
         with pytest.raises(ValueError, match="ascending"):
             DiscretizationRule((1.0, 1.0, 2.0))
@@ -237,8 +233,17 @@ class TestCompare:
             stats[model] = (float(loglik), int(n_params), float(aic), float(bic))
         for nested in ("m1", "m2", "m3", "m4"):
             assert stats["m5"][0] >= stats[nested][0] - 1e-6
+        frozen = {
+            "m1": -101.54098297604794,
+            "m2": -96.16045917049999,
+            "m3": -97.4728962599277,
+            "m4": -93.46206928218542,
+            "m5": -90.25424173019454,
+        }
+        for model, loglik in frozen.items():
+            assert stats[model][0] == pytest.approx(loglik, abs=1e-6), model
         assert stats["m1"][1] == 7 and stats["m5"][1] == 9
-        assert selection["chosen"] in stats
+        assert selection["best_bic"] == selection["best_aic"] == selection["chosen"] == "m5"
         assert selection["decision_trail"]
 
     def test_failure_recorded_without_aborting(self, tmp_path):
@@ -315,6 +320,16 @@ class TestForecastCommand:
         assert config.last_state is None
         result = run_forecast(config)
         assert result.horizon == config.horizon
+
+    def test_fit_report_as_params_is_an_error(self, tmp_path, capsys):
+        # fit_*.json holds the parameters under "params"; it is not a params file
+        code = main([
+            "forecast", "--params", str(BUNDLED_SERIES.parent / "golden_fit_m5.json"),
+            "--last-state", "1", "1", "--output", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "variant" in err
 
     def test_zero_sims_rejected(self, tmp_path):
         config = _fixture_config(tmp_path, params="whatever.json", n_sims=0)

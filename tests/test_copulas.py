@@ -228,6 +228,14 @@ class TestCdfPartials:
         du, dv, dd = _cdf_partials(PRODUCT, np.float64(0.3), np.float64(0.7))
         assert (float(du), float(dv), float(dd)) == (0.7, 0.3, 0.0)
 
+    def test_frank_negative_delta_at_tiny_v(self):
+        # 1 - v rounds to 1 in the reflection; the partials are the v -> 0 limits
+        spec = frank(-4.0)
+        tiny = _cdf_partials(spec, np.float64(0.3), np.float64(1e-17))
+        near = _cdf_partials(spec, np.float64(0.3), np.float64(1e-15))
+        for a, b in zip(tiny, near):
+            assert np.isfinite(a) and abs(float(a) - float(b)) <= 1e-12
+
     # the independence band stands in for its delta -> 0 limit, an O(delta)
     # step; the series and the Euler form are the same function
     @pytest.mark.parametrize("edge, tol", [(FRANK_INDEPENDENCE_TOL, 1e-8), (_FRANK_SERIES_DELTA, 1e-9)])

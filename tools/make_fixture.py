@@ -4,7 +4,7 @@ The series is simulated from fixed reference parameters (a fitted M5 model on
 quarterly unemployment-style rates) and written as raw continuous values: each
 state maps to the midpoint of its breakpoint band, so discretizing with the
 default rule recovers the simulated states exactly. The golden file freezes
-the default-seed M5 fit on that series for regression testing.
+the M5 fit on that series for regression testing.
 
 Run from the repo root: python3 tools/make_fixture.py
 """
