@@ -54,6 +54,8 @@ class CopulaSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CopulaSpec":
+        if not isinstance(d, dict) or "family" not in d:
+            raise ValueError(f"copula entry {d!r} lacks a 'family'")
         return cls(CopulaFamily(d["family"]), float(d.get("delta", 0.0)))
 
 

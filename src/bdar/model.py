@@ -162,6 +162,9 @@ class Bdar1Params:
         missing = [key for key in ("variant", "phi1", "phi2", "p1", "p2") if key not in d]
         if missing:
             raise ValueError(f"parameter set lacks the keys {missing}")
+        for key in ("p1", "p2"):
+            if not isinstance(d[key], (list, tuple)):
+                raise ValueError(f"{key} must be a list of probabilities, got {d[key]!r}")
 
         def spec(entry):
             return None if entry is None else CopulaSpec.from_json_dict(entry)
@@ -428,15 +431,16 @@ def cross_moments(
 
 
 def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int) -> np.ndarray:
-    """Resolve z_t = keep_t * z_{t-1} + (1 - keep_t) * fresh_t without a Python loop.
+    """Resolve z_0 = init, z_t = keep_t * z_{t-1} + (1 - keep_t) * fresh_t
+    (t = 1..n) without a Python loop; returns z_0..z_n.
 
     Each position takes the fresh value at the most recent non-keep step, or
     the initial state if no such step has happened yet.
     """
-    n = len(keep)
-    idx = np.arange(1, n + 1)
-    last_fresh = np.maximum.accumulate(np.where(keep == 0, idx, 0))
-    return np.where(last_fresh > 0, fresh[np.maximum(last_fresh - 1, 0)], init)
+    pos = np.arange(len(keep) + 1)
+    pos[1:] *= keep == 0
+    np.maximum.accumulate(pos, out=pos)
+    return np.concatenate([[init], fresh])[pos]
 
 
 def simulate(
@@ -470,8 +474,8 @@ def simulate(
     n = length + burn - 1
     a1, a2 = sample_joint(params.mechanism_table().pi, rng, size=n)
     e1, e2 = sample_joint(params.innovation_table().p, rng, size=n)
-    z1 = np.concatenate([[init1], _carry_forward(a1, e1, init1)])
-    z2 = np.concatenate([[init2], _carry_forward(a2, e2, init2)])
+    z1 = _carry_forward(a1, e1, init1)
+    z2 = _carry_forward(a2, e2, init2)
     z1 += 1
     z2 += 1
     return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
@@ -501,5 +505,5 @@ def dar1_simulate(
     n = length + burn - 1
     keep = (rng.random(n) < phi).astype(np.int64)
     fresh = np.searchsorted(cum, rng.random(n), side="right") + 1
-    z = np.concatenate([[init], _carry_forward(keep, fresh, init)])
+    z = _carry_forward(keep, fresh, init)
     return z[burn:]

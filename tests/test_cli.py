@@ -393,6 +393,21 @@ class TestMainEntry:
         lines = (tmp_path / "out" / "simulated.csv").read_text().splitlines()
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("change, message", [
+        ({"copula_eps": {"delta": 2.0}}, "lacks a 'family'"),
+        ({"p1": 5}, "p1 must be a list of probabilities"),
+    ])
+    def test_malformed_params_file_is_an_error(self, tmp_path, capsys, change, message):
+        params = json.loads(BUNDLED_PARAMS.read_text())
+        params.update(change)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code = main(["simulate", "--params", str(path), "--length", "50",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
         assert code == 1

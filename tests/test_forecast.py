@@ -1,5 +1,7 @@
 """Forecasting tests: Monte-Carlo path against the exact pushes of the kernel."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bdar import (
     joint_conditional_pmf,
     stationary_joint_pmf,
 )
+from bdar.rng import substream
 
 
 class TestExactForecastPmf:
@@ -116,6 +119,12 @@ class TestMonteCarloForecast:
             forecast(study_params, (1, 1), horizon=1, n_sims=0)
         with pytest.raises(ValueError, match="outside"):
             forecast(study_params, (9, 1), horizon=1, n_sims=10)
+
+    def test_joint_is_frozen(self, study_params):
+        # sha256 computed with the plain searchsorted inverse-CDF draw
+        result = forecast(study_params, (2, 3), 12, 5_000, substream(6, "golden-forecast"))
+        digest = hashlib.sha256(result.joint.tobytes()).hexdigest()
+        assert digest == "e0b56dd7c6a9a5d1e7af99c27d09d01f729675c8e158169aa206a16a338414f8"
 
     def test_accepts_generator(self, study_params):
         result = forecast(study_params, (1, 1), horizon=2, n_sims=500,

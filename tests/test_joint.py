@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdar import (
     CategoricalMarginal,
@@ -140,7 +142,70 @@ def test_frank_positive_dependence_orders_concordance():
         assert _concordance(dependent.p) >= _concordance(independent.p) - 1e-12
 
 
+@st.composite
+def _pmf_cells(draw):
+    """Cell tables from 1x2 up to 30x30 (2x2 often), with zero cells, runs
+    of cells below 1e-12 that share one guide bucket, or one dominant first
+    or last cell."""
+    d1, d2 = draw(st.one_of(
+        st.just((2, 2)),
+        st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(lambda s: s[0] * s[1] >= 2),
+    ))
+    n = d1 * d2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(n)
+    if draw(st.booleans()):
+        w[rng.random(n) < draw(st.floats(0.1, 0.9))] = 0.0
+    if draw(st.booleans()):
+        start = int(rng.integers(0, n))
+        w[start:start + int(rng.integers(1, n + 1))] = 1e-13 * rng.random()
+    dominant = draw(st.sampled_from([None, 0, -1]))
+    if dominant is not None:
+        w[dominant] = 1e6 * (1.0 + w.sum())
+    if w.sum() == 0.0:
+        w[-1] = 1.0
+    return (w / w.sum()).reshape(d1, d2), draw(st.integers(0, 2**32 - 1))
+
+
+class _ScriptedRng:
+    """Stands in for a Generator whose ``random(size)`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
 class TestSampling:
+    @given(case=_pmf_cells())
+    @settings(max_examples=200, deadline=None)
+    def test_draws_equal_the_plain_search(self, case):
+        cells, seed = case
+        d2 = cells.shape[1]
+        cum = np.cumsum(cells.ravel())
+        cum[-1] = 1.0
+        m = 1 << (8 * cum.size - 1).bit_length()
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            np.arange(m) / m,
+            cum,
+            np.nextafter(cum, -np.inf),
+            np.nextafter(cum, np.inf),
+            np.random.default_rng(seed).random(500),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        rows, cols = sample_joint(cells, _ScriptedRng(u), size=len(u))
+        want_rows, want_cols = np.divmod(np.searchsorted(cum, u, side="right"), d2)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+        single = sample_joint(cells, np.random.default_rng(seed))
+        first = sample_joint(cells, np.random.default_rng(seed), size=1)
+        assert single == (first[0][0], first[1][0])
+        plain = np.divmod(np.searchsorted(cum, np.random.default_rng(seed).random(), side="right"), d2)
+        assert single == tuple(int(x) for x in plain)
+
     def test_degenerate_table_always_same_cell(self):
         table = bernoulli_joint(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ Monte-Carlo oracles run at moderate sizes here with pinned seeds; the full
 criterion-sized versions live in test_acceptance.py.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -378,6 +379,24 @@ class TestSimulate:
             return float(np.max(np.abs(freq - tensor)))
 
         assert distance(100_000, "big") < distance(1_000, "small")
+
+    # sha256 of z1.tobytes() + z2.tobytes(), computed with the plain
+    # searchsorted inverse-CDF draw: any faster draw must give the same paths
+    def test_study_path_is_frozen(self, study_params):
+        s = simulate(study_params, 10_000, substream(6, "golden-path"))
+        digest = hashlib.sha256(s.z1.tobytes() + s.z2.tobytes()).hexdigest()
+        assert digest == "15d2689c591d1ac09327f0bbb48143389d6dc15a0ed7656fc451f2c614f0ed8b"
+
+    def test_frank_8x8_path_from_fixed_init_is_frozen(self):
+        p = Bdar1Params(
+            variant="m5", phi1=0.3, phi2=0.55,
+            m1=CategoricalMarginal((0.05, 0.1, 0.2, 0.15, 0.1, 0.2, 0.12, 0.08)),
+            m2=CategoricalMarginal((0.3, 0.1, 0.05, 0.05, 0.1, 0.15, 0.1, 0.15)),
+            copula_alpha=CopulaSpec("frank", 4.0), copula_eps=CopulaSpec("frank", -3.0),
+        )
+        s = simulate(p, 10_000, substream(6, "golden-path"), init=(3, 5))
+        digest = hashlib.sha256(s.z1.tobytes() + s.z2.tobytes()).hexdigest()
+        assert digest == "2220e4ef7eafa1a390e3d3e23c62aed37b469952007c2ed4bc44cec67021f2f8"
 
 
 class TestDar1Simulate:
