@@ -19,14 +19,7 @@ from .inference import (
     kendall_tau,
     likelihood_ratio_test,
 )
-from .joint import (
-    CategoricalMarginal,
-    InnovationTable,
-    MechanismTable,
-    bernoulli_joint,
-    innovation_joint,
-    sample_joint,
-)
+from .joint import CategoricalMarginal, sample_joint
 from .model import (
     Bdar1Params,
     BivariateOrdinalSeries,
@@ -56,15 +49,12 @@ __all__ = [
     "CrossMoments",
     "FitReport",
     "ForecastResult",
-    "InnovationTable",
     "LikelihoodError",
     "LrtResult",
-    "MechanismTable",
     "TransitionKernel",
     "Transitions",
     "UnobservedStateError",
     "Variant",
-    "bernoulli_joint",
     "conditional_loglik",
     "copula_cdf",
     "cross_moments",
@@ -74,7 +64,6 @@ __all__ = [
     "fit",
     "forecast",
     "information_criteria",
-    "innovation_joint",
     "joint_conditional_pmf",
     "kendall_tau",
     "likelihood_ratio_test",

@@ -42,6 +42,8 @@ class CopulaSpec:
     def __post_init__(self):
         family = CopulaFamily(self.family)
         delta = float(self.delta)
+        if not math.isfinite(delta):
+            raise ValueError(f"copula delta must be finite, got {delta}")
         if family is CopulaFamily.PRODUCT:
             delta = 0.0
         elif family is CopulaFamily.GUMBEL and delta < 1.0:
@@ -56,7 +58,16 @@ class CopulaSpec:
     def from_json_dict(cls, d: dict) -> "CopulaSpec":
         if not isinstance(d, dict) or "family" not in d:
             raise ValueError(f"copula entry {d!r} lacks a 'family'")
-        return cls(CopulaFamily(d["family"]), float(d.get("delta", 0.0)))
+        return cls(CopulaFamily(d["family"]), _json_float(d, "delta", 0.0))
+
+
+def _json_float(d: dict, key: str, default=None) -> float:
+    """``float(d.get(key, default))``, or a ValueError that names the key."""
+    value = d.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
 PRODUCT = CopulaSpec(CopulaFamily.PRODUCT)

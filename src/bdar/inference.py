@@ -172,7 +172,9 @@ class _Layout:
         return np.asarray(x, dtype=float)
 
     def raw_unpack(self, x: np.ndarray):
-        """Decode to plain arrays/specs without parameter-object validation."""
+        """Decode to plain arrays/specs without parameter-object validation.
+        The specs are those ``Bdar1Params`` stores: ``None`` for M2's shared
+        indicator, ``PRODUCT`` where the variant fixes independence."""
         k1, k2 = self.d1 - 1, self.d2 - 1
         p1 = eta_to_simplex(x[:k1])
         p2 = eta_to_simplex(x[k1 : k1 + k2])
@@ -184,11 +186,11 @@ class _Layout:
         else:
             phi2 = eta_to_phi(x[pos])
             pos += 1
-        copula_alpha = None
+        copula_alpha = None if self.variant is Variant.M2 else PRODUCT
         if self.alpha_family is not None:
             copula_alpha = CopulaSpec(self.alpha_family, eta_to_delta(x[pos], self.alpha_family))
             pos += 1
-        copula_eps = None
+        copula_eps = PRODUCT
         if self.eps_family is not None:
             copula_eps = CopulaSpec(self.eps_family, eta_to_delta(x[pos], self.eps_family))
         return p1, p2, phi1, phi2, copula_alpha, copula_eps
@@ -453,9 +455,9 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout) -> list:
 def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
-    Works from the sufficient statistics (transition counts), the raw cell
-    helpers shared with the table builders and the ``TransitionKernel``
-    mixture that ``conditional_loglik`` uses, so the value equals
+    Works from the sufficient statistics (transition counts), the cell
+    helpers that ``TransitionKernel.from_params`` builds the kernel from and
+    the mixture that ``conditional_loglik`` uses, so the value equals
     ``-conditional_loglik(layout.unpack(x), data)`` wherever no term is
     floored. The gradient is exact: the chain rule runs back through the
     four-term mixture, the mechanism and innovation cells (copula partials)
@@ -465,17 +467,11 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     obs = Transitions.from_counts(counts)
     weights = obs.weights
     cell = obs.i * layout.d2 + obs.j
-    is_common = layout.variant is Variant.M2
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
-        spec_eps = spec_eps or PRODUCT
         pe = _innovation_cells(p1, p2, spec_eps)
-        if is_common:
-            mech = np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
-        else:
-            spec_alpha = spec_alpha or PRODUCT
-            mech = _mechanism_cells(phi1, phi2, spec_alpha)
+        mech = _mechanism_cells(phi1, phi2, spec_alpha)
         kernel = TransitionKernel(mech, pe, p1, p2)
         terms = kernel.terms(obs)
         probs = kernel.mix(terms)
@@ -490,12 +486,9 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
         )
         g_p1 += np.bincount(obs.i, weights=mech[0, 1] * obs.keep2 * g_probs, minlength=layout.d1)
         g_p2 += np.bincount(obs.j, weights=mech[1, 0] * obs.keep1 * g_probs, minlength=layout.d2)
-        if is_common:
-            g_phi1, g_phi2, g_alpha = g_mech[1, 1] - g_mech[0, 0], 0.0, 0.0
-        else:
-            g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(
-                phi1, phi2, spec_alpha, g_mech * (mech > 0.0)
-            )
+        g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(
+            phi1, phi2, spec_alpha, g_mech * (mech > 0.0)
+        )
         grad = layout.chain(x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps)
         return value, grad
 

@@ -1,8 +1,11 @@
 """Joint pmfs of two discrete variables built from marginals plus a copula.
 
-Two table shapes appear in the model: the 2x2 joint pmf of the keep/innovate
-Bernoulli indicators, and the d1 x d2 joint pmf of the innovation pair.
-Both come from the same rectangle (inclusion-exclusion) construction.
+Two cell arrays make up the model's transition kernel: the 2x2 joint pmf of
+the keep/innovate Bernoulli indicators (``_mechanism_cells``) and the
+d1 x d2 joint pmf of the innovation pair (``_innovation_cells``). Both come
+from the same rectangle (inclusion-exclusion) construction. A mechanism
+copula of ``None`` stands for one indicator shared by both series (the M2
+variant): its cells are comonotone, ``[[1 - phi, 0], [0, phi]]``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class CategoricalMarginal:
         probs = tuple(float(p) for p in np.asarray(self.probs, dtype=float).ravel())
         if len(probs) < 2:
             raise ValueError("a marginal needs at least 2 states")
-        if any(p <= 0.0 or p > 1.0 for p in probs):
+        if not all(0.0 < p <= 1.0 for p in probs):
             raise ValueError(f"state probabilities must lie in (0, 1]: {probs}")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"state probabilities sum to {sum(probs)}, not 1")
@@ -49,56 +52,15 @@ class CategoricalMarginal:
         return c
 
 
-@dataclass(frozen=True, eq=False)
-class MechanismTable:
-    """Joint pmf of the two keep/innovate Bernoulli indicators.
+def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec | None) -> np.ndarray:
+    """The 2x2 mechanism cells, with negative rounding clamped to 0.
 
-    ``pi[i, j]`` is the probability the first indicator equals i and the
-    second equals j, for i, j in {0, 1}. ``pi[1, 1]`` is the joint keep
-    probability (the cross moment of the two indicators).
+    ``cells[a1, a2]`` is the probability of the indicator pair (a1, a2), where
+    1 means keep. A ``spec`` of ``None`` is one shared indicator with keep
+    rate ``phi1`` (``phi2`` must equal it): ``[[1 - phi1, 0], [0, phi1]]``.
     """
-
-    pi: np.ndarray
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (2, 2) or np.any(pi < 0.0):
-            raise ValueError("mechanism table must be a nonnegative 2x2 matrix")
-        if abs(pi.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"mechanism table sums to {pi.sum()}, not 1")
-        if abs(pi[1].sum() - self.phi1) > PROB_SUM_TOL:
-            raise ValueError("row margin does not reproduce phi1")
-        if abs(pi[:, 1].sum() - self.phi2) > PROB_SUM_TOL:
-            raise ValueError("column margin does not reproduce phi2")
-        object.__setattr__(self, "pi", pi)
-
-
-@dataclass(frozen=True, eq=False)
-class InnovationTable:
-    """Joint pmf of the innovation pair on the d1 x d2 state grid."""
-
-    p: np.ndarray
-    marginal1: CategoricalMarginal
-    marginal2: CategoricalMarginal
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        d1, d2 = self.marginal1.d, self.marginal2.d
-        if p.shape != (d1, d2) or np.any(p < 0.0):
-            raise ValueError("innovation table shape/sign mismatch with marginals")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"innovation table sums to {p.sum()}, not 1")
-        if np.max(np.abs(p.sum(axis=1) - self.marginal1.as_array())) > PROB_SUM_TOL:
-            raise ValueError("row sums do not reproduce the first marginal")
-        if np.max(np.abs(p.sum(axis=0) - self.marginal2.as_array())) > PROB_SUM_TOL:
-            raise ValueError("column sums do not reproduce the second marginal")
-        object.__setattr__(self, "p", p)
-
-
-def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> np.ndarray:
-    """The 2x2 mechanism cells, with negative rounding clamped to 0."""
+    if spec is None:
+        return np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
     p00 = float(_cdf_core(spec, np.float64(1.0 - phi1), np.float64(1.0 - phi2)))
     cells = np.array(
         [
@@ -109,11 +71,14 @@ def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec) -> np.ndarray:
     return np.clip(cells, 0.0, None)
 
 
-def _mechanism_cells_vjp(phi1: float, phi2: float, spec: CopulaSpec, g_cells: np.ndarray):
+def _mechanism_cells_vjp(phi1: float, phi2: float, spec: CopulaSpec | None, g_cells: np.ndarray):
     """Pull a gradient on the 2x2 mechanism cells back to (phi1, phi2, delta).
 
-    ``g_cells`` must be zero on cells that ``_mechanism_cells`` clamped.
+    ``g_cells`` must be zero on cells that ``_mechanism_cells`` clamped. For
+    the shared indicator (``spec`` None) the whole gradient goes to ``phi1``.
     """
+    if spec is None:
+        return g_cells[1, 1] - g_cells[0, 0], 0.0, 0.0
     # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
     # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway
     du, dv, dd = _cdf_partials(
@@ -170,36 +135,6 @@ def _innovation_cells_vjp(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec, g_ce
     g_p2 = np.zeros(len(p2))
     g_p2[:-1] = np.cumsum(g_f2[::-1])[::-1]
     return g_p1, g_p2, float(np.vdot(inner, dd))
-
-
-def bernoulli_joint(phi1: float, phi2: float, spec: CopulaSpec) -> MechanismTable:
-    """Joint pmf of two Bernoulli indicators coupled by a copula.
-
-    The (0, 0) cell is the copula at the two failure probabilities; the other
-    cells follow from the margins, so row/column sums reproduce phi1 and phi2
-    to machine precision.
-    """
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        if not 0.0 <= phi < 1.0:
-            raise ValueError(f"{name}={phi} outside [0, 1)")
-    cells = _mechanism_cells(float(phi1), float(phi2), spec)
-    return MechanismTable(pi=cells, phi1=float(phi1), phi2=float(phi2))
-
-
-def comonotone_mechanism(phi: float) -> MechanismTable:
-    """Mechanism table for a single shared keep/innovate indicator."""
-    if not 0.0 <= phi < 1.0:
-        raise ValueError(f"phi={phi} outside [0, 1)")
-    cells = np.array([[1.0 - phi, 0.0], [0.0, phi]])
-    return MechanismTable(pi=cells, phi1=float(phi), phi2=float(phi))
-
-
-def innovation_joint(
-    m1: CategoricalMarginal, m2: CategoricalMarginal, spec: CopulaSpec
-) -> InnovationTable:
-    """Joint innovation pmf: rectangle masses over the marginal CDF grids."""
-    cells = _innovation_cells(m1.as_array(), m2.as_array(), spec)
-    return InnovationTable(p=cells, marginal1=m1, marginal2=m2)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -18,16 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import PRODUCT, CopulaFamily, CopulaSpec
-from .joint import (
-    CategoricalMarginal,
-    InnovationTable,
-    MechanismTable,
-    bernoulli_joint,
-    comonotone_mechanism,
-    innovation_joint,
-    sample_joint,
-)
+from .copulas import PRODUCT, CopulaFamily, CopulaSpec, _json_float
+from .joint import CategoricalMarginal, _innovation_cells, _mechanism_cells, sample_joint
 
 
 class Variant(str, enum.Enum):
@@ -122,14 +114,6 @@ class Bdar1Params:
     def d2(self) -> int:
         return self.m2.d
 
-    def mechanism_table(self) -> MechanismTable:
-        if self.variant is Variant.M2:
-            return comonotone_mechanism(self.phi1)
-        return bernoulli_joint(self.phi1, self.phi2, self.copula_alpha)
-
-    def innovation_table(self) -> InnovationTable:
-        return innovation_joint(self.m1, self.m2, self.copula_eps or PRODUCT)
-
     def named_values(self) -> dict:
         """Natural-scale parameters by name: both full simplexes, the keep
         rate(s), then the dependence parameters the variant leaves free."""
@@ -152,7 +136,7 @@ class Bdar1Params:
             "phi1": self.phi1,
             "phi2": self.phi2,
             "copula_alpha": None if self.copula_alpha is None else self.copula_alpha.to_json_dict(),
-            "copula_eps": None if self.copula_eps is None else self.copula_eps.to_json_dict(),
+            "copula_eps": self.copula_eps.to_json_dict(),
             "p1": list(self.m1.probs),
             "p2": list(self.m2.probs),
         }
@@ -171,8 +155,8 @@ class Bdar1Params:
 
         return cls(
             variant=Variant.parse(d["variant"]),
-            phi1=float(d["phi1"]),
-            phi2=float(d["phi2"]),
+            phi1=_json_float(d, "phi1"),
+            phi2=_json_float(d, "phi2"),
             m1=CategoricalMarginal(tuple(d["p1"])),
             m2=CategoricalMarginal(tuple(d["p2"])),
             copula_alpha=spec(d.get("copula_alpha")),
@@ -288,11 +272,12 @@ class TransitionKernel(NamedTuple):
 
     @classmethod
     def from_params(cls, params: Bdar1Params) -> "TransitionKernel":
+        p1, p2 = params.m1.as_array(), params.m2.as_array()
         return cls(
-            params.mechanism_table().pi,
-            params.innovation_table().p,
-            params.m1.as_array(),
-            params.m2.as_array(),
+            _mechanism_cells(params.phi1, params.phi2, params.copula_alpha),
+            _innovation_cells(p1, p2, params.copula_eps),
+            p1,
+            p2,
         )
 
     def terms(self, obs: Transitions) -> tuple:
@@ -353,17 +338,14 @@ def transition_tensor(params: Bdar1Params) -> np.ndarray:
 
     A dense (d1 d2)^2 array, kept as the small-d oracle of ``TransitionKernel``.
     """
-    mech = params.mechanism_table()
-    pe = params.innovation_table().p
-    p1 = params.m1.as_array()
-    p2 = params.m2.as_array()
+    mech, pe, p1, p2 = TransitionKernel.from_params(params)
     e1 = np.eye(params.d1)
     e2 = np.eye(params.d2)
     return (
-        mech.pi[0, 0] * pe[None, None, :, :]
-        + mech.pi[1, 0] * e1[:, None, :, None] * p2[None, None, None, :]
-        + mech.pi[0, 1] * p1[None, None, :, None] * e2[None, :, None, :]
-        + mech.pi[1, 1] * e1[:, None, :, None] * e2[None, :, None, :]
+        mech[0, 0] * pe[None, None, :, :]
+        + mech[1, 0] * e1[:, None, :, None] * p2[None, None, None, :]
+        + mech[0, 1] * p1[None, None, :, None] * e2[None, :, None, :]
+        + mech[1, 1] * e1[:, None, :, None] * e2[None, :, None, :]
     )
 
 
@@ -374,13 +356,11 @@ def stationary_joint_pmf(params: Bdar1Params) -> np.ndarray:
     mass and the joint innovation pmf by the both-innovate mass, renormalised
     by the both-kept mass. Row/column sums equal the innovation marginals.
     """
-    mech = params.mechanism_table()
-    pi11 = mech.pi[1, 1]
+    mech, pe, p1, p2 = TransitionKernel.from_params(params)
+    pi11 = mech[1, 1]
     if pi11 >= 1.0 - 1e-12:
         raise ValueError("both series kept forever (pi11 ~ 1); stationary joint pmf undefined")
-    pe = params.innovation_table().p
-    outer = np.outer(params.m1.as_array(), params.m2.as_array())
-    return ((mech.pi[1, 0] + mech.pi[0, 1]) * outer + mech.pi[0, 0] * pe) / (1.0 - pi11)
+    return ((mech[1, 0] + mech[0, 1]) * np.outer(p1, p2) + mech[0, 0] * pe) / (1.0 - pi11)
 
 
 def cross_moments(
@@ -402,15 +382,14 @@ def cross_moments(
     v2 = np.arange(1, params.d2 + 1, dtype=float) if values2 is None else np.asarray(values2, float)
     if len(v1) != params.d1 or len(v2) != params.d2:
         raise ValueError("state value vectors must match the state space sizes")
-    p1, p2 = params.m1.as_array(), params.m2.as_array()
+    mech, pe, p1, p2 = TransitionKernel.from_params(params)
     mu1, mu2 = float(p1 @ v1), float(p2 @ v2)
     var1 = float(p1 @ v1**2 - mu1**2)
     var2 = float(p2 @ v2**2 - mu2**2)
     if var1 <= 0.0 or var2 <= 0.0:
         raise ValueError("state values give a degenerate (zero-variance) marginal")
-    pe = params.innovation_table().p
     e12 = float(v1 @ pe @ v2)
-    phi12 = float(params.mechanism_table().pi[1, 1])
+    phi12 = float(mech[1, 1])
     g12_0 = (1.0 - params.phi1 - params.phi2 + phi12) * (e12 - mu1 * mu2) / (1.0 - phi12)
 
     lags = np.arange(max_lag + 1)
@@ -472,8 +451,9 @@ def simulate(
         if not (0 <= init1 < params.d1 and 0 <= init2 < params.d2):
             raise ValueError(f"initial state {init} outside the state space")
     n = length + burn - 1
-    a1, a2 = sample_joint(params.mechanism_table().pi, rng, size=n)
-    e1, e2 = sample_joint(params.innovation_table().p, rng, size=n)
+    kernel = TransitionKernel.from_params(params)
+    a1, a2 = sample_joint(kernel.mech, rng, size=n)
+    e1, e2 = sample_joint(kernel.pe, rng, size=n)
     z1 = _carry_forward(a1, e1, init1)
     z2 = _carry_forward(a2, e2, init2)
     z1 += 1

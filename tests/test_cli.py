@@ -109,6 +109,15 @@ class TestIngest:
         assert len(y1) == len(y2) == 104
         assert labels[0] == "1998Q1" and labels[-1] == "2023Q4"
 
+    def test_bundled_series_is_a_simulate_path(self):
+        # tools/make_fixture.py drew the series from the bundled M5 Frank
+        # parameters from a stationary start; its seed scan stopped at 20240302
+        _, y1, y2 = ingest(BUNDLED_SERIES, "y1", "y2")
+        params = Bdar1Params.from_json_dict(json.loads(BUNDLED_PARAMS.read_text()))
+        path = simulate(params, 104, substream(20240302, "fixture"))
+        assert np.array_equal(RULE.apply(y1), path.z1)
+        assert np.array_equal(RULE.apply(y2), path.z2)
+
 
 class TestRunConfig:
     def test_json_config(self, tmp_path):
@@ -396,6 +405,12 @@ class TestMainEntry:
     @pytest.mark.parametrize("change, message", [
         ({"copula_eps": {"delta": 2.0}}, "lacks a 'family'"),
         ({"p1": 5}, "p1 must be a list of probabilities"),
+        ({"phi1": [0.3]}, "phi1 must be a number"),
+        ({"phi1": None}, "phi1 must be a number"),
+        ({"p1": [None, 0.2, 0.3, 0.5]}, "state probabilities must lie in (0, 1]"),
+        ({"copula_eps": {"family": "frank", "delta": [2]}}, "delta must be a number"),
+        ({"copula_eps": {"family": "frank", "delta": None}}, "delta must be a number"),
+        ({"copula_alpha": {"family": "frank", "delta": float("nan")}}, "delta must be finite"),
     ])
     def test_malformed_params_file_is_an_error(self, tmp_path, capsys, change, message):
         params = json.loads(BUNDLED_PARAMS.read_text())

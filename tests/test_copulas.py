@@ -41,6 +41,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="delta >= 1"):
             gumbel(0.99)
 
+    @pytest.mark.parametrize("family", ["product", "gumbel", "frank"])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_delta(self, family, delta):
+        with pytest.raises(ValueError, match="must be finite"):
+            CopulaSpec(family, delta)
+
     def test_frank_near_zero_is_independence_limit(self):
         spec = frank(1e-12)
         u, v = 0.37, 0.81

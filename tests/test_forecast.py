@@ -9,6 +9,7 @@ from bdar import (
     Bdar1Params,
     CategoricalMarginal,
     CopulaSpec,
+    TransitionKernel,
     exact_forecast_pmf,
     forecast,
     joint_conditional_pmf,
@@ -47,7 +48,7 @@ class TestExactForecastPmf:
         out = exact_forecast_pmf(p, (150, 1), 120)
         assert np.max(np.abs(out[-1] - stationary_joint_pmf(p))) <= 1e-15
         # one step is the (150, 1) slice of the dense tensor, built cell by cell
-        mech, pe = p.mechanism_table().pi, p.innovation_table().p
+        mech, pe = TransitionKernel.from_params(p)[:2]
         want = mech[0, 0] * pe
         want[149, :] += mech[1, 0] * p.m2.as_array()
         want[:, 0] += mech[0, 1] * p.m1.as_array()
@@ -64,7 +65,7 @@ class TestMonteCarloForecast:
             copula_alpha=study_params.copula_alpha, copula_eps=study_params.copula_eps,
         )
         result = forecast(p, (1, 1), horizon=4, n_sims=100_000, rng=5)
-        table = p.innovation_table().p
+        table = TransitionKernel.from_params(p).pe
         for h in range(4):
             assert np.max(np.abs(result.joint[h] - table)) < 0.005
 

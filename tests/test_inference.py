@@ -173,9 +173,7 @@ def _straddles_turn(layout: _Layout, x: np.ndarray) -> bool:
     about 1/|delta| of u = v (u + v = 1); a finite-difference step of ~1e-7
     straddles that turn when a pair of its arguments sits that close."""
     p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
-    pairs = []
-    if spec_eps is not None:
-        pairs.append((spec_eps.delta, np.cumsum(p1)[:-1, None], np.cumsum(p2)[None, :-1]))
+    pairs = [(spec_eps.delta, np.cumsum(p1)[:-1, None], np.cumsum(p2)[None, :-1])]
     if spec_alpha is not None:
         pairs.append((spec_alpha.delta, 1.0 - phi1, 1.0 - phi2))
     for delta, u, v in pairs:

@@ -1,18 +1,12 @@
-"""Joint table construction and sampling tests."""
+"""Mechanism and innovation cell construction and sampling tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdar import (
-    CategoricalMarginal,
-    CopulaSpec,
-    MechanismTable,
-    bernoulli_joint,
-    innovation_joint,
-    sample_joint,
-)
+from bdar import CategoricalMarginal, CopulaSpec, sample_joint
+from bdar.joint import _innovation_cells, _mechanism_cells
 
 PRODUCT = CopulaSpec("product")
 GUMBEL2 = CopulaSpec("gumbel", 2.0)
@@ -43,66 +37,65 @@ class TestCategoricalMarginal:
         assert m.cdf()[-1] == 1.0
 
 
+def _innovation(m1: CategoricalMarginal, m2: CategoricalMarginal, spec: CopulaSpec) -> np.ndarray:
+    return _innovation_cells(m1.as_array(), m2.as_array(), spec)
+
+
 class TestBernoulliJoint:
     def test_product_cells(self):
-        t = bernoulli_joint(0.4, 0.25, PRODUCT)
-        assert t.pi[1, 1] == pytest.approx(0.10, abs=1e-15)
-        assert t.pi[1, 0] == pytest.approx(0.30, abs=1e-15)
-        assert t.pi[0, 1] == pytest.approx(0.15, abs=1e-15)
-        assert t.pi[0, 0] == pytest.approx(0.45, abs=1e-15)
+        pi = _mechanism_cells(0.4, 0.25, PRODUCT)
+        assert pi[1, 1] == pytest.approx(0.10, abs=1e-15)
+        assert pi[1, 0] == pytest.approx(0.30, abs=1e-15)
+        assert pi[0, 1] == pytest.approx(0.15, abs=1e-15)
+        assert pi[0, 0] == pytest.approx(0.45, abs=1e-15)
 
     def test_degenerate_margins(self):
-        t = bernoulli_joint(0.0, 0.0, GUMBEL2)
-        assert t.pi[0, 0] == 1.0
-        assert t.pi[0, 1] == t.pi[1, 0] == t.pi[1, 1] == 0.0
+        pi = _mechanism_cells(0.0, 0.0, GUMBEL2)
+        assert pi[0, 0] == 1.0
+        assert pi[0, 1] == pi[1, 0] == pi[1, 1] == 0.0
 
     def test_gumbel_frozen_cells(self):
-        t = bernoulli_joint(0.4, 0.25, GUMBEL2)
-        assert t.pi[0, 0] == pytest.approx(PI_00, abs=1e-9)
-        assert t.pi[0, 1] == pytest.approx(PI_01, abs=1e-9)
-        assert t.pi[1, 0] == pytest.approx(PI_10, abs=1e-9)
-        assert t.pi[1, 1] == pytest.approx(PI_11, abs=1e-9)
-
-    def test_rejects_phi_at_one(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            bernoulli_joint(1.0, 0.5, PRODUCT)
+        pi = _mechanism_cells(0.4, 0.25, GUMBEL2)
+        assert pi[0, 0] == pytest.approx(PI_00, abs=1e-9)
+        assert pi[0, 1] == pytest.approx(PI_01, abs=1e-9)
+        assert pi[1, 0] == pytest.approx(PI_10, abs=1e-9)
+        assert pi[1, 1] == pytest.approx(PI_11, abs=1e-9)
 
     def test_margins_recovered_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             phi1, phi2 = rng.random(2) * 0.999
             spec = CopulaSpec("frank", rng.uniform(-20, 20))
-            t = bernoulli_joint(phi1, phi2, spec)
-            assert t.pi[1].sum() == pytest.approx(phi1, abs=1e-12)
-            assert t.pi[:, 1].sum() == pytest.approx(phi2, abs=1e-12)
-            assert t.pi.sum() == pytest.approx(1.0, abs=1e-12)
+            pi = _mechanism_cells(phi1, phi2, spec)
+            assert pi[1].sum() == pytest.approx(phi1, abs=1e-12)
+            assert pi[:, 1].sum() == pytest.approx(phi2, abs=1e-12)
+            assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInnovationJoint:
     def test_product_is_outer_product(self):
         m1 = CategoricalMarginal((0.5, 0.5))
         m2 = CategoricalMarginal((0.5, 0.5))
-        t = innovation_joint(m1, m2, PRODUCT)
-        assert np.allclose(t.p, 0.25, atol=1e-15)
+        assert np.allclose(_innovation(m1, m2, PRODUCT), 0.25, atol=1e-15)
 
     def test_outer_product_general(self):
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
-        t = innovation_joint(m1, m2, PRODUCT)
-        assert np.max(np.abs(t.p - np.outer(m1.as_array(), m2.as_array()))) <= 1e-12
+        pe = _innovation(m1, m2, PRODUCT)
+        assert np.max(np.abs(pe - np.outer(m1.as_array(), m2.as_array()))) <= 1e-12
 
     def test_gumbel_margins_reproduced(self):
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
-        t = innovation_joint(m1, m2, GUMBEL2)
-        assert np.max(np.abs(t.p.sum(axis=1) - m1.as_array())) <= 1e-10
-        assert np.max(np.abs(t.p.sum(axis=0) - m2.as_array())) <= 1e-10
+        pe = _innovation(m1, m2, GUMBEL2)
+        assert np.max(np.abs(pe.sum(axis=1) - m1.as_array())) <= 1e-10
+        assert np.max(np.abs(pe.sum(axis=0) - m2.as_array())) <= 1e-10
 
     def test_frank_independence_limit(self):
         m1 = CategoricalMarginal((0.3, 0.7))
         m2 = CategoricalMarginal((0.3, 0.7))
-        t = innovation_joint(m1, m2, CopulaSpec("frank", 1e-12))
-        assert np.max(np.abs(t.p - np.outer(m1.as_array(), m2.as_array()))) <= 1e-6
+        pe = _innovation(m1, m2, CopulaSpec("frank", 1e-12))
+        assert np.max(np.abs(pe - np.outer(m1.as_array(), m2.as_array()))) <= 1e-6
 
     def test_random_marginals_total_mass(self):
         rng = np.random.default_rng(11)
@@ -113,9 +106,9 @@ class TestInnovationJoint:
             m1 = CategoricalMarginal(tuple(p1 / p1.sum()))
             m2 = CategoricalMarginal(tuple(p2 / p2.sum()))
             spec = CopulaSpec("frank", rng.uniform(-15, 15))
-            t = innovation_joint(m1, m2, spec)
-            assert t.p.min() >= 0.0
-            assert t.p.sum() == pytest.approx(1.0, abs=1e-10)
+            pe = _innovation(m1, m2, spec)
+            assert pe.min() >= 0.0
+            assert pe.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def _concordance(p: np.ndarray) -> float:
@@ -137,9 +130,9 @@ def test_frank_positive_dependence_orders_concordance():
         p2 = rng.dirichlet(np.ones(3)) + 0.05
         m1 = CategoricalMarginal(tuple(p1 / p1.sum()))
         m2 = CategoricalMarginal(tuple(p2 / p2.sum()))
-        dependent = innovation_joint(m1, m2, CopulaSpec("frank", 6.0))
-        independent = innovation_joint(m1, m2, PRODUCT)
-        assert _concordance(dependent.p) >= _concordance(independent.p) - 1e-12
+        dependent = _innovation(m1, m2, CopulaSpec("frank", 6.0))
+        independent = _innovation(m1, m2, PRODUCT)
+        assert _concordance(dependent) >= _concordance(independent) - 1e-12
 
 
 @st.composite
@@ -207,35 +200,30 @@ class TestSampling:
         assert single == tuple(int(x) for x in plain)
 
     def test_degenerate_table_always_same_cell(self):
-        table = bernoulli_joint(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
+        pi = _mechanism_cells(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert sample_joint(table.pi, rng) == (0, 0)
+            assert sample_joint(pi, rng) == (0, 0)
 
     def test_same_seed_same_draws(self):
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
-        table = innovation_joint(m1, m2, GUMBEL2)
-        a = sample_joint(table.p, np.random.default_rng(99), size=1000)
-        b = sample_joint(table.p, np.random.default_rng(99), size=1000)
+        pe = _innovation(m1, m2, GUMBEL2)
+        a = sample_joint(pe, np.random.default_rng(99), size=1000)
+        b = sample_joint(pe, np.random.default_rng(99), size=1000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_law_of_large_numbers(self):
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
-        table = innovation_joint(m1, m2, GUMBEL2)
+        pe = _innovation(m1, m2, GUMBEL2)
         n = 10**6
-        i, j = sample_joint(table.p, np.random.default_rng(123), size=n)
+        i, j = sample_joint(pe, np.random.default_rng(123), size=n)
         freq = np.bincount(i * 3 + j, minlength=9).reshape(3, 3) / n
-        bound = 3.0 * np.sqrt(table.p * (1.0 - table.p) / n)
-        assert np.all(np.abs(freq - table.p) <= bound + 1e-12)
+        bound = 3.0 * np.sqrt(pe * (1.0 - pe) / n)
+        assert np.all(np.abs(freq - pe) <= bound + 1e-12)
 
     def test_mechanism_states_are_binary(self):
-        table = bernoulli_joint(0.4, 0.25, GUMBEL2)
-        i, j = sample_joint(table.pi, np.random.default_rng(4), size=500)
+        pi = _mechanism_cells(0.4, 0.25, GUMBEL2)
+        i, j = sample_joint(pi, np.random.default_rng(4), size=500)
         assert set(np.unique(i)) <= {0, 1} and set(np.unique(j)) <= {0, 1}
-
-
-def test_mechanism_table_validates_margins():
-    with pytest.raises(ValueError, match="phi1"):
-        MechanismTable(pi=np.array([[0.5, 0.0], [0.0, 0.5]]), phi1=0.4, phi2=0.5)

@@ -65,9 +65,9 @@ class TestParams:
 
     def test_m2_mechanism_is_comonotone(self):
         p = m2_params(0.7, CategoricalMarginal((0.5, 0.5)), CategoricalMarginal((0.5, 0.5)))
-        t = p.mechanism_table()
-        assert t.pi[1, 1] == 0.7 and t.pi[0, 0] == pytest.approx(0.3)
-        assert t.pi[0, 1] == t.pi[1, 0] == 0.0
+        mech = TransitionKernel.from_params(p).mech
+        assert mech[1, 1] == 0.7 and mech[0, 0] == pytest.approx(0.3)
+        assert mech[0, 1] == mech[1, 0] == 0.0
 
     def test_phi_stationarity_bound(self):
         with pytest.raises(ValueError, match="stationary"):
@@ -125,7 +125,7 @@ class TestJointConditionalPmf:
             m1=study_params.m1, m2=study_params.m2,
             copula_alpha=study_params.copula_alpha, copula_eps=study_params.copula_eps,
         )
-        table = p.innovation_table().p
+        table = TransitionKernel.from_params(p).pe
         for prev in ((1, 1), (2, 3), (3, 2)):
             assert np.allclose(joint_conditional_pmf(p, *prev), table, atol=1e-15)
 
@@ -141,8 +141,9 @@ class TestJointConditionalPmf:
         rng = substream(77, "one-step")
         from bdar.joint import sample_joint
 
-        a1, a2 = sample_joint(study_params.mechanism_table().pi, rng, size=n)
-        e1, e2 = sample_joint(study_params.innovation_table().p, rng, size=n)
+        kernel = TransitionKernel.from_params(study_params)
+        a1, a2 = sample_joint(kernel.mech, rng, size=n)
+        e1, e2 = sample_joint(kernel.pe, rng, size=n)
         e1, e2 = e1 + 1, e2 + 1
         s, l = 1, 1
         z1 = a1 * s + (1 - a1) * e1
@@ -261,7 +262,8 @@ class TestStationaryJointPmf:
     def test_m2_equals_innovation_table(self):
         p = m2_params(0.8, CategoricalMarginal((0.15, 0.6, 0.25)),
                       CategoricalMarginal((0.2, 0.3, 0.5)), delta_eps=8.0)
-        assert np.max(np.abs(stationary_joint_pmf(p) - p.innovation_table().p)) <= 1e-12
+        pe = TransitionKernel.from_params(p).pe
+        assert np.max(np.abs(stationary_joint_pmf(p) - pe)) <= 1e-12
 
     def test_margins_match_innovation_marginals(self, random_params_factory):
         rng = np.random.default_rng(29)

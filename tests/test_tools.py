@@ -1,0 +1,45 @@
+"""Tests of the helpers in tools/bench_pairs.py, loaded by path (tools/ is not a package)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _pair(parent, change):
+    def outcome(value):
+        return {"metrics": {} if value is None else {"pass_s": {"value": value}}}
+
+    return {"parent": outcome(parent), "change": outcome(change)}
+
+
+def test_parse_seeds_mixes_ranges_and_single_seeds():
+    assert bench_pairs.parse_seeds("1-3,8") == [1, 2, 3, 8]
+    assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_summary_of_one_and_of_four_values():
+    assert bench_pairs.summary([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert bench_pairs.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert bench_pairs.summary([]) == {"median": None, "q1": None, "q3": None}
+
+
+@pytest.mark.parametrize("better, wins", [("lower", 1), ("higher", 2)])
+def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
+    # (parent, change): one lower and two higher changes, a tie, and two
+    # pairs with a side missing
+    pairs = [_pair(2.0, 1.0), _pair(1.0, 3.0), _pair(1.0, 4.0), _pair(2.0, 2.0),
+             _pair(None, 1.0), _pair(1.0, None)]
+    out = bench_pairs.compare(pairs, bench_pairs.metric("pass_s"), better)
+    assert out == {
+        "better": better,
+        "parent": bench_pairs.summary([2.0, 1.0, 1.0, 2.0]),
+        "change": bench_pairs.summary([1.0, 3.0, 4.0, 2.0]),
+        "change_better_pairs": wins,
+        "pairs": 4,
+    }
