@@ -7,9 +7,13 @@ Gumbel dependence through 1 + exp, Frank dependence through a signed log
 map. The objective returns the negative log-likelihood together with its
 exact gradient, taken by the chain rule through the copula partials, the
 innovation and mechanism cells and the transforms, so L-BFGS-B needs one
-call per step. Standard errors come from the Hessian on the unconstrained
-scale (central differences of that gradient), pushed back to the reported
-scale by the delta method with the transforms' closed-form Jacobian.
+call per step. Each call evaluates each copula once, at the interior grid
+points only. That pass gives the kernel's cells bit for bit, so the value
+equals ``-conditional_loglik`` exactly wherever no term is floored, and the
+partials come out of the same pass. Standard errors come from the Hessian on
+the unconstrained scale (central differences of that gradient), pushed back
+to the reported scale by the delta method with the transforms' closed-form
+Jacobian.
 """
 
 from __future__ import annotations
@@ -19,15 +23,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
-from .copulas import PRODUCT, CopulaFamily, CopulaSpec
-from .joint import (
+from .copulas import CopulaFamily, CopulaSpec
+# _innovation_cells and _mechanism_cells have no caller here; perfbench hooks
+# them by their bdar.inference names
+from .joint import (  # noqa: F401
     CategoricalMarginal,
     _innovation_cells,
     _innovation_cells_vjp,
+    _innovation_cells_with_partials,
     _mechanism_cells,
     _mechanism_cells_vjp,
+    _mechanism_cells_with_partials,
 )
 # transition_tensor has no caller here; perfbench hooks bdar.inference.transition_tensor
 from .model import (  # noqa: F401
@@ -111,6 +119,11 @@ def _simplex_jacobian(p: np.ndarray) -> np.ndarray:
     return np.diag(p)[:, :-1] - np.outer(p, p[:-1])
 
 
+def _simplex_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g @ _simplex_jacobian(p)`` in O(d): p (g - g.p) without its last entry."""
+    return (p * (g - g @ p))[:-1]
+
+
 def delta_to_eta(delta: float, family: CopulaFamily) -> float:
     if family is CopulaFamily.GUMBEL:
         return float(np.log(max(delta - 1.0, 1e-12)))
@@ -172,9 +185,9 @@ class _Layout:
         return np.asarray(x, dtype=float)
 
     def raw_unpack(self, x: np.ndarray):
-        """Decode to plain arrays/specs without parameter-object validation.
-        The specs are those ``Bdar1Params`` stores: ``None`` for M2's shared
-        indicator, ``PRODUCT`` where the variant fixes independence."""
+        """Decode to plain arrays and floats without parameter-object
+        validation: ``(p1, p2, phi1, phi2, delta_alpha, delta_eps)``, with a
+        dependence of 0.0 where the variant has none free."""
         k1, k2 = self.d1 - 1, self.d2 - 1
         p1 = eta_to_simplex(x[:k1])
         p2 = eta_to_simplex(x[k1 : k1 + k2])
@@ -186,25 +199,32 @@ class _Layout:
         else:
             phi2 = eta_to_phi(x[pos])
             pos += 1
-        copula_alpha = None if self.variant is Variant.M2 else PRODUCT
+        delta_alpha = delta_eps = 0.0
         if self.alpha_family is not None:
-            copula_alpha = CopulaSpec(self.alpha_family, eta_to_delta(x[pos], self.alpha_family))
+            delta_alpha = eta_to_delta(x[pos], self.alpha_family)
             pos += 1
-        copula_eps = PRODUCT
         if self.eps_family is not None:
-            copula_eps = CopulaSpec(self.eps_family, eta_to_delta(x[pos], self.eps_family))
-        return p1, p2, phi1, phi2, copula_alpha, copula_eps
+            delta_eps = eta_to_delta(x[pos], self.eps_family)
+        return p1, p2, phi1, phi2, delta_alpha, delta_eps
+
+    def copula_families(self):
+        """The (mechanism, innovation) copula families as ``Bdar1Params``
+        holds them: a mechanism of ``None`` for M2's shared indicator,
+        ``PRODUCT`` where the variant fixes independence."""
+        alpha = None if self.variant is Variant.M2 else self.alpha_family or CopulaFamily.PRODUCT
+        return alpha, self.eps_family or CopulaFamily.PRODUCT
 
     def unpack(self, x: np.ndarray) -> Bdar1Params:
-        p1, p2, phi1, phi2, copula_alpha, copula_eps = self.raw_unpack(x)
+        p1, p2, phi1, phi2, delta_alpha, delta_eps = self.raw_unpack(x)
+        alpha_family, eps_family = self.copula_families()
         return Bdar1Params(
             variant=self.variant,
             phi1=phi1,
             phi2=phi2,
             m1=CategoricalMarginal(tuple(p1)),
             m2=CategoricalMarginal(tuple(p2)),
-            copula_alpha=copula_alpha,
-            copula_eps=copula_eps,
+            copula_alpha=None if alpha_family is None else CopulaSpec(alpha_family, delta_alpha),
+            copula_eps=CopulaSpec(eps_family, delta_eps),
         )
 
     def bounds(self) -> list[tuple[float, float]]:
@@ -244,8 +264,8 @@ class _Layout:
         if self.eps_family is not None:
             g_scalar.append(g_eps)
         return np.concatenate([
-            g_p1 @ _simplex_jacobian(p1),
-            g_p2 @ _simplex_jacobian(p2),
+            _simplex_vjp(p1, g_p1),
+            _simplex_vjp(p2, g_p2),
             self._scalar_slopes(x) * g_scalar,
         ])
 
@@ -455,23 +475,29 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout) -> list:
 def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
-    Works from the sufficient statistics (transition counts), the cell
-    helpers that ``TransitionKernel.from_params`` builds the kernel from and
-    the mixture that ``conditional_loglik`` uses, so the value equals
-    ``-conditional_loglik(layout.unpack(x), data)`` wherever no term is
-    floored. The gradient is exact: the chain rule runs back through the
-    four-term mixture, the mechanism and innovation cells (copula partials)
-    and the transforms.
+    Works from the sufficient statistics (transition counts) and the mixture
+    that ``conditional_loglik`` uses. Each copula is evaluated once per call,
+    at the interior grid points only, and that one pass gives both the cells
+    (bit for bit those of ``TransitionKernel.from_params``) and the partials
+    the gradient needs. So the value equals
+    ``-conditional_loglik(layout.unpack(x), data)`` exactly (``==``) wherever
+    no term is floored. The gradient is exact: the chain rule runs back
+    through the four-term mixture, the mechanism and innovation cells (copula
+    partials) and the transforms.
     Terms floored at ``MIN_TERM_PROB`` and clamped cells carry no gradient.
     """
     obs = Transitions.from_counts(counts)
     weights = obs.weights
     cell = obs.i * layout.d2 + obs.j
+    alpha_family, eps_family = layout.copula_families()
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
-        pe = _innovation_cells(p1, p2, spec_eps)
-        mech = _mechanism_cells(phi1, phi2, spec_alpha)
+        p1, p2, phi1, phi2, delta_alpha, delta_eps = layout.raw_unpack(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pe, eps_partials = _innovation_cells_with_partials(p1, p2, eps_family, delta_eps)
+            mech, alpha_partials = _mechanism_cells_with_partials(
+                phi1, phi2, alpha_family, delta_alpha
+            )
         kernel = TransitionKernel(mech, pe, p1, p2)
         terms = kernel.terms(obs)
         probs = kernel.mix(terms)
@@ -479,16 +505,15 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
         value = -float(weights @ np.log(floored))
 
         g_probs = np.where(probs >= MIN_TERM_PROB, -weights / floored, 0.0)
-        g_mech = np.array([g_probs @ term for term in terms]).reshape(2, 2)
-        g_pe = np.bincount(cell, weights=mech[0, 0] * g_probs, minlength=pe.size)
-        g_p1, g_p2, g_eps = _innovation_cells_vjp(
-            p1, p2, spec_eps, g_pe.reshape(pe.shape) * (pe > 0.0)
-        )
-        g_p1 += np.bincount(obs.i, weights=mech[0, 1] * obs.keep2 * g_probs, minlength=layout.d1)
-        g_p2 += np.bincount(obs.j, weights=mech[1, 0] * obs.keep1 * g_probs, minlength=layout.d2)
-        g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(
-            phi1, phi2, spec_alpha, g_mech * (mech > 0.0)
-        )
+        m00, m01, m10, m11 = mech.ravel().tolist()
+        g_pe = np.bincount(cell, weights=m00 * g_probs, minlength=pe.size).reshape(pe.shape)
+        g_p1, g_p2, g_eps = _innovation_cells_vjp(eps_partials, g_pe * (pe > 0.0))
+        g_p1 += np.bincount(obs.i, weights=m01 * obs.keep2 * g_probs, minlength=layout.d1)
+        g_p2 += np.bincount(obs.j, weights=m10 * obs.keep1 * g_probs, minlength=layout.d2)
+        g_mech = [
+            float(g_probs @ term) if m > 0.0 else 0.0 for m, term in zip((m00, m01, m10, m11), terms)
+        ]
+        g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(alpha_partials, *g_mech)
         grad = layout.chain(x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps)
         return value, grad
 
@@ -645,7 +670,9 @@ def likelihood_ratio_test(full: FitReport, nested: FitReport) -> LrtResult:
         )
     statistic = max(statistic, 0.0)
     df = full.n_params - nested.n_params
-    return LrtResult(statistic=statistic, df=df, p_value=float(stats.chi2.sf(statistic, df)))
+    # chdtrc is the chi-square survival function that scipy.stats.chi2.sf
+    # evaluates; importing scipy.stats would add ~0.5 s to every start of bdar
+    return LrtResult(statistic=statistic, df=df, p_value=float(special.chdtrc(df, statistic)))
 
 
 def kendall_tau(x, y) -> float:
@@ -656,4 +683,6 @@ def kendall_tau(x, y) -> float:
         raise ValueError("inputs must be equal-length 1-d sequences of length >= 2")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("Kendall tau is undefined for constant input")
+    from scipy import stats  # not at module level: see likelihood_ratio_test
+
     return float(stats.kendalltau(x, y, variant="b").statistic)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaSpec, _cdf_core, _cdf_partials
+from .copulas import CopulaFamily, CopulaSpec, _cdf_core, _cdf_with_partials
 
 PROB_SUM_TOL = 1e-10
 
@@ -62,78 +62,124 @@ def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec | None) -> np.nd
     if spec is None:
         return np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
     p00 = float(_cdf_core(spec, np.float64(1.0 - phi1), np.float64(1.0 - phi2)))
+    return _mechanism_from_corner(phi1, phi2, p00)
+
+
+def _mechanism_from_corner(phi1: float, phi2: float, p00: float) -> np.ndarray:
+    # the rectangle masses around the one interior grid point
+    # p00 = C(1 - phi1, 1 - phi2)
     cells = np.array(
         [
             [p00, (1.0 - phi1) - p00],
             [(1.0 - phi2) - p00, phi1 + phi2 - 1.0 + p00],
         ]
     )
-    return np.clip(cells, 0.0, None)
+    return np.maximum(cells, 0.0)
 
 
-def _mechanism_cells_vjp(phi1: float, phi2: float, spec: CopulaSpec | None, g_cells: np.ndarray):
+def _mechanism_cells_with_partials(
+    phi1: float, phi2: float, family: CopulaFamily | None, delta: float
+):
+    """``_mechanism_cells`` bit for bit, from one copula evaluation that also
+    gives the partials of the corner p00 = C(1 - phi1, 1 - phi2).
+
+    Returns the cells and the partials that ``_mechanism_cells_vjp`` takes. A
+    ``family`` of ``None`` is the shared indicator, whose cells have no copula
+    and whose partials are ``None``.
+    """
+    if family is None:
+        return np.array([[1.0 - phi1, 0.0], [0.0, phi1]]), None
+    u, v = 1.0 - phi1, 1.0 - phi2
+    # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
+    # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway and the
+    # corner takes _cdf_core's edge value C(1, v) = v, C(u, 1) = u
+    p00, du, dv, dd = _cdf_with_partials(
+        family, delta, np.float64(min(u, _BELOW_ONE)), np.float64(min(v, _BELOW_ONE))
+    )
+    if u == 1.0 or v == 1.0:
+        p00 = v if u == 1.0 else u
+    return _mechanism_from_corner(phi1, phi2, float(p00)), (float(du), float(dv), float(dd))
+
+
+def _mechanism_cells_vjp(partials, g00: float, g01: float, g10: float, g11: float):
     """Pull a gradient on the 2x2 mechanism cells back to (phi1, phi2, delta).
 
-    ``g_cells`` must be zero on cells that ``_mechanism_cells`` clamped. For
-    the shared indicator (``spec`` None) the whole gradient goes to ``phi1``.
+    ``partials`` are those of ``_mechanism_cells_with_partials``. The cell
+    gradients ``g00``..``g11`` must be zero on cells it clamped. For the shared
+    indicator (``partials`` None) the whole gradient goes to ``phi1``.
     """
-    if spec is None:
-        return g_cells[1, 1] - g_cells[0, 0], 0.0, 0.0
-    # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
-    # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway
-    du, dv, dd = _cdf_partials(
-        spec, np.float64(min(1.0 - phi1, _BELOW_ONE)), np.float64(min(1.0 - phi2, _BELOW_ONE))
-    )
+    if partials is None:
+        return g11 - g00, 0.0, 0.0
+    du, dv, dd = partials
     # p00 enters the four cells with signs +, -, -, +; phi1 enters the
     # (0, 1) cell with -1 and the (1, 1) cell with +1, and p00 through u = 1 - phi1
-    g_p00 = g_cells[0, 0] - g_cells[0, 1] - g_cells[1, 0] + g_cells[1, 1]
-    g_phi1 = g_cells[1, 1] - g_cells[0, 1] - g_p00 * float(du)
-    g_phi2 = g_cells[1, 1] - g_cells[1, 0] - g_p00 * float(dv)
-    return g_phi1, g_phi2, g_p00 * float(dd)
+    g_p00 = g00 - g01 - g10 + g11
+    return g11 - g01 - g_p00 * du, g11 - g10 - g_p00 * dv, g_p00 * dd
 
 
 def _cdf_edges(p: np.ndarray) -> np.ndarray:
     """Marginal CDF grid 0, F(1), ..., F(d-1), 1 with both ends exact."""
     f = np.empty(len(p) + 1)
     f[0] = 0.0
-    np.cumsum(p, out=f[1:])
+    # np.cumsum without its Python-level dispatch, which costs 4x the sum here
+    np.add.accumulate(p, out=f[1:])
     f[-1] = 1.0
     return f
+
+
+def _rectangle_cells(grid: np.ndarray) -> np.ndarray:
+    """Cell masses of a copula CDF grid by inclusion-exclusion, with negative
+    rounding clamped to 0."""
+    return np.maximum(grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1], 0.0)
 
 
 def _innovation_cells(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec) -> np.ndarray:
     """The d1 x d2 innovation cells: rectangle masses over the marginal CDF
     grids, with negative rounding clamped to 0."""
-    f1 = _cdf_edges(p1)
-    f2 = _cdf_edges(p2)
-    grid = _cdf_core(spec, f1[:, None], f2[None, :])
-    cells = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
-    return np.clip(cells, 0.0, None)
+    return _rectangle_cells(_cdf_core(spec, _cdf_edges(p1)[:, None], _cdf_edges(p2)[None, :]))
 
 
-def _innovation_cells_vjp(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec, g_cells: np.ndarray):
+def _innovation_cells_with_partials(
+    p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delta: float
+):
+    """``_innovation_cells`` bit for bit, from one copula pass over the
+    interior grid points only, which also gives the partials there.
+
+    The grid's edges take their closed-form values: C(u, 0) = C(0, v) = 0,
+    C(u, 1) = u and C(1, v) = v. Every interior point must lie strictly
+    inside the unit square, as it does when no probability is below ~1e-16.
+    Returns the cells and the partials that ``_innovation_cells_vjp`` takes.
+    """
+    f1, f2 = _cdf_edges(p1), _cdf_edges(p2)
+    cdf, du, dv, dd = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1])
+    grid = np.zeros((len(f1), len(f2)))
+    grid[1:-1, 1:-1] = cdf
+    grid[1:, -1] = f1[1:]
+    grid[-1, 1:-1] = f2[1:-1]
+    return _rectangle_cells(grid), (du, dv, dd)
+
+
+def _innovation_cells_vjp(partials, g_cells: np.ndarray):
     """Pull a gradient on the innovation cells back to (p1, p2, delta).
 
-    The adjoint of the rectangle differencing: an interior grid point is a
-    corner of four cells (signs +, -, -, +), a point on the edge u = 1 or
-    v = 1 of two, where C(1, v) = v and C(u, 1) = u make the partial along
-    the edge 1 and dC/ddelta 0. The grid's fixed ends (0 and the forced 1)
-    take no gradient. ``g_cells`` must be zero on cells that
-    ``_innovation_cells`` clamped.
+    ``partials`` are those of ``_innovation_cells_with_partials``. The adjoint
+    of the rectangle differencing: an interior grid point is a corner of four
+    cells (signs +, -, -, +), a point on the edge u = 1 or v = 1 of two, where
+    C(1, v) = v and C(u, 1) = u make the partial along the edge 1 and
+    dC/ddelta 0. The grid's fixed ends (0 and the forced 1) take no gradient.
+    ``g_cells`` must be zero on cells that were clamped.
     """
+    du, dv, dd = partials
     g = g_cells
     inner = g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:] + g[1:, 1:]
-    f1 = _cdf_edges(p1)
-    f2 = _cdf_edges(p2)
-    du, dv, dd = _cdf_partials(spec, f1[1:-1, None], f2[None, 1:-1])
     g_f1 = (inner * du).sum(axis=1) + g[:-1, -1] - g[1:, -1]
     g_f2 = (inner * dv).sum(axis=0) + g[-1, :-1] - g[-1, 1:]
     # F(k) is the sum of the first k probabilities; the last one enters no
     # grid point
-    g_p1 = np.zeros(len(p1))
-    g_p1[:-1] = np.cumsum(g_f1[::-1])[::-1]
-    g_p2 = np.zeros(len(p2))
-    g_p2[:-1] = np.cumsum(g_f2[::-1])[::-1]
+    g_p1 = np.zeros(len(g_f1) + 1)
+    g_p1[:-1] = np.add.accumulate(g_f1[::-1])[::-1]
+    g_p2 = np.zeros(len(g_f2) + 1)
+    g_p2[:-1] = np.add.accumulate(g_f2[::-1])[::-1]
     return g_p1, g_p2, float(np.vdot(inner, dd))
 
 

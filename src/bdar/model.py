@@ -313,6 +313,20 @@ class TransitionKernel(NamedTuple):
             + m11 * dist
         )
 
+    def stationary(self) -> np.ndarray:
+        """Time-invariant joint pmf of the pair.
+
+        Weighs the product of the innovation marginals by the one-kept
+        mechanism mass and the joint innovation pmf by the both-innovate mass,
+        renormalised by the both-kept mass. Row/column sums equal the
+        innovation marginals.
+        """
+        mech, pe, p1, p2 = self
+        pi11 = mech[1, 1]
+        if pi11 >= 1.0 - 1e-12:
+            raise ValueError("both series kept forever (pi11 ~ 1); stationary joint pmf undefined")
+        return ((mech[1, 0] + mech[0, 1]) * np.outer(p1, p2) + mech[0, 0] * pe) / (1.0 - pi11)
+
     def sample(self, i: np.ndarray, j: np.ndarray, rng: np.random.Generator):
         """Advance 0-based pairs (i, j) one step: draw every mechanism pair,
         then every innovation pair, then carry the kept states forward."""
@@ -350,17 +364,8 @@ def transition_tensor(params: Bdar1Params) -> np.ndarray:
 
 
 def stationary_joint_pmf(params: Bdar1Params) -> np.ndarray:
-    """Time-invariant joint pmf of the pair.
-
-    Weighs the product of the innovation marginals by the one-kept mechanism
-    mass and the joint innovation pmf by the both-innovate mass, renormalised
-    by the both-kept mass. Row/column sums equal the innovation marginals.
-    """
-    mech, pe, p1, p2 = TransitionKernel.from_params(params)
-    pi11 = mech[1, 1]
-    if pi11 >= 1.0 - 1e-12:
-        raise ValueError("both series kept forever (pi11 ~ 1); stationary joint pmf undefined")
-    return ((mech[1, 0] + mech[0, 1]) * np.outer(p1, p2) + mech[0, 0] * pe) / (1.0 - pi11)
+    """Time-invariant joint pmf of the pair: ``TransitionKernel.stationary``."""
+    return TransitionKernel.from_params(params).stationary()
 
 
 def cross_moments(
@@ -441,17 +446,17 @@ def simulate(
         raise ValueError("length must be >= 2")
     if burn_in is not None and burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    kernel = TransitionKernel.from_params(params)
     # states are 0-based until the path is complete
     if init is None:
         burn = 0 if burn_in is None else burn_in
-        init1, init2 = sample_joint(stationary_joint_pmf(params), rng)
+        init1, init2 = sample_joint(kernel.stationary(), rng)
     else:
         burn = 100 if burn_in is None else burn_in
         init1, init2 = int(init[0]) - 1, int(init[1]) - 1
         if not (0 <= init1 < params.d1 and 0 <= init2 < params.d2):
             raise ValueError(f"initial state {init} outside the state space")
     n = length + burn - 1
-    kernel = TransitionKernel.from_params(params)
     a1, a2 = sample_joint(kernel.mech, rng, size=n)
     e1, e2 = sample_joint(kernel.pe, rng, size=n)
     z1 = _carry_forward(a1, e1, init1)

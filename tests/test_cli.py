@@ -483,3 +483,19 @@ def test_replicate_study_emits_long_format(tmp_path):
     first = data_lines[0].split(",")
     assert first[0] == "120" and first[2] == "p1_1"
     assert 0.0 <= float(first[3]) <= 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about as long to import as the rest of bdar, and only
+    # kendall_tau needs it, so it is imported there and not at start-up
+    import os
+    import subprocess
+    import sys
+
+    import bdar
+
+    src = str(Path(bdar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bdar, bdar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

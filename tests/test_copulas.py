@@ -14,7 +14,7 @@ from bdar.copulas import (
     _FRANK_SERIES_DELTA,
     FRANK_INDEPENDENCE_TOL,
     _cdf_core,
-    _cdf_partials,
+    _cdf_with_partials,
 )
 
 GUMBEL2_AT_HALF = 0.37521422724648177
@@ -224,21 +224,47 @@ PARTIALS_AT_03_07 = [
 ]
 
 
+def _partials(spec, u, v):
+    """The (dC/du, dC/dv, dC/ddelta) part of ``_cdf_with_partials``."""
+    return _cdf_with_partials(spec.family, spec.delta, u, v)[1:]
+
+
 class TestCdfPartials:
+    # every branch of the evaluator: the Frank independence band, the series
+    # for dC/ddelta (|delta| < 1e-2), the expm1/log1p value (|delta| < 1) and
+    # the closed form of either sign up to the optimizer's bound ~7e10;
+    # Gumbel at independence, a hair above it and at the same bound
+    @pytest.mark.parametrize(
+        "spec",
+        [frank(d) for d in (5e-9, -5e-9, 3e-3, -3e-3, 0.4, -0.4, 5.0, -5.0, 7.2e10, -7.2e10)]
+        + [gumbel(d) for d in (1.0, 1.0 + 1e-12, 2.5, 7.2e10)]
+        + [PRODUCT],
+    )
+    def test_value_is_cdf_core_bit_for_bit(self, spec):
+        u = np.array([1e-14, 1e-6, 0.03, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-6, 1.0 - 1e-14])
+        v = np.array([2e-14, 0.011, 0.25, 0.49, 0.5, 0.83, 0.9999, 1.0 - 2e-14])
+        grid = _cdf_with_partials(spec.family, spec.delta, u[:, None], v[None, :])[0]
+        assert np.array_equal(grid, _cdf_core(spec, u[:, None], v[None, :]))
+        for uk, vk in ((u[3], v[5]), (u[-1], v[0]), (1.0 - 2.0**-53, v[2])):
+            point = _cdf_with_partials(spec.family, spec.delta, np.float64(uk), np.float64(vk))[0]
+            assert point == _cdf_core(spec, np.float64(uk), np.float64(vk))
+
     @pytest.mark.parametrize("family, delta, du, dv, dd", PARTIALS_AT_03_07)
     def test_frozen_values(self, family, delta, du, dv, dd):
-        got = _cdf_partials(CopulaSpec(family, delta), np.float64(0.3), np.float64(0.7))
+        got = _partials(CopulaSpec(family, delta), np.float64(0.3), np.float64(0.7))
         assert [float(g) for g in got] == pytest.approx([du, dv, dd], rel=1e-11)
 
     def test_product(self):
-        du, dv, dd = _cdf_partials(PRODUCT, np.float64(0.3), np.float64(0.7))
+        du, dv, dd = _partials(PRODUCT, np.float64(0.3), np.float64(0.7))
         assert (float(du), float(dv), float(dd)) == (0.7, 0.3, 0.0)
 
     def test_frank_negative_delta_at_tiny_v(self):
-        # 1 - v rounds to 1 in the reflection; the partials are the v -> 0 limits
+        # 1 - v rounds to 1 in the reflection; the partials are the v -> 0
+        # limits, and the log(0) on the way is expected
         spec = frank(-4.0)
-        tiny = _cdf_partials(spec, np.float64(0.3), np.float64(1e-17))
-        near = _cdf_partials(spec, np.float64(0.3), np.float64(1e-15))
+        with np.errstate(divide="ignore"):
+            tiny = _partials(spec, np.float64(0.3), np.float64(1e-17))
+        near = _partials(spec, np.float64(0.3), np.float64(1e-15))
         for a, b in zip(tiny, near):
             assert np.isfinite(a) and abs(float(a) - float(b)) <= 1e-12
 
@@ -248,8 +274,8 @@ class TestCdfPartials:
     def test_frank_continuous_across_branches(self, edge, tol):
         uu, vv = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 5))
         for sign in (1.0, -1.0):
-            below = _cdf_partials(frank(sign * edge * (1 - 1e-9)), uu, vv)
-            above = _cdf_partials(frank(sign * edge * (1 + 1e-9)), uu, vv)
+            below = _partials(frank(sign * edge * (1 - 1e-9)), uu, vv)
+            above = _partials(frank(sign * edge * (1 + 1e-9)), uu, vv)
             for a, b in zip(below, above):
                 assert np.max(np.abs(a - b)) <= tol
 
@@ -274,5 +300,5 @@ class TestCdfPartials:
             (cdf(u, v + h) - cdf(u, v - h)) / (2 * h),
             (cdf(u, v, spec.delta + h) - cdf(u, v, spec.delta - h)) / (2 * h),
         ]
-        got = [float(g) for g in _cdf_partials(spec, np.float64(u), np.float64(v))]
+        got = [float(g) for g in _partials(spec, np.float64(u), np.float64(v))]
         assert got == pytest.approx(want, rel=1e-5, abs=1e-7)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -28,6 +28,7 @@ from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
 from bdar.inference import (
     _FRANK_ETA_BOUNDS,
     _GUMBEL_ETA_BOUNDS,
+    _PHI_ETA_BOUNDS,
     _central_gradient,
     _Layout,
     _make_objective,
@@ -40,6 +41,41 @@ from bdar.inference import (
     transition_counts,
 )
 from bdar.rng import substream
+
+
+def _delta_etas(family: CopulaFamily):
+    """Optimizer-scale dependence values, weighted toward the hard regimes:
+    for Frank the independence band, 1e-8 <= |delta| < 0.1 just outside it
+    (where eta ~ delta) and the bounds."""
+    if family is CopulaFamily.FRANK:
+        lo, hi = _FRANK_ETA_BOUNDS
+        return st.one_of(
+            st.floats(-0.99 * FRANK_INDEPENDENCE_TOL, 0.99 * FRANK_INDEPENDENCE_TOL),
+            st.floats(-0.1, -FRANK_INDEPENDENCE_TOL),
+            st.floats(FRANK_INDEPENDENCE_TOL, 0.1),
+            st.floats(lo, hi),
+            st.sampled_from([lo, hi]),
+        )
+    lo, hi = _GUMBEL_ETA_BOUNDS
+    return st.one_of(
+        st.floats(lo, math.log(1e-12)),  # delta - 1 down to 1e-12 and below
+        st.floats(lo, hi),
+        st.just(hi),
+    )
+
+
+@st.composite
+def _objective_cases(draw):
+    variant = draw(st.sampled_from(["m1", "m2", "m3", "m4", "m5"]))
+    families = st.sampled_from([CopulaFamily.FRANK, CopulaFamily.GUMBEL])
+    layout = _Layout.build(
+        variant, draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(families), draw(families)
+    )
+    n_alr = layout.d1 + layout.d2 - 2
+    x = [draw(st.floats(-3.0, 3.0)) for _ in range(n_alr)]
+    x += [draw(st.floats(-4.0, 6.0)) for _ in range(layout.n_phi)]
+    x += [draw(_delta_etas(f)) for f in (layout.alpha_family, layout.eps_family) if f is not None]
+    return layout, np.asarray(x), draw(st.integers(0, 2**32 - 1))
 
 
 class TestConditionalLoglik:
@@ -87,16 +123,22 @@ class TestConditionalLoglik:
         with pytest.raises(ValueError, match="exceed"):
             conditional_loglik(study_params, data)
 
-    def test_objective_equals_public_loglik(self, study_params):
-        series = simulate(study_params, 500, substream(41, "objective"))
-        layout = _Layout.build("m5", 3, 3, "gumbel", "gumbel")
-        objective = _make_objective(layout, transition_counts(series))
-        rng = np.random.default_rng(14)
-        for _ in range(5):
-            x = rng.normal(size=layout.size)
-            assert objective(x)[0] == pytest.approx(
-                -conditional_loglik(layout.unpack(x), series), abs=1e-9
-            )
+    @given(case=_objective_cases(), phi_eta=st.sampled_from([None, *_PHI_ETA_BOUNDS]))
+    @settings(max_examples=300, deadline=None)
+    def test_objective_equals_public_loglik(self, case, phi_eta):
+        # the objective builds its cells from one copula pass of its own;
+        # they must be the kernel's to the bit, so the values are equal. At
+        # the lower keep-rate bound 1 - phi1 rounds to 1, an edge of the square.
+        layout, x, seed = case
+        if phi_eta is not None:
+            x[layout.d1 + layout.d2 - 2] = phi_eta
+        params = layout.unpack(x)
+        series = simulate(params, 150, substream(seed, "objective-value"))
+        try:
+            want = -conditional_loglik(params, series)
+        except LikelihoodError:
+            reject()  # a floored term: the objective floors it instead of raising
+        assert _make_objective(layout, transition_counts(series))(x)[0] == want
 
 
 class TestTransforms:
@@ -133,49 +175,15 @@ class TestTransforms:
         assert eta_to_phi(1e9) < 1.0
 
 
-def _delta_etas(family: CopulaFamily):
-    """Optimizer-scale dependence values, weighted toward the hard regimes:
-    for Frank the independence band, 1e-8 <= |delta| < 0.1 just outside it
-    (where eta ~ delta) and the bounds."""
-    if family is CopulaFamily.FRANK:
-        lo, hi = _FRANK_ETA_BOUNDS
-        return st.one_of(
-            st.floats(-0.99 * FRANK_INDEPENDENCE_TOL, 0.99 * FRANK_INDEPENDENCE_TOL),
-            st.floats(-0.1, -FRANK_INDEPENDENCE_TOL),
-            st.floats(FRANK_INDEPENDENCE_TOL, 0.1),
-            st.floats(lo, hi),
-            st.sampled_from([lo, hi]),
-        )
-    lo, hi = _GUMBEL_ETA_BOUNDS
-    return st.one_of(
-        st.floats(lo, math.log(1e-12)),  # delta - 1 down to 1e-12 and below
-        st.floats(lo, hi),
-        st.just(hi),
-    )
-
-
-@st.composite
-def _objective_cases(draw):
-    variant = draw(st.sampled_from(["m1", "m2", "m3", "m4", "m5"]))
-    families = st.sampled_from([CopulaFamily.FRANK, CopulaFamily.GUMBEL])
-    layout = _Layout.build(
-        variant, draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(families), draw(families)
-    )
-    n_alr = layout.d1 + layout.d2 - 2
-    x = [draw(st.floats(-3.0, 3.0)) for _ in range(n_alr)]
-    x += [draw(st.floats(-4.0, 6.0)) for _ in range(layout.n_phi)]
-    x += [draw(_delta_etas(f)) for f in (layout.alpha_family, layout.eps_family) if f is not None]
-    return layout, np.asarray(x), draw(st.integers(0, 2**32 - 1))
-
-
 def _straddles_turn(layout: _Layout, x: np.ndarray) -> bool:
     """Near its comonotone (countermonotone) limit a copula turns over within
     about 1/|delta| of u = v (u + v = 1); a finite-difference step of ~1e-7
     straddles that turn when a pair of its arguments sits that close."""
-    p1, p2, phi1, phi2, spec_alpha, spec_eps = layout.raw_unpack(x)
-    pairs = [(spec_eps.delta, np.cumsum(p1)[:-1, None], np.cumsum(p2)[None, :-1])]
-    if spec_alpha is not None:
-        pairs.append((spec_alpha.delta, 1.0 - phi1, 1.0 - phi2))
+    p1, p2, phi1, phi2, delta_alpha, delta_eps = layout.raw_unpack(x)
+    pairs = [
+        (delta_eps, np.cumsum(p1)[:-1, None], np.cumsum(p2)[None, :-1]),
+        (delta_alpha, 1.0 - phi1, 1.0 - phi2),
+    ]
     for delta, u, v in pairs:
         gap = np.abs(u - v) if delta > 0 else np.abs(u + v - 1.0)
         if abs(delta) > 1e5 and np.min(gap) < 1e-3:
@@ -431,6 +439,14 @@ class TestLikelihoodRatioTest:
         # df=2 tail has the closed form exp(-x/2)
         assert out.p_value == pytest.approx(math.exp(-3.0), abs=1e-12)
         assert out.p_value == pytest.approx(0.0498, abs=0.0005)
+
+    @pytest.mark.parametrize("df", [1, 3, 4, 7])
+    def test_p_value_is_chi_square_survival(self, df):
+        from scipy import stats
+
+        for gap in (0.0, 0.4, 1.92, 5.5, 40.0):
+            out = likelihood_ratio_test(_report_stub(-50.0, 7 + df), _report_stub(-50.0 - gap, 7))
+            assert out.p_value == stats.chi2.sf(out.statistic, df)
 
     def test_rejects_non_nested_counts(self):
         with pytest.raises(ValueError, match="fewer parameters"):

@@ -382,6 +382,18 @@ class TestSimulate:
 
         assert distance(100_000, "big") < distance(1_000, "small")
 
+    def test_stationary_start_builds_one_kernel(self, study_params, monkeypatch):
+        built = []
+        from_params = TransitionKernel.from_params
+
+        def counting(params):
+            built.append(params)
+            return from_params(params)
+
+        monkeypatch.setattr(TransitionKernel, "from_params", counting)
+        simulate(study_params, 50, substream(2, "one-kernel"))
+        assert len(built) == 1
+
     # sha256 of z1.tobytes() + z2.tobytes(), computed with the plain
     # searchsorted inverse-CDF draw: any faster draw must give the same paths
     def test_study_path_is_frozen(self, study_params):
