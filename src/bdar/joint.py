@@ -147,8 +147,9 @@ def _innovation_cells_with_partials(
 
     The grid's edges take their closed-form values: C(u, 0) = C(0, v) = 0,
     C(u, 1) = u and C(1, v) = v. Every interior point must lie strictly
-    inside the unit square, as it does when no probability is below ~1e-16.
-    Returns the cells and the partials that ``_innovation_cells_vjp`` takes.
+    inside the unit square: F(k) < 1 for k < d, as it is while the last
+    probability of each marginal exceeds ~1e-16. Returns the cells and the
+    partials that ``_innovation_cells_vjp`` takes.
     """
     f1, f2 = _cdf_edges(p1), _cdf_edges(p2)
     cdf, du, dv, dd = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1])

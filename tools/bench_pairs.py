@@ -29,6 +29,10 @@ import sys
 from pathlib import Path
 
 TRACED = (
+    "copulas.cdf_calls",
+    "joint.innovation_cells_calls",
+    "inference.objective_self_us",
+    "model.stationary_s",
     "joint.sample_joint_s",
     "model.simulate_s",
     "forecast.mc_self_s",
