@@ -14,6 +14,11 @@ partials come out of the same pass. Standard errors come from the Hessian on
 the unconstrained scale (central differences of that gradient), pushed back
 to the reported scale by the delta method with the transforms' closed-form
 Jacobian.
+
+A fit reads the series only through ``transition_counts``: the objective,
+the starting points and the unobserved-state check all work from the counts
+plus the first pair, so after one counting pass the cost of a fit depends on
+d1*d2 and not on the series length.
 """
 
 from __future__ import annotations
@@ -289,9 +294,8 @@ class _Layout:
 def transition_counts(data: BivariateOrdinalSeries) -> np.ndarray:
     """Counts of one-step transitions, shape (d1, d2, d1, d2)."""
     d1, d2 = data.d1, data.d2
-    prev = (data.z1[:-1] - 1) * d2 + (data.z2[:-1] - 1)
-    cur = (data.z1[1:] - 1) * d2 + (data.z2[1:] - 1)
-    flat = prev * (d1 * d2) + cur
+    codes = data.z1 * d2 + data.z2 - (d2 + 1)  # (z1 - 1) d2 + (z2 - 1)
+    flat = codes[:-1] * (d1 * d2) + codes[1:]
     return np.bincount(flat, minlength=(d1 * d2) ** 2).reshape(d1, d2, d1, d2).astype(float)
 
 
@@ -355,9 +359,14 @@ class FitReport:
     reported point: the best restart or, for M5, the corner refit.
     ``n_iterations`` is the total number of L-BFGS-B iterations over every
     run of the fit, including the restarts that lost and, for M5, the
-    shared-mechanism sub-fit. ``max_gradient_norm`` is the largest absolute
-    entry of the objective's gradient at the estimate, on the unconstrained
-    scale.
+    shared-mechanism sub-fit; each distinct starting point is run, and
+    counted, once. ``max_gradient_norm`` is the largest absolute entry of the
+    objective's gradient at the estimate, on the unconstrained scale: the
+    gradient the returned run ended with. It is not the projected gradient,
+    so an estimate on a bound can report a large value. A converged M5 fit
+    at the comonotone corner reads about 0.77, in phi1 and phi2: with the
+    mechanism copula that close to comonotone the objective has a kink along
+    phi1 = phi2.
     """
 
     params_hat: Bdar1Params
@@ -405,15 +414,31 @@ class FitReport:
         )
 
 
-def _empirical_marginal(z: np.ndarray, d: int) -> np.ndarray:
-    freq = np.bincount(z - 1, minlength=d).astype(float)
+def _series_summaries(counts: np.ndarray, first) -> list:
+    """``(freq, repeat)`` for each series: how often each state occurs, and
+    the lag-1 repeat rate.
+
+    Both are read off the transition counts plus the first pair ``first``.
+    The counts are exact integers in float64, so the result equals a direct
+    scan of the series bit for bit.
+    """
+    n_steps = counts.sum()
+    out = []
+    for axes, z0 in (((1, 3), first[0]), ((0, 2), first[1])):
+        moves = counts.sum(axis=axes)  # the series' own transitions, (d, d)
+        freq = moves.sum(axis=0)
+        freq[z0 - 1] += 1.0
+        out.append((freq, float(np.trace(moves) / n_steps)))
+    return out
+
+
+def _empirical_marginal(freq: np.ndarray) -> np.ndarray:
     freq = np.maximum(freq, 0.5)  # keep starts off the simplex boundary
     return freq / freq.sum()
 
 
-def _moment_phi(z: np.ndarray, p_hat: np.ndarray) -> float:
+def _moment_phi(agree: float, p_hat: np.ndarray) -> float:
     # P(repeat) = phi + (1 - phi) * sum(p_i^2) under the model, solved for phi.
-    agree = float(np.mean(z[1:] == z[:-1]))
     psq = float(np.sum(p_hat**2))
     phi = (agree - psq) / max(1.0 - psq, 1e-9)
     return float(np.clip(phi, 0.02, 0.95))
@@ -434,11 +459,19 @@ def _start_deltas(family: CopulaFamily | None, level: str) -> float | None:
     return table[family][level]
 
 
-def _default_starts(data: BivariateOrdinalSeries, layout: _Layout) -> list:
-    p1_hat = _empirical_marginal(data.z1, layout.d1)
-    p2_hat = _empirical_marginal(data.z2, layout.d2)
-    phi1_hat = _moment_phi(data.z1, p1_hat)
-    phi2_hat = _moment_phi(data.z2, p2_hat)
+def _default_starts(summaries: list, layout: _Layout) -> list:
+    """Up to five distinct L-BFGS-B starting points from ``_series_summaries``.
+
+    A recipe that gives the same vector as an earlier one is dropped: an
+    equal start gives an identical run. M1 has no dependence parameter, so
+    its ``mild``, ``adjacent`` and ``strong`` recipes coincide, and M2's
+    ``strong`` and ``corner`` recipes do.
+    """
+    (freq1, repeat1), (freq2, repeat2) = summaries
+    p1_hat = _empirical_marginal(freq1)
+    p2_hat = _empirical_marginal(freq2)
+    phi1_hat = _moment_phi(repeat1, p1_hat)
+    phi2_hat = _moment_phi(repeat2, p2_hat)
     uniform1 = np.full(layout.d1, 1.0 / layout.d1)
     uniform2 = np.full(layout.d2, 1.0 / layout.d2)
 
@@ -468,7 +501,9 @@ def _default_starts(data: BivariateOrdinalSeries, layout: _Layout) -> list:
             )
         if layout.eps_family is not None:
             x.append(delta_to_eta(_start_deltas(layout.eps_family, level_eps), layout.eps_family))
-        starts.append(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if not any(np.array_equal(x, earlier) for earlier in starts):
+            starts.append(x)
     return starts
 
 
@@ -531,21 +566,20 @@ def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
     )
 
 
-def _maximize_layout(layout: _Layout, counts: np.ndarray, data: BivariateOrdinalSeries):
+def _maximize_layout(layout: _Layout, counts: np.ndarray, summaries: list):
     """Best L-BFGS-B optimum over the default restarts.
 
-    Returns ``(x, f, success, n_iter)``: the best point, its objective, the
-    success flag of the L-BFGS-B run that returned it, and the iterations of
-    every run made here.
+    Returns ``(best, n_iter)``: the run that reached the lowest objective (the
+    first of equal ones) and the iterations of every run made here.
     """
     objective = _make_objective(layout, counts)
     best, n_iter = None, 0
-    for x0 in _default_starts(data, layout):
+    for x0 in _default_starts(summaries, layout):
         res = _lbfgsb(objective, x0, layout)
         n_iter += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-    return np.asarray(best.x, dtype=float), float(best.fun), bool(best.success), n_iter
+    return best, n_iter
 
 
 def fit(
@@ -557,7 +591,7 @@ def fit(
     """Conditional maximum-likelihood fit of one model variant.
 
     Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
-    objective) from five deterministic starting points: method-of-moments
+    objective) from up to five distinct starting points: method-of-moments
     keep probabilities from the lag-1 repeat rate, empirical marginals, and a
     spread of dependence levels from near-independence to strong. The best
     optimum is kept; for M5 it is also compared with a refit from the
@@ -566,17 +600,17 @@ def fit(
     """
     if data.n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
-    for name, z, d in (("series 1", data.z1, data.d1), ("series 2", data.z2, data.d2)):
-        seen = np.bincount(z - 1, minlength=d)
-        if np.any(seen == 0):
-            missing = int(np.argmin(seen)) + 1
+    counts = transition_counts(data)
+    summaries = _series_summaries(counts, (data.z1[0], data.z2[0]))
+    for name, (freq, _) in zip(("series 1", "series 2"), summaries):
+        if np.any(freq == 0.0):
+            missing = int(np.argmin(freq)) + 1
             raise UnobservedStateError(
                 f"state {missing} of {name} never occurs; collapse states before fitting"
             )
     layout = _Layout.build(variant, data.d1, data.d2, copula_alpha_family, copula_eps_family)
-    counts = transition_counts(data)
     objective = _make_objective(layout, counts)
-    x_hat, f_hat, success, n_iter = _maximize_layout(layout, counts, data)
+    best, n_iter = _maximize_layout(layout, counts, summaries)
 
     # The shared-mechanism variant lives on the closure of the full model
     # (mechanism copula at its comonotone bound, equal keep rates). Plain
@@ -587,21 +621,24 @@ def fit(
     # for any data.
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, copula_eps_family)
-        x2, _, _, nit2 = _maximize_layout(m2_layout, counts, data)
+        best2, nit2 = _maximize_layout(m2_layout, counts, summaries)
+        x2 = best2.x
         k = (data.d1 - 1) + (data.d2 - 1)
         x_corner = np.concatenate(
             [x2[:k], [x2[k], x2[k], layout.bounds()[k + 2][1], x2[k + 1]]]
         )
         res = _lbfgsb(objective, x_corner, layout)
         n_iter += nit2 + int(res.nit)
-        if res.fun <= f_hat:
-            x_hat, f_hat, success = np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
+        if res.fun <= best.fun:
+            best = res
 
     def grad(x):
         return objective(x)[1]
 
-    max_grad = float(np.max(np.abs(grad(x_hat))))
-    loglik = -f_hat
+    x_hat = best.x
+    # L-BFGS-B returns the objective's gradient at its final point as jac
+    max_grad = float(np.max(np.abs(best.jac)))
+    loglik = -float(best.fun)
     aic, bic = information_criteria(loglik, layout.size, data.n)
 
     std_errors = None
@@ -626,7 +663,7 @@ def fit(
         n_obs=data.n,
         aic=aic,
         bic=bic,
-        converged=success,
+        converged=bool(best.success),
         n_iterations=n_iter,
         max_gradient_norm=max_grad,
     )

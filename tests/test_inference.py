@@ -23,7 +23,7 @@ from bdar import (
     likelihood_ratio_test,
     simulate,
 )
-from bdar import inference
+from bdar import cli, inference
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
 from bdar.inference import (
     _FRANK_ETA_BOUNDS,
@@ -393,6 +393,149 @@ class TestFitBookkeeping:
             ).converged
         ]
         assert unconverged == []
+
+
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3", "m4", "m5"])
+    def test_max_gradient_norm_is_gradient_at_estimate(self, monkeypatch, study_params, variant):
+        series = simulate(study_params, 400, substream(79, "max-gradient", variant))
+        self._check_max_gradient_norm(monkeypatch, series, variant, "gumbel")
+
+    def test_max_gradient_norm_when_corner_refit_wins(self, monkeypatch):
+        # the series of test_m5_reaches_shared_mechanism_fit: the corner refit
+        # returns the estimate, on the mechanism copula's upper bound
+        truth = Bdar1Params(
+            variant="m2", phi1=0.5, phi2=0.5,
+            m1=CategoricalMarginal((0.3, 0.4, 0.3)), m2=CategoricalMarginal((0.2, 0.3, 0.5)),
+            copula_eps=CopulaSpec("frank", 4.0),
+        )
+        series = simulate(truth, 1000, substream(1234, "m2", 1000, 2))
+        winners = self._check_max_gradient_norm(monkeypatch, series, "m5", "frank")
+        assert winners[-1] == "last"
+
+    @staticmethod
+    def _check_max_gradient_norm(monkeypatch, series, variant, family):
+        """``max_gradient_norm`` equals the largest entry of a fresh objective
+        gradient at the returned run's point, exactly; returns where the runs
+        that reached the estimate stand in the call order."""
+        recorded = _CappedOptimize(lambda x0: None)
+        monkeypatch.setattr(inference, "optimize", recorded)
+        report = fit(series, variant, family, family)
+        layout = _Layout.build(variant, series.d1, series.d2, family, family)
+        objective = _make_objective(layout, transition_counts(series))
+        winners = []
+        for k, res in enumerate(recorded.results):
+            if len(res.x) == layout.size and -res.fun == report.loglik:
+                assert layout.unpack(res.x).named_values() == report.estimates()
+                assert report.max_gradient_norm == float(np.max(np.abs(objective(res.x)[1])))
+                winners.append("last" if k == len(recorded.results) - 1 else k)
+        assert winners
+        return winners
+
+
+def _bincount_marginal(z, d):
+    """The start marginal from a direct scan of the series."""
+    freq = np.bincount(z - 1, minlength=d).astype(float)
+    freq = np.maximum(freq, 0.5)
+    return freq / freq.sum()
+
+
+def _scan_moment_phi(z, p_hat):
+    """The moment keep rate from a direct scan of the series."""
+    agree = float(np.mean(z[1:] == z[:-1]))
+    psq = float(np.sum(p_hat**2))
+    phi = (agree - psq) / max(1.0 - psq, 1e-9)
+    return float(np.clip(phi, 0.02, 0.95))
+
+
+def _scan_unobserved_message(data):
+    """The ``UnobservedStateError`` message a direct scan gives, or None."""
+    for name, z, d in (("series 1", data.z1, data.d1), ("series 2", data.z2, data.d2)):
+        seen = np.bincount(z - 1, minlength=d)
+        if np.any(seen == 0):
+            missing = int(np.argmin(seen)) + 1
+            return f"state {missing} of {name} never occurs; collapse states before fitting"
+    return None
+
+
+@st.composite
+def _edge_state_series(draw):
+    """Series with d in 2..6 and n in 20..200; state 1 may occur only at
+    t = 0, state d only at t = n - 1, and one state not at all."""
+    n = draw(st.integers(20, 200))
+
+    def one():
+        d = draw(st.integers(2, 6))
+        z = np.asarray(draw(st.lists(st.integers(1, d), min_size=n, max_size=n)))
+        edges = ["none", "first", "last"] + (["both"] if d > 2 else [])
+        edge = draw(st.sampled_from(edges))
+        if edge in ("first", "both"):
+            z[1:] = np.where(z[1:] == 1, 2, z[1:])
+            z[0] = 1
+        if edge in ("last", "both"):
+            z[:-1] = np.where(z[:-1] == d, d - 1, z[:-1])
+            z[-1] = d
+        missing = draw(st.one_of(st.none(), st.integers(1, d)))
+        if missing is not None:
+            z = np.where(z == missing, missing % d + 1, z)
+        return z, d
+
+    (z1, d1), (z2, d2) = one(), one()
+    return BivariateOrdinalSeries(z1, z2, d1, d2)
+
+
+class TestStartStatistics:
+    """A fit reads the series only through its transition counts: the start
+    statistics taken from them equal a direct scan of the series."""
+
+    @given(data=_edge_state_series())
+    @settings(max_examples=300, deadline=None)
+    def test_match_direct_scan(self, data):
+        counts = transition_counts(data)
+        summaries = inference._series_summaries(counts, (data.z1[0], data.z2[0]))
+        for (freq, repeat), z, d in zip(summaries, (data.z1, data.z2), (data.d1, data.d2)):
+            assert np.array_equal(freq, np.bincount(z - 1, minlength=d).astype(float))
+            assert repeat == float(np.mean(z[1:] == z[:-1]))
+            p_hat = inference._empirical_marginal(freq)
+            assert np.array_equal(p_hat, _bincount_marginal(z, d))
+            assert inference._moment_phi(repeat, p_hat) == _scan_moment_phi(z, p_hat)
+        message = _scan_unobserved_message(data)
+        if message is not None:
+            with pytest.raises(UnobservedStateError) as info:
+                fit(data, "m1")
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("d1, d2", [(4, 3), (2, 5)])
+    def test_transition_counts_match_loop(self, d1, d2):
+        rng = substream(80, "transition-counts", d1, d2)
+        z1, z2 = rng.integers(1, d1 + 1, 500), rng.integers(1, d2 + 1, 500)
+        data = BivariateOrdinalSeries(z1, z2, d1, d2)
+        want = np.zeros((d1, d2, d1, d2))
+        for t in range(1, data.n):
+            want[data.z1[t - 1] - 1, data.z2[t - 1] - 1, data.z1[t] - 1, data.z2[t] - 1] += 1
+        assert np.array_equal(transition_counts(data), want)
+
+    def test_default_starts_are_distinct(self, study_params):
+        config = cli.RunConfig(
+            input=str(cli.BUNDLED_SERIES), breakpoints=list(cli.DEFAULT_RATE_BREAKPOINTS)
+        )
+        fixture = cli.load_ordinal(config)[1]
+        simulated = simulate(study_params, 400, substream(81, "distinct-starts"))
+        families = ("frank", "gumbel")
+        for series in (fixture, simulated):
+            summaries = inference._series_summaries(
+                transition_counts(series), (series.z1[0], series.z2[0])
+            )
+            for variant in ("m1", "m2", "m3", "m4", "m5"):
+                for alpha in families:
+                    for eps in families:
+                        layout = _Layout.build(variant, series.d1, series.d2, alpha, eps)
+                        starts = inference._default_starts(summaries, layout)
+                        assert all(
+                            not np.array_equal(a, b)
+                            for i, a in enumerate(starts) for b in starts[:i]
+                        ), (variant, alpha, eps)
+                        if series is fixture and variant in ("m1", "m2"):
+                            assert len(starts) == {"m1": 3, "m2": 4}[variant]
 
 
 class TestInformationCriteria:

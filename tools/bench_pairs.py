@@ -38,6 +38,12 @@ TRACED = (
     "forecast.mc_self_s",
     "inference.objective_evals_per_fit",
     "inference.lbfgsb_iters_per_fit",
+    "inference.lbfgsb_runs",
+    "inference.phase.restarts.lbfgsb_runs",
+    "inference.phase.restarts.evals",
+    "inference.fit_s.T1e4",
+    "inference.fit_s.T1e6",
+    "inference.transition_counts_s",
     "workload.d1d2",
     "workload.T",
 )
