@@ -82,26 +82,19 @@ def _checked_unit(x, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _gumbel_terms(u: np.ndarray, v: np.ndarray, delta: float):
-    # Log-space form of exp(-((-log u)^d + (-log v)^d)^(1/d)): with
-    # la = log(-log u), lb = log(-log v), m = max(la, lb), the exponent is
-    # s = exp(m + log1p(exp(-d*|la - lb|)) / d). Stays finite for any delta.
-    # Returns x = -log u, y = -log v, la, lb, t = d (la - lb), r = e^-|t|,
-    # log1p(r) and log s, which the partials reuse.
-    x, y = -np.log(u), -np.log(v)
-    la, lb = np.log(x), np.log(y)
-    t = delta * (la - lb)
-    r = np.exp(-np.abs(t))
-    log1p_r = np.log1p(r)
-    return x, y, la, lb, t, r, log1p_r, np.maximum(la, lb) + log1p_r / delta
-
-
 def _gumbel_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
     # With x = -log u, y = -log v and s = (x^d + y^d)^(1/d), C = exp(-s) has
     #   dC/du = C s w_u / (x u),  w_u = x^d / (x^d + y^d) = expit(d (la - lb)),
     #   dC/dd = C s (w_min |la - lb| + log1p(r) / d) / d,  r = e^(-d |la - lb|),
     # where w_min = r / (1 + r) is the smaller weight: every term is positive.
-    x, y, la, lb, t, r, log1p_r, log_s = _gumbel_terms(u, v, delta)
+    # With la = log x, lb = log y, s is taken in log space,
+    # log s = max(la, lb) + log1p(r) / d, which stays finite for any delta.
+    x, y = -np.log(u), -np.log(v)
+    la, lb = np.log(x), np.log(y)
+    t = delta * (la - lb)
+    r = np.exp(-np.abs(t))
+    log1p_r = np.log1p(r)
+    log_s = np.maximum(la, lb) + log1p_r / delta
     s = np.exp(log_s)
     cdf = u * v if delta == 1.0 else np.exp(-s)
     # log(C s) = -s + log s; dC/du = C s w_u / (x u) with log(x u) = la - x
@@ -122,18 +115,6 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
 _FRANK_SMALL_DELTA = 1.0
 
 
-def _frank_positive_terms(u: np.ndarray, v: np.ndarray, delta: float):
-    # delta > 0. Numerator a + b - ab - c (a = e^-du, b = e^-dv, c = e^-d)
-    # factored into the positive terms a(1 - b) + b(1 - c/b): returns the
-    # closed-form C = -(log N - log(1 - c)) / d with log(1 - b),
-    # log(1 - e^-d(1-v)), log N and log(1 - c), which the partials reuse.
-    log_1mb = np.log(-np.expm1(-delta * v))
-    log_v_far = np.log(-np.expm1(-delta * (1.0 - v)))
-    log_num = np.logaddexp(-delta * u + log_1mb, -delta * v + log_v_far)
-    log_1mc = np.log(-np.expm1(-delta))
-    return -(log_num - log_1mc) / delta, log_1mb, log_v_far, log_num, log_1mc
-
-
 def _frank_cdf(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     # The textbook form -log(1 + (e^-du - 1)(e^-dv - 1)/(e^-d - 1))/d cancels
     # catastrophically once d*min(u, v) exceeds ~37 (all expm1 terms round to
@@ -144,42 +125,26 @@ def _frank_cdf(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     if abs(delta) < _FRANK_SMALL_DELTA:
         a = np.expm1(-delta * u) / math.expm1(-delta)
         return -np.log1p(a * np.expm1(-delta * v)) / delta
-    if delta > 0:
-        return _frank_positive_terms(u, v, delta)[0]
-    # delta < 0: every exponent is positive, so work with |delta| in logs.
+    # delta <= -1 (delta >= 1 is _frank_positive_with_partials'): every
+    # exponent is positive, so work with |delta| in logs.
     a = -delta
     s = _log_expm1(a * u) + _log_expm1(a * v) - _log_expm1(np.asarray(a, dtype=float))
     return np.logaddexp(0.0, s) / a
 
 
-def _cdf_core(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-    """CDF on already-validated arrays in [0, 1]; boundary values are patched
-    analytically since the closed forms pass through log(0) there."""
-    if spec.family is CopulaFamily.PRODUCT:
-        return uu * vv
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.family is CopulaFamily.GUMBEL:
-            if spec.delta == 1.0:
-                return uu * vv
-            out = np.exp(-np.exp(_gumbel_terms(uu, vv, spec.delta)[-1]))
-        else:
-            if abs(spec.delta) < FRANK_INDEPENDENCE_TOL:
-                return uu * vv
-            out = _frank_cdf(uu, vv, spec.delta)
-    out = np.where(uu == 1.0, vv, out)
-    out = np.where(vv == 1.0, np.where(uu == 1.0, 1.0, uu), out)
-    out = np.where((uu == 0.0) | (vv == 0.0), 0.0, out)
-    return out
-
-
 def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
     # delta > 0. With a = e^-du, b = e^-dv, c = e^-d the numerator of the
-    # closed form is N = a(1 - b) + (b - c) (see _frank_positive_terms), and
+    # closed form C = -(log N - log(1 - c)) / d is N = a + b - ab - c,
+    # factored into the positive terms a(1 - b) + b(1 - c/b), and
     #   dC/du = a(1 - b) / N = expit(d(v - u) + log(1 - b) - log(1 - e^-d(1-v))),
     # symmetrically for v. Euler's relation gives
     #   d * dC/dd = u dC/du + v dC/dv - C - K,  K = c(1 - a)(1 - b) / (N(1 - c)) >= 0.
-    # C is the large-delta closed form, _frank_cdf's value for delta >= 1.
-    cdf, log_1mb, log_v_far, log_num, log_1mc = _frank_positive_terms(u, v, delta)
+    # C cancels near independence; below delta = 1 callers take _frank_cdf's.
+    log_1mb = np.log(-np.expm1(-delta * v))
+    log_v_far = np.log(-np.expm1(-delta * (1.0 - v)))
+    log_num = np.logaddexp(-delta * u + log_1mb, -delta * v + log_v_far)
+    log_1mc = np.log(-np.expm1(-delta))
+    cdf = -(log_num - log_1mc) / delta
     log_1ma = np.log(-np.expm1(-delta * u))
     log_u_far = np.log(-np.expm1(-delta * (1.0 - u)))
     # delta * (v - u), not delta * v - delta * u: near the comonotone corner
@@ -215,15 +180,16 @@ def _frank_delta_series(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarra
 def _cdf_with_partials(family: CopulaFamily, delta: float, u: np.ndarray, v: np.ndarray):
     """(C, dC/du, dC/dv, dC/ddelta) at points strictly inside the unit square.
 
-    C is ``_cdf_core``'s value bit for bit, and the partials reuse its
-    intermediates where their arithmetic is the same: all of the Gumbel
-    closed form, and the log numerator of the Frank one for delta >= 1.
-    Inside the Frank independence band the partials are those of the
-    delta -> 0 limit, dC/ddelta = uv(1-u)(1-v)/2. On the edges the values
-    and partials are known without the closed forms (C(u, 1) = u,
-    C(u, 0) = 0), so callers add those terms themselves. Opens no
-    ``np.errstate``: for Frank delta < 0 a v within ~1e-16 of 0 reflects
-    onto log(0), whose partials are the finite v -> 0 limits, and callers
+    The one place that dispatches on the copula family: ``_cdf_core`` (and
+    so ``copula_cdf``) and both cell builders take their values from here.
+    The partials reuse the value's intermediates: all of the Gumbel closed
+    form, and the log numerator of the Frank one for delta >= 1. Inside the
+    Frank independence band the partials are those of the delta -> 0 limit,
+    dC/ddelta = uv(1-u)(1-v)/2. On the edges the values and partials are
+    known without the closed forms (C(u, 1) = u, C(u, 0) = 0), so callers
+    add those terms themselves. Opens no ``np.errstate``: for Frank
+    delta < 0 a v within ~1e-16 of 0 meets log(0), in the value and in the
+    reflection, where the results are the finite v -> 0 limits, and callers
     that can reach it ignore the divide.
     """
     if family is CopulaFamily.PRODUCT:
@@ -242,6 +208,17 @@ def _cdf_with_partials(family: CopulaFamily, delta: float, u: np.ndarray, v: np.
     # taken from the reflection.
     _, du, dv, dd = _frank_positive_with_partials(u, 1.0 - v, -delta)
     return _frank_cdf(u, v, delta), 1.0 - du, dv, dd
+
+
+def _cdf_core(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """CDF on already-validated arrays in [0, 1]: ``_cdf_with_partials``'s
+    value inside the square, and the closed-form edges C(u, 0) = C(0, v) = 0,
+    C(1, v) = v and C(u, 1) = u, where the closed forms pass through log(0)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _cdf_with_partials(spec.family, spec.delta, uu, vv)[0]
+    out = np.where(uu == 1.0, vv, out)
+    out = np.where(vv == 1.0, uu, out)
+    return np.where((uu == 0.0) | (vv == 0.0), 0.0, out)
 
 
 def copula_cdf(spec: CopulaSpec, u, v):

@@ -7,11 +7,11 @@ Gumbel dependence through 1 + exp, Frank dependence through a signed log
 map. The objective returns the negative log-likelihood together with its
 exact gradient, taken by the chain rule through the copula partials, the
 innovation and mechanism cells and the transforms, so L-BFGS-B needs one
-call per step. Each call evaluates each copula once, at the interior grid
-points only. That pass gives the kernel's cells bit for bit, so the value
-equals ``-conditional_loglik`` exactly wherever no term is floored, and the
-partials come out of the same pass. Standard errors come from the Hessian on
-the unconstrained scale (central differences of that gradient), pushed back
+call per step. Each call builds the mechanism and innovation cells with
+the builders that ``TransitionKernel.from_params`` uses: one copula pass
+each gives the cells and the partials. So the value equals
+``-conditional_loglik`` exactly wherever no term is floored. Standard
+errors come from the Hessian on the unconstrained scale (central differences of that gradient), pushed back
 to the reported scale by the delta method with the transforms' closed-form
 Jacobian.
 
@@ -31,16 +31,12 @@ import numpy as np
 from scipy import optimize, special
 
 from .copulas import CopulaFamily, CopulaSpec
-# _innovation_cells and _mechanism_cells have no caller here; perfbench hooks
-# them by their bdar.inference names
-from .joint import (  # noqa: F401
+from .joint import (
     CategoricalMarginal,
     _innovation_cells,
     _innovation_cells_vjp,
-    _innovation_cells_with_partials,
     _mechanism_cells,
     _mechanism_cells_vjp,
-    _mechanism_cells_with_partials,
 )
 # transition_tensor has no caller here; perfbench hooks bdar.inference.transition_tensor
 from .model import (  # noqa: F401
@@ -511,10 +507,9 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
     Works from the sufficient statistics (transition counts) and the mixture
-    that ``conditional_loglik`` uses. Each copula is evaluated once per call,
-    at the interior grid points only, and that one pass gives both the cells
-    (bit for bit those of ``TransitionKernel.from_params``) and the partials
-    the gradient needs. So the value equals
+    that ``conditional_loglik`` uses. The cells come from the builders of
+    ``TransitionKernel.from_params``, whose one copula pass per call also
+    gives the partials the gradient needs. So the value equals
     ``-conditional_loglik(layout.unpack(x), data)`` exactly (``==``) wherever
     no term is floored. The gradient is exact: the chain rule runs back
     through the four-term mixture, the mechanism and innovation cells (copula
@@ -529,10 +524,8 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p1, p2, phi1, phi2, delta_alpha, delta_eps = layout.raw_unpack(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pe, eps_partials = _innovation_cells_with_partials(p1, p2, eps_family, delta_eps)
-            mech, alpha_partials = _mechanism_cells_with_partials(
-                phi1, phi2, alpha_family, delta_alpha
-            )
+            pe, eps_partials = _innovation_cells(p1, p2, eps_family, delta_eps)
+            mech, alpha_partials = _mechanism_cells(phi1, phi2, alpha_family, delta_alpha)
         kernel = TransitionKernel(mech, pe, p1, p2)
         terms = kernel.terms(obs)
         probs = kernel.mix(terms)

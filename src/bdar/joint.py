@@ -3,8 +3,11 @@
 Two cell arrays make up the model's transition kernel: the 2x2 joint pmf of
 the keep/innovate Bernoulli indicators (``_mechanism_cells``) and the
 d1 x d2 joint pmf of the innovation pair (``_innovation_cells``). Both come
-from the same rectangle (inclusion-exclusion) construction. A mechanism
-copula of ``None`` stands for one indicator shared by both series (the M2
+from the same rectangle (inclusion-exclusion) construction over one copula
+pass, which also gives the copula's partials: each builder returns
+``(cells, partials)``, the kernel keeps the cells and the likelihood
+gradient pulls back through the partials (``*_vjp``). A mechanism copula
+family of ``None`` stands for one indicator shared by both series (the M2
 variant): its cells are comonotone, ``[[1 - phi, 0], [0, phi]]``.
 """
 
@@ -52,60 +55,36 @@ class CategoricalMarginal:
         return c
 
 
-def _mechanism_cells(phi1: float, phi2: float, spec: CopulaSpec | None) -> np.ndarray:
-    """The 2x2 mechanism cells, with negative rounding clamped to 0.
+def _mechanism_cells(phi1: float, phi2: float, family: CopulaFamily | None, delta: float):
+    """The 2x2 mechanism cells, with negative rounding clamped to 0, and the
+    partials of their corner p00 = C(1 - phi1, 1 - phi2).
 
     ``cells[a1, a2]`` is the probability of the indicator pair (a1, a2), where
-    1 means keep. A ``spec`` of ``None`` is one shared indicator with keep
-    rate ``phi1`` (``phi2`` must equal it): ``[[1 - phi1, 0], [0, phi1]]``.
-    """
-    if spec is None:
-        return np.array([[1.0 - phi1, 0.0], [0.0, phi1]])
-    p00 = float(_cdf_core(spec, np.float64(1.0 - phi1), np.float64(1.0 - phi2)))
-    return _mechanism_from_corner(phi1, phi2, p00)
-
-
-def _mechanism_from_corner(phi1: float, phi2: float, p00: float) -> np.ndarray:
-    # the rectangle masses around the one interior grid point
-    # p00 = C(1 - phi1, 1 - phi2)
-    cells = np.array(
-        [
-            [p00, (1.0 - phi1) - p00],
-            [(1.0 - phi2) - p00, phi1 + phi2 - 1.0 + p00],
-        ]
-    )
-    return np.maximum(cells, 0.0)
-
-
-def _mechanism_cells_with_partials(
-    phi1: float, phi2: float, family: CopulaFamily | None, delta: float
-):
-    """``_mechanism_cells`` bit for bit, from one copula evaluation that also
-    gives the partials of the corner p00 = C(1 - phi1, 1 - phi2).
-
-    Returns the cells and the partials that ``_mechanism_cells_vjp`` takes. A
-    ``family`` of ``None`` is the shared indicator, whose cells have no copula
-    and whose partials are ``None``.
+    1 means keep. Returns the cells and the partials that
+    ``_mechanism_cells_vjp`` takes. A ``family`` of ``None`` is one shared
+    indicator with keep rate ``phi1`` (``phi2`` must equal it): its cells
+    are ``[[1 - phi1, 0], [0, phi1]]``, with no copula and partials ``None``.
     """
     if family is None:
         return np.array([[1.0 - phi1, 0.0], [0.0, phi1]]), None
     u, v = 1.0 - phi1, 1.0 - phi2
     # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
     # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway and the
-    # corner takes _cdf_core's edge value C(1, v) = v, C(u, 1) = u
+    # corner takes the edge value C(1, v) = v, C(u, 1) = u
     p00, du, dv, dd = _cdf_with_partials(
         family, delta, np.float64(min(u, _BELOW_ONE)), np.float64(min(v, _BELOW_ONE))
     )
     if u == 1.0 or v == 1.0:
         p00 = v if u == 1.0 else u
-    return _mechanism_from_corner(phi1, phi2, float(p00)), (float(du), float(dv), float(dd))
+    cells = np.array([[p00, u - p00], [v - p00, phi1 + phi2 - 1.0 + p00]])
+    return np.maximum(cells, 0.0), (float(du), float(dv), float(dd))
 
 
 def _mechanism_cells_vjp(partials, g00: float, g01: float, g10: float, g11: float):
     """Pull a gradient on the 2x2 mechanism cells back to (phi1, phi2, delta).
 
-    ``partials`` are those of ``_mechanism_cells_with_partials``. The cell
-    gradients ``g00``..``g11`` must be zero on cells it clamped. For the shared
+    ``partials`` are those of ``_mechanism_cells``. The cell gradients
+    ``g00``..``g11`` must be zero on cells it clamped. For the shared
     indicator (``partials`` None) the whole gradient goes to ``phi1``.
     """
     if partials is None:
@@ -133,38 +112,43 @@ def _rectangle_cells(grid: np.ndarray) -> np.ndarray:
     return np.maximum(grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1], 0.0)
 
 
-def _innovation_cells(p1: np.ndarray, p2: np.ndarray, spec: CopulaSpec) -> np.ndarray:
-    """The d1 x d2 innovation cells: rectangle masses over the marginal CDF
-    grids, with negative rounding clamped to 0."""
-    return _rectangle_cells(_cdf_core(spec, _cdf_edges(p1)[:, None], _cdf_edges(p2)[None, :]))
+def _innovation_cells(p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delta: float):
+    """The d1 x d2 innovation cells, rectangle masses over the marginal CDF
+    grids with negative rounding clamped to 0, and the partials of the
+    copula at the interior grid points.
 
-
-def _innovation_cells_with_partials(
-    p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delta: float
-):
-    """``_innovation_cells`` bit for bit, from one copula pass over the
-    interior grid points only, which also gives the partials there.
-
-    The grid's edges take their closed-form values: C(u, 0) = C(0, v) = 0,
-    C(u, 1) = u and C(1, v) = v. Every interior point must lie strictly
-    inside the unit square: F(k) < 1 for k < d, as it is while the last
-    probability of each marginal exceeds ~1e-16. Returns the cells and the
-    partials that ``_innovation_cells_vjp`` takes.
+    One copula pass over the interior points gives both. The grid's edges
+    take their closed-form values: C(u, 0) = C(0, v) = 0, C(u, 1) = u and
+    C(1, v) = v, and so do the interior points where F(k) is not below 1
+    (through ``_cdf_core``). Returns the cells and the partials that
+    ``_innovation_cells_vjp`` takes.
     """
     f1, f2 = _cdf_edges(p1), _cdf_edges(p2)
-    cdf, du, dv, dd = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1])
-    grid = np.zeros((len(f1), len(f2)))
-    grid[1:-1, 1:-1] = cdf
-    grid[1:, -1] = f1[1:]
-    grid[-1, 1:-1] = f2[1:-1]
+    if f1[-2] < 1.0 and f2[-2] < 1.0:
+        cdf, du, dv, dd = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1])
+        grid = np.zeros((len(f1), len(f2)))
+        grid[1:-1, 1:-1] = cdf
+        grid[1:, -1] = f1[1:]
+        grid[-1, 1:-1] = f2[1:-1]
+        return _rectangle_cells(grid), (du, dv, dd)
+    # F(d-1), the largest interior point, is not below 1: it rounds to 1
+    # once the last probability is below ~1e-16, or lies above 1 by less
+    # than PROB_SUM_TOL. Such points lie on the edge u = 1 (or v = 1). The
+    # partials are taken at most one ulp inside the square, so they stay
+    # finite: a NaN there would poison the gradient even where its weight
+    # is 0.
+    f1, f2 = np.minimum(f1, 1.0), np.minimum(f2, 1.0)
+    grid = _cdf_core(CopulaSpec(family, delta), f1[:, None], f2[None, :])
+    u, v = np.minimum(f1[1:-1], _BELOW_ONE), np.minimum(f2[1:-1], _BELOW_ONE)
+    _, du, dv, dd = _cdf_with_partials(family, delta, u[:, None], v[None, :])
     return _rectangle_cells(grid), (du, dv, dd)
 
 
 def _innovation_cells_vjp(partials, g_cells: np.ndarray):
     """Pull a gradient on the innovation cells back to (p1, p2, delta).
 
-    ``partials`` are those of ``_innovation_cells_with_partials``. The adjoint
-    of the rectangle differencing: an interior grid point is a corner of four
+    ``partials`` are those of ``_innovation_cells``. The adjoint of the
+    rectangle differencing: an interior grid point is a corner of four
     cells (signs +, -, -, +), a point on the edge u = 1 or v = 1 of two, where
     C(1, v) = v and C(u, 1) = u make the partial along the edge 1 and
     dC/ddelta 0. The grid's fixed ends (0 and the forced 1) take no gradient.

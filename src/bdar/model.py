@@ -273,12 +273,13 @@ class TransitionKernel(NamedTuple):
     @classmethod
     def from_params(cls, params: Bdar1Params) -> "TransitionKernel":
         p1, p2 = params.m1.as_array(), params.m2.as_array()
-        return cls(
-            _mechanism_cells(params.phi1, params.phi2, params.copula_alpha),
-            _innovation_cells(p1, p2, params.copula_eps),
-            p1,
-            p2,
-        )
+        alpha, eps = params.copula_alpha, params.copula_eps
+        alpha_family, delta_alpha = (None, 0.0) if alpha is None else (alpha.family, alpha.delta)
+        # the copula pass may meet log(0) next to an edge (see _cdf_with_partials)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mech = _mechanism_cells(params.phi1, params.phi2, alpha_family, delta_alpha)[0]
+            pe = _innovation_cells(p1, p2, eps.family, eps.delta)[0]
+        return cls(mech, pe, p1, p2)
 
     def terms(self, obs: Transitions) -> tuple:
         """P(observed pair | mechanism outcome) for the outcomes in

@@ -4,6 +4,9 @@ Frozen expected values were computed with a 50-digit mpmath evaluation of the
 closed forms (independent of the float implementation under test).
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,11 @@ from bdar.copulas import (
     _cdf_core,
     _cdf_with_partials,
 )
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
+_spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
+cells_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cells_digests)
 
 GUMBEL2_AT_HALF = 0.37521422724648177
 FRANK5_AT_HALF = 0.37714851074652086
@@ -229,25 +237,33 @@ def _partials(spec, u, v):
     return _cdf_with_partials(spec.family, spec.delta, u, v)[1:]
 
 
+# sha256 of copula_cdf's values per spec (tools/make_cells_digests.py),
+# taken while _cdf_core still had a family dispatch of its own
+COPULA_CDF_SHA256 = {
+    "frank 5e-09": "224c7691702e554363e94cbd5b7fc38bcbe1ec19deabf6690de0e0079082ddae",
+    "frank -5e-09": "224c7691702e554363e94cbd5b7fc38bcbe1ec19deabf6690de0e0079082ddae",
+    "frank 0.003": "16d91b95cd0218c54c2574843df5ca38d42dbad35201f12e1cb1ee2d3317fab3",
+    "frank -0.003": "caac0b1402a16957243ea6cd98b59ecaa72b4ea2b52516857b3162f68be91ea6",
+    "frank 0.4": "efaac17e621fd2009f071bb727eba3e85bf3ff6730da0be501deb8da241f0c89",
+    "frank -0.4": "7ff2c8f65e6b6c959c1e798a558ac35bb16d11813e55047e0ffbd16e25d221e7",
+    "frank 5.0": "af3d47fc34541b34ea1f74185b535866adb73fa6a74673230900c00f39e13744",
+    "frank -5.0": "7f200cb901352ce2aa9a2e3a5252ef64c0ee8bd38261fef6fba939f73bcd2053",
+    "frank 72000000000.0": "9f2e279316b613d2e08c1570654cb78a16ce765063519824349dc0eb92a8a700",
+    "frank -72000000000.0": "c9dad2c927ecc9bc739e9a56f51c880a7c5c6afc8905065beefe1b4be22e5731",
+    "gumbel 1.0": "224c7691702e554363e94cbd5b7fc38bcbe1ec19deabf6690de0e0079082ddae",
+    "gumbel 1.000000000001": "556b60ae065aaaa903976dc3b28f84ebea865a5fce45311aeadbbe7b072f66c2",
+    "gumbel 2.5": "2c2da4c2931358e43c8982aab7df2e8f995883dce31083a671732f0fa0e7ce2f",
+    "gumbel 72000000000.0": "627de472f80bdfbdd540ed63fc4d8cb5216c0ca14277e59c4f4e2e1198a730cd",
+    "product 0.0": "224c7691702e554363e94cbd5b7fc38bcbe1ec19deabf6690de0e0079082ddae",
+}
+
+
 class TestCdfPartials:
-    # every branch of the evaluator: the Frank independence band, the series
-    # for dC/ddelta (|delta| < 1e-2), the expm1/log1p value (|delta| < 1) and
-    # the closed form of either sign up to the optimizer's bound ~7e10;
-    # Gumbel at independence, a hair above it and at the same bound
-    @pytest.mark.parametrize(
-        "spec",
-        [frank(d) for d in (5e-9, -5e-9, 3e-3, -3e-3, 0.4, -0.4, 5.0, -5.0, 7.2e10, -7.2e10)]
-        + [gumbel(d) for d in (1.0, 1.0 + 1e-12, 2.5, 7.2e10)]
-        + [PRODUCT],
-    )
+    @pytest.mark.parametrize("spec", cells_digests.COPULA_SPECS)
     def test_value_is_cdf_core_bit_for_bit(self, spec):
-        u = np.array([1e-14, 1e-6, 0.03, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-6, 1.0 - 1e-14])
-        v = np.array([2e-14, 0.011, 0.25, 0.49, 0.5, 0.83, 0.9999, 1.0 - 2e-14])
-        grid = _cdf_with_partials(spec.family, spec.delta, u[:, None], v[None, :])[0]
-        assert np.array_equal(grid, _cdf_core(spec, u[:, None], v[None, :]))
-        for uk, vk in ((u[3], v[5]), (u[-1], v[0]), (1.0 - 2.0**-53, v[2])):
-            point = _cdf_with_partials(spec.family, spec.delta, np.float64(uk), np.float64(vk))[0]
-            assert point == _cdf_core(spec, np.float64(uk), np.float64(vk))
+        # _cdf_core's values, the edges 0, 1, 1e-300, 1e-17 and 1 - 2^-53
+        # included, are bit for bit those of its former arithmetic
+        assert cells_digests.copula_cdf_digest(spec) == COPULA_CDF_SHA256[cells_digests.label(spec)]
 
     @pytest.mark.parametrize("family, delta, du, dv, dd", PARTIALS_AT_03_07)
     def test_frozen_values(self, family, delta, du, dv, dd):

@@ -1,12 +1,20 @@
 """Mechanism and innovation cell construction and sampling tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdar import CategoricalMarginal, CopulaSpec, sample_joint
-from bdar.joint import _innovation_cells, _mechanism_cells
+from bdar.joint import _innovation_cells, _innovation_cells_vjp, _mechanism_cells
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
+_spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
+cells_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cells_digests)
 
 PRODUCT = CopulaSpec("product")
 GUMBEL2 = CopulaSpec("gumbel", 2.0)
@@ -38,24 +46,28 @@ class TestCategoricalMarginal:
 
 
 def _innovation(m1: CategoricalMarginal, m2: CategoricalMarginal, spec: CopulaSpec) -> np.ndarray:
-    return _innovation_cells(m1.as_array(), m2.as_array(), spec)
+    return _innovation_cells(m1.as_array(), m2.as_array(), spec.family, spec.delta)[0]
+
+
+def _mechanism(phi1: float, phi2: float, spec: CopulaSpec) -> np.ndarray:
+    return _mechanism_cells(phi1, phi2, spec.family, spec.delta)[0]
 
 
 class TestBernoulliJoint:
     def test_product_cells(self):
-        pi = _mechanism_cells(0.4, 0.25, PRODUCT)
+        pi = _mechanism(0.4, 0.25, PRODUCT)
         assert pi[1, 1] == pytest.approx(0.10, abs=1e-15)
         assert pi[1, 0] == pytest.approx(0.30, abs=1e-15)
         assert pi[0, 1] == pytest.approx(0.15, abs=1e-15)
         assert pi[0, 0] == pytest.approx(0.45, abs=1e-15)
 
     def test_degenerate_margins(self):
-        pi = _mechanism_cells(0.0, 0.0, GUMBEL2)
+        pi = _mechanism(0.0, 0.0, GUMBEL2)
         assert pi[0, 0] == 1.0
         assert pi[0, 1] == pi[1, 0] == pi[1, 1] == 0.0
 
     def test_gumbel_frozen_cells(self):
-        pi = _mechanism_cells(0.4, 0.25, GUMBEL2)
+        pi = _mechanism(0.4, 0.25, GUMBEL2)
         assert pi[0, 0] == pytest.approx(PI_00, abs=1e-9)
         assert pi[0, 1] == pytest.approx(PI_01, abs=1e-9)
         assert pi[1, 0] == pytest.approx(PI_10, abs=1e-9)
@@ -66,10 +78,30 @@ class TestBernoulliJoint:
         for _ in range(200):
             phi1, phi2 = rng.random(2) * 0.999
             spec = CopulaSpec("frank", rng.uniform(-20, 20))
-            pi = _mechanism_cells(phi1, phi2, spec)
+            pi = _mechanism(phi1, phi2, spec)
             assert pi[1].sum() == pytest.approx(phi1, abs=1e-12)
             assert pi[:, 1].sum() == pytest.approx(phi2, abs=1e-12)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# sha256 of TransitionKernel.from_params cells, mech then pe, per group of
+# seeded random parameters (tools/make_cells_digests.py), taken while the
+# kernel still had value-only cell builders
+KERNEL_CELLS_SHA256 = {
+    "m1 product": "71b71d8a6af77e3974eef06fa81a25345f0634970bd4535b5ccabbe468acb29f",
+    "m2 gumbel": "2cb42902844209bea4fc3109114a75001c961bdff594d55f5933f49a96438d4e",
+    "m2 frank": "7bd2cdc8dda1e7aaf13fc8080eda3ac91d967ddcfc812e42ff50a1c882815a67",
+    "m3 gumbel": "0bd723b43ec248ec2866d8ed4e9d05729dbf6eb66f5a2ba16ac87599c2061745",
+    "m3 frank": "c1c5f56063c8495dd2d498a4841965ef4eb225264a1e8becba960267351dd4cf",
+    "m4 gumbel": "3599a7916649a1d9d2a26e22dbf422274427d6c9a76258f3ef3c6444921e881b",
+    "m4 frank": "bf443b65f6c009c3310b28114424b751953a8a793ea384e7bf59ee62a0797d6a",
+    "m5 gumbel": "bbf8ebe8ea5fdc42d377e91e36834830f8174e97d3e331369c7e54107fea548f",
+    "m5 frank": "68392658b3934e4dc1e39a69ce1cbad26185fd72c5455a23276878e90060532d",
+}
+
+
+def test_kernel_cells_match_frozen_digests():
+    assert cells_digests.kernel_cells_digests() == KERNEL_CELLS_SHA256
 
 
 class TestInnovationJoint:
@@ -96,6 +128,27 @@ class TestInnovationJoint:
         m2 = CategoricalMarginal((0.3, 0.7))
         pe = _innovation(m1, m2, CopulaSpec("frank", 1e-12))
         assert np.max(np.abs(pe - np.outer(m1.as_array(), m2.as_array()))) <= 1e-6
+
+    @pytest.mark.parametrize("spec", [GUMBEL2, CopulaSpec("frank", -4.0)])
+    def test_cdf_rounds_to_one_before_the_last_state(self, spec):
+        # 0.6 + 0.4 is exactly 1, so F(2) = 1 for the 3-state margin: its
+        # grid is the 2-state margin's with the edge point repeated, on
+        # either axis
+        p3, p2, q = np.array([0.6, 0.4, 1e-17]), np.array([0.6, 0.4]), np.array([0.2, 0.3, 0.5])
+        assert np.cumsum(p3)[1] == 1.0
+
+        def cells(a, b):
+            return _innovation_cells(a, b, spec.family, spec.delta)
+
+        rows, row_partials = cells(p3, q)
+        cols, col_partials = cells(q, p3)
+        assert np.array_equal(rows[:2], cells(p2, q)[0]) and not rows[2].any()
+        assert np.array_equal(cols[:, :2], cells(q, p2)[0]) and not cols[:, 2].any()
+        # finite partials: a NaN would poison the gradient even where its
+        # weight is 0
+        for partials in (row_partials, col_partials):
+            pulled = _innovation_cells_vjp(partials, np.ones((3, 3)))
+            assert all(np.all(np.isfinite(a)) for a in (*partials, *pulled))
 
     def test_random_marginals_total_mass(self):
         rng = np.random.default_rng(11)
@@ -200,7 +253,7 @@ class TestSampling:
         assert single == tuple(int(x) for x in plain)
 
     def test_degenerate_table_always_same_cell(self):
-        pi = _mechanism_cells(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
+        pi = _mechanism(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert sample_joint(pi, rng) == (0, 0)
@@ -224,6 +277,6 @@ class TestSampling:
         assert np.all(np.abs(freq - pe) <= bound + 1e-12)
 
     def test_mechanism_states_are_binary(self):
-        pi = _mechanism_cells(0.4, 0.25, GUMBEL2)
+        pi = _mechanism(0.4, 0.25, GUMBEL2)
         i, j = sample_joint(pi, np.random.default_rng(4), size=500)
         assert set(np.unique(i)) <= {0, 1} and set(np.unique(j)) <= {0, 1}

@@ -4,8 +4,10 @@ Monte-Carlo oracles run at moderate sizes here with pinned seeds; the full
 criterion-sized versions live in test_acceptance.py.
 """
 
+import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from bdar import (
     cross_moments,
     dar1_conditional_pmf,
     dar1_simulate,
+    exact_forecast_pmf,
+    forecast,
     joint_conditional_pmf,
     simulate,
     stationary_joint_pmf,
@@ -240,6 +244,33 @@ class TestTransitionKernel:
                 p = random_params_factory(rng, d1=int(d1), d2=int(d2), family=family)
                 stat = stationary_joint_pmf(p)
                 assert np.max(np.abs(TransitionKernel.from_params(p).push(stat) - stat)) <= 1e-15
+
+    def test_marginal_whose_cdf_overshoots_one(self, study_params):
+        # the sum is within PROB_SUM_TOL of 1, but F(2) = 1 + 2e-11: that grid
+        # point lies on the edge u = 1, so no cell is NaN and the third
+        # state's innovation row is empty
+        m1 = CategoricalMarginal((0.5, 0.50000000002, 1e-11))
+        assert np.cumsum(m1.probs)[1] > 1.0
+        p = dataclasses.replace(study_params, m1=m1)
+        kernel = TransitionKernel.from_params(p)
+        assert np.all(np.isfinite(kernel.pe)) and not kernel.pe[2].any()
+        assert np.all(np.isfinite(stationary_joint_pmf(p)))
+        assert all(np.all(np.isfinite(pmf)) for pmf in exact_forecast_pmf(p, (3, 1), 4))
+        series = simulate(p, 300, substream(17, "overshoot"))
+        assert np.isfinite(conditional_loglik(p, series))
+        result = forecast(p, (3, 1), 4, 200, substream(17, "overshoot-forecast"))
+        assert np.all(np.isfinite(result.joint))
+
+    @pytest.mark.parametrize("delta", [-4.0, -7e10])
+    def test_first_probability_below_double_resolution(self, delta):
+        # F(1) = 1e-17: the Frank value and the reflection of its partials
+        # pass through log(0) at that grid point; the build warns nothing
+        m = CategoricalMarginal((1e-17, 0.4, 0.6 - 1e-17))
+        p = Bdar1Params("m3", 0.3, 0.2, m, m, copula_eps=CopulaSpec("frank", delta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = TransitionKernel.from_params(p)
+        assert kernel.pe.min() >= 0.0 and kernel.pe.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_sample_follows_the_kernel(self, study_params):
         kernel = TransitionKernel.from_params(study_params)
