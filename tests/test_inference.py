@@ -1,6 +1,8 @@
 """Likelihood, fitting, and model-comparison tests."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ from bdar.inference import (
     transition_counts,
 )
 from bdar.rng import substream
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
+_spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
+cells_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cells_digests)
 
 
 def _delta_etas(family: CopulaFamily):
@@ -537,6 +544,53 @@ class TestStartStatistics:
                         ), (variant, alpha, eps)
                         if series is fixture and variant in ("m1", "m2"):
                             assert len(starts) == {"m1": 3, "m2": 4}[variant]
+
+
+# sha256 of the objective's value and gradient per layout group, of every
+# _default_starts vector and of every L-BFGS-B start of a seeded M5 fit
+# (tools/make_cells_digests.py), taken while each method of _Layout still
+# branched on the variant
+OBJECTIVE_SHA256 = {
+    "m1 frank frank": "6e3f64e660901e2f3ed72e171ee027fdda526b685e06a63ad43cfd957974e4ca",
+    "m1 frank gumbel": "d1455cd3d2ae34502f5c65da6c9be5505798b0e8247f5e6334ee407e78385f89",
+    "m1 gumbel frank": "1e5d0a64d2829b19ab490ad8d3e793cbbd457fca4911885d4eee01512ff928d3",
+    "m1 gumbel gumbel": "007caecefa21a067a71baa68531450c2f3004d779cafa55bf238f6e1083f05be",
+    "m2 frank frank": "bfbe19da46a0cff5467d4bafd14045fe6a9797a51034002dce6cbe3229db80f7",
+    "m2 frank gumbel": "45738f7b07277a080b0ab3d0c1db4ed1fd7d95130b9acd915c93fccc8491b1c5",
+    "m2 gumbel frank": "43de496668f077023d1d514c97c5282ecc4d351fdc5164235921b21ddb8f30c8",
+    "m2 gumbel gumbel": "6cdcb26a7631a7736c6ce69e2e0472e1917f9fc32ab89ebdad898a1c11f33649",
+    "m3 frank frank": "2df807c02c8f6b92b4a9d57f772299153f01ecd3e3c5d5902e49ded29a486f6c",
+    "m3 frank gumbel": "709d45afbb2c9c9d98efe55c4cfbd81ba5b6d2f67b247d9fba5fb029808df915",
+    "m3 gumbel frank": "b73026da0e7a4dd44a327d016e8d69457ee4963c947314a7324a967b6ac88e05",
+    "m3 gumbel gumbel": "8b8eb06e85f5ae0ad1542cd26db4373e83ae8b671f5ff57b6d4f6eac4dcdc55a",
+    "m4 frank frank": "37c5ef85afe2a422ca89ce1a4c1b1d5b483bd11ad8a42cf743dddc626d6b437b",
+    "m4 frank gumbel": "82f84732dea7b52e2cf8cfacd7978e17361352d483fa2ddb7a80108a95757e25",
+    "m4 gumbel frank": "8fe87bc9aab722c06a9a5c09a77dcbf17901304460e9c23e356d456296447407",
+    "m4 gumbel gumbel": "32c1be1d7d931c8eba094304312de3af32a3847754481f34bb47b5370142b3a3",
+    "m5 frank frank": "29b5cfb4fa087268b367bc66f3270e2b0015d5661b1acd874c2f606992dbc1b1",
+    "m5 frank gumbel": "84038c3fb0c63195b48456935fe1981864631b2c9398a66b07919c735daeb716",
+    "m5 gumbel frank": "194c39bd0557d8f739f146c36e30fc8b6c864ecfc2f3c6f92eea514b6a20590c",
+    "m5 gumbel gumbel": "19e252653feedfb9c6e81685b52dc8d6a99cd9b31e91cf925c02126ca1ffdc6c",
+}
+DEFAULT_STARTS_SHA256 = "3c37f86a0df28701bc4b76aed945ab781223acd251b46237be19b994cc31b3f5"
+FIT_STARTS_SHA256 = {
+    "m5 frank": "eaab97b98e6754be3efe69d3516a5fecb9a3feadb12cd6acedd37b6ca9c9911f",
+    "m5 gumbel": "50cff3dec8def20a9cac81f136f7bbd3869bbbdcc1494d5e473e10ce1c2d5891",
+}
+
+
+class TestFrozenDigests:
+    """The fit's parameter map gives the objective, the starts and every
+    run's starting point bit for bit as before."""
+
+    def test_objective_value_and_gradient(self):
+        assert cells_digests.objective_digests() == OBJECTIVE_SHA256
+
+    def test_default_starts(self):
+        assert cells_digests.default_starts_digest() == DEFAULT_STARTS_SHA256
+
+    def test_fit_starting_points(self):
+        assert cells_digests.fit_starts_digests() == FIT_STARTS_SHA256
 
 
 class TestInformationCriteria:

@@ -1,14 +1,22 @@
-"""Tests of the helpers in tools/bench_pairs.py, loaded by path (tools/ is not a package)."""
+"""Tests of the helpers in tools/bench_pairs.py and of the benchmark's hooks
+in perfbench/tracing.py, loaded by path (neither directory is a package)."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 
 
 def _pair(parent, change):
@@ -43,3 +51,15 @@ def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
         "change_better_pairs": wins,
         "pairs": 4,
     }
+
+
+def test_every_benchmark_hook_finds_its_target():
+    # a renamed or deleted name that perfbench/tracing.py hooks would make
+    # its per-layer metrics absent from the benchmark
+    tracing = _load(_ROOT / "perfbench" / "tracing.py")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
