@@ -23,7 +23,9 @@ d1*d2 and not on the series length.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +42,7 @@ from .joint import (
 )
 # transition_tensor has no caller here; perfbench hooks bdar.inference.transition_tensor
 from .model import (  # noqa: F401
+    _FREE_SCALARS,
     Bdar1Params,
     BivariateOrdinalSeries,
     TransitionKernel,
@@ -66,6 +69,8 @@ _GUMBEL_ETA_BOUNDS = (-30.0, 25.0)
 _FRANK_ETA_BOUNDS = (-25.0, 25.0)
 _PHI_ETA_BOUNDS = (-40.0, 40.0)
 _ALR_ETA_BOUNDS = (-30.0, 30.0)
+# by copula family; None for a keep rate
+_ETA_BOUNDS = {None: _PHI_ETA_BOUNDS, CopulaFamily.GUMBEL: _GUMBEL_ETA_BOUNDS, CopulaFamily.FRANK: _FRANK_ETA_BOUNDS}
 
 # L-BFGS-B projected-gradient tolerance and iteration cap of every run of a fit.
 LBFGSB_GTOL = 1e-8
@@ -144,76 +149,97 @@ def _delta_slope(eta: float, family: CopulaFamily) -> float:
 
 
 @dataclass(frozen=True)
+class _Scalar:
+    """One keep-rate or dependence coordinate of the fit's vector."""
+
+    name: str  # from model._FREE_SCALARS
+    family: CopulaFamily | None  # of the copula whose delta it is; None for a keep rate
+    bounds: tuple[float, float]  # on the eta scale
+    targets: tuple  # the raw parameters it sets: M2's phi sets phi1 and phi2
+
+    def to_eta(self, value: float) -> float:
+        return phi_to_eta(value) if self.family is None else delta_to_eta(value, self.family)
+
+    def from_eta(self, eta: float) -> float:
+        return eta_to_phi(eta) if self.family is None else eta_to_delta(eta, self.family)
+
+    def slope(self, eta: float) -> float:
+        return _phi_slope(eta) if self.family is None else _delta_slope(eta, self.family)
+
+
+@dataclass(frozen=True)
 class _Layout:
-    """Slice map between the unconstrained vector and a parameter set."""
+    """Map between the fit's unconstrained vector and a parameter set: the
+    additive log ratios of both innovation marginals, then one ``_Scalar``
+    per name of ``model._FREE_SCALARS[variant]``. A family is None where the
+    variant has no free mechanism (``alpha``) or innovation delta."""
 
     variant: Variant
     d1: int
     d2: int
-    alpha_family: CopulaFamily | None  # None when the variant has no free mechanism delta
+    alpha_family: CopulaFamily | None
     eps_family: CopulaFamily | None
+    scalars: tuple
 
     @classmethod
     def build(cls, variant, d1, d2, alpha_family, eps_family) -> "_Layout":
         variant = Variant.parse(variant)
-        alpha = CopulaFamily(alpha_family) if variant in (Variant.M4, Variant.M5) else None
-        eps = CopulaFamily(eps_family) if variant in (Variant.M2, Variant.M3, Variant.M5) else None
-        if alpha is CopulaFamily.PRODUCT or eps is CopulaFamily.PRODUCT:
-            raise ValueError("a free dependence parameter needs a parametric copula family")
-        return cls(variant=variant, d1=d1, d2=d2, alpha_family=alpha, eps_family=eps)
+        families = {"delta_alpha": alpha_family, "delta_eps": eps_family}
+        scalars = []
+        for name in _FREE_SCALARS[variant]:
+            family = CopulaFamily(families[name]) if name in families else None
+            if family is CopulaFamily.PRODUCT:
+                raise ValueError("a free dependence parameter needs a parametric copula family")
+            targets = ("phi1", "phi2") if name == "phi" else (name,)
+            scalars.append(_Scalar(name, family, _ETA_BOUNDS[family], targets))
+        free = {s.name: s.family for s in scalars}
+        return cls(variant, d1, d2, free.get("delta_alpha"), free.get("delta_eps"), tuple(scalars))
+
+    @property
+    def n_simplex(self) -> int:
+        return self.d1 + self.d2 - 2
 
     @property
     def n_phi(self) -> int:
-        return 1 if self.variant is Variant.M2 else 2
+        return sum(s.family is None for s in self.scalars)
 
     @property
     def n_delta(self) -> int:
-        return (self.alpha_family is not None) + (self.eps_family is not None)
+        return len(self.scalars) - self.n_phi
 
     @property
     def size(self) -> int:
-        return (self.d1 - 1) + (self.d2 - 1) + self.n_phi + self.n_delta
+        return self.n_simplex + len(self.scalars)
+
+    def encode(self, p1, p2, natural: dict) -> np.ndarray:
+        """The vector of simplexes ``p1``, ``p2`` and of the natural-scale
+        scalars ``natural[name]``, named as in ``Bdar1Params.named_values``."""
+        scalars = [s.to_eta(natural[s.name]) for s in self.scalars]
+        return np.concatenate([simplex_to_eta(p1), simplex_to_eta(p2), scalars])
 
     def pack(self, params: Bdar1Params) -> np.ndarray:
-        x = list(simplex_to_eta(params.m1.probs)) + list(simplex_to_eta(params.m2.probs))
-        x.append(phi_to_eta(params.phi1))
-        if self.variant is not Variant.M2:
-            x.append(phi_to_eta(params.phi2))
-        if self.alpha_family is not None:
-            x.append(delta_to_eta(params.copula_alpha.delta, self.alpha_family))
-        if self.eps_family is not None:
-            x.append(delta_to_eta(params.copula_eps.delta, self.eps_family))
-        return np.asarray(x, dtype=float)
+        return self.encode(params.m1.probs, params.m2.probs, params.named_values())
+
+    def _by_target(self, values) -> dict:
+        """Per-coordinate ``values`` keyed by the raw parameters they set."""
+        return {t: v for s, v in zip(self.scalars, values) for t in s.targets}
 
     def raw_unpack(self, x: np.ndarray):
         """Decode to plain arrays and floats without parameter-object
         validation: ``(p1, p2, phi1, phi2, delta_alpha, delta_eps)``, with a
         dependence of 0.0 where the variant has none free."""
-        k1, k2 = self.d1 - 1, self.d2 - 1
-        p1 = eta_to_simplex(x[:k1])
-        p2 = eta_to_simplex(x[k1 : k1 + k2])
-        pos = k1 + k2
-        phi1 = eta_to_phi(x[pos])
-        pos += 1
-        if self.variant is Variant.M2:
-            phi2 = phi1
-        else:
-            phi2 = eta_to_phi(x[pos])
-            pos += 1
-        delta_alpha = delta_eps = 0.0
-        if self.alpha_family is not None:
-            delta_alpha = eta_to_delta(x[pos], self.alpha_family)
-            pos += 1
-        if self.eps_family is not None:
-            delta_eps = eta_to_delta(x[pos], self.eps_family)
-        return p1, p2, phi1, phi2, delta_alpha, delta_eps
+        k1, k = self.d1 - 1, self.n_simplex
+        raw = {"delta_alpha": 0.0, "delta_eps": 0.0}
+        raw.update(self._by_target([s.from_eta(eta) for s, eta in zip(self.scalars, x[k:])]))
+        p1, p2 = eta_to_simplex(x[:k1]), eta_to_simplex(x[k1:k])
+        return p1, p2, raw["phi1"], raw["phi2"], raw["delta_alpha"], raw["delta_eps"]
 
     def copula_families(self):
         """The (mechanism, innovation) copula families as ``Bdar1Params``
-        holds them: a mechanism of ``None`` for M2's shared indicator,
-        ``PRODUCT`` where the variant fixes independence."""
-        alpha = None if self.variant is Variant.M2 else self.alpha_family or CopulaFamily.PRODUCT
-        return alpha, self.eps_family or CopulaFamily.PRODUCT
+        holds them: ``PRODUCT`` where the variant fixes independence, and a
+        mechanism of ``None`` where both series share one keep rate."""
+        alpha = self.alpha_family or CopulaFamily.PRODUCT
+        return (alpha if self.n_phi == 2 else None), self.eps_family or CopulaFamily.PRODUCT
 
     def unpack(self, x: np.ndarray) -> Bdar1Params:
         p1, p2, phi1, phi2, delta_alpha, delta_eps = self.raw_unpack(x)
@@ -228,57 +254,41 @@ class _Layout:
             copula_eps=CopulaSpec(eps_family, delta_eps),
         )
 
+    def embed(self, nested: "_Layout", x: np.ndarray, fill: dict) -> np.ndarray:
+        """The point ``x`` of a nested layout as a vector of this one, on the
+        eta scale: the simplexes as they are, each scalar from the nested
+        coordinate that sets the same raw parameter, the rest from ``fill``."""
+        etas = {**fill, **nested._by_target(x[self.n_simplex :])}
+        return np.concatenate([x[: self.n_simplex], [etas[s.name] for s in self.scalars]])
+
     def bounds(self) -> list[tuple[float, float]]:
-        out = [_ALR_ETA_BOUNDS] * (self.d1 - 1 + self.d2 - 1)
-        out += [_PHI_ETA_BOUNDS] * self.n_phi
-        if self.alpha_family is not None:
-            out.append(_GUMBEL_ETA_BOUNDS if self.alpha_family is CopulaFamily.GUMBEL else _FRANK_ETA_BOUNDS)
-        if self.eps_family is not None:
-            out.append(_GUMBEL_ETA_BOUNDS if self.eps_family is CopulaFamily.GUMBEL else _FRANK_ETA_BOUNDS)
-        return out
+        return [_ALR_ETA_BOUNDS] * self.n_simplex + [s.bounds for s in self.scalars]
 
     def report_names(self) -> list[str]:
         names = [f"p1_{i}" for i in range(1, self.d1)] + [f"p2_{i}" for i in range(1, self.d2)]
-        names += ["phi"] if self.variant is Variant.M2 else ["phi1", "phi2"]
-        if self.alpha_family is not None:
-            names.append("delta_alpha")
-        if self.eps_family is not None:
-            names.append("delta_eps")
-        return names
+        return names + [s.name for s in self.scalars]
 
     def _scalar_slopes(self, x: np.ndarray) -> np.ndarray:
         """d(natural)/d(eta) of the keep-rate and dependence coordinates."""
-        pos = self.d1 - 1 + self.d2 - 1
-        slopes = [_phi_slope(x[pos + i]) for i in range(self.n_phi)]
-        pos += self.n_phi
-        for family in (self.alpha_family, self.eps_family):
-            if family is not None:
-                slopes.append(_delta_slope(x[pos], family))
-                pos += 1
-        return np.asarray(slopes)
+        return np.asarray([s.slope(eta) for s, eta in zip(self.scalars, x[self.n_simplex :])])
 
     def chain(self, x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps) -> np.ndarray:
-        """Gradient on the unconstrained vector from gradients on the raw parameters."""
-        g_scalar = [g_phi1 + g_phi2] if self.variant is Variant.M2 else [g_phi1, g_phi2]
-        if self.alpha_family is not None:
-            g_scalar.append(g_alpha)
-        if self.eps_family is not None:
-            g_scalar.append(g_eps)
-        return np.concatenate([
-            _simplex_vjp(p1, g_p1),
-            _simplex_vjp(p2, g_p2),
-            self._scalar_slopes(x) * g_scalar,
-        ])
+        """Gradient on the unconstrained vector from gradients on the raw
+        parameters; a coordinate sums those of the parameters it sets."""
+        g_raw = {"phi1": g_phi1, "phi2": g_phi2, "delta_alpha": g_alpha, "delta_eps": g_eps}
+        g_scalar = [functools.reduce(operator.add, map(g_raw.get, s.targets)) for s in self.scalars]
+        slopes = self._scalar_slopes(x)
+        return np.concatenate([_simplex_vjp(p1, g_p1), _simplex_vjp(p2, g_p2), slopes * g_scalar])
 
     def report_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d(report values)/dx: simplexes without their last entry, then keep
         rates and dependence parameters, in ``report_names`` order."""
         p1, p2 = self.raw_unpack(x)[:2]
-        k1, k2 = self.d1 - 1, self.d2 - 1
+        k1, k = self.d1 - 1, self.n_simplex
         jac = np.zeros((self.size, self.size))
         jac[:k1, :k1] = _simplex_jacobian(p1)[:-1]
-        jac[k1 : k1 + k2, k1 : k1 + k2] = _simplex_jacobian(p2)[:-1]
-        rest = np.arange(k1 + k2, self.size)
+        jac[k1:k, k1:k] = _simplex_jacobian(p2)[:-1]
+        rest = np.arange(k, self.size)
         jac[rest, rest] = self._scalar_slopes(x)
         return jac
 
@@ -446,8 +456,7 @@ def _start_deltas(family: CopulaFamily | None, level: str) -> float | None:
     if level == "corner":
         # Start on the upper eta bound: the (near-)comonotone limit where the
         # shared-mechanism variant lives in the closure of the full model.
-        hi = (_GUMBEL_ETA_BOUNDS if family is CopulaFamily.GUMBEL else _FRANK_ETA_BOUNDS)[1]
-        return eta_to_delta(hi, family)
+        return eta_to_delta(_ETA_BOUNDS[family][1], family)
     table = {
         CopulaFamily.GUMBEL: {"adjacent": 1.05, "mild": 1.5, "strong": 4.0, "negative": 1.05},
         CopulaFamily.FRANK: {"adjacent": 0.5, "mild": 2.0, "strong": 12.0, "negative": -2.0},
@@ -486,18 +495,10 @@ def _default_starts(summaries: list, layout: _Layout) -> list:
     ]
     starts = []
     for m1, m2, phi1, phi2, level_alpha, level_eps in recipes:
-        x = list(simplex_to_eta(m1)) + list(simplex_to_eta(m2))
-        if layout.variant is Variant.M2:
-            x.append(phi_to_eta(0.5 * (phi1 + phi2)))
-        else:
-            x.extend([phi_to_eta(phi1), phi_to_eta(phi2)])
-        if layout.alpha_family is not None:
-            x.append(
-                delta_to_eta(_start_deltas(layout.alpha_family, level_alpha), layout.alpha_family)
-            )
-        if layout.eps_family is not None:
-            x.append(delta_to_eta(_start_deltas(layout.eps_family, level_eps), layout.eps_family))
-        x = np.asarray(x, dtype=float)
+        natural = {"phi": 0.5 * (phi1 + phi2), "phi1": phi1, "phi2": phi2}
+        natural["delta_alpha"] = _start_deltas(layout.alpha_family, level_alpha)
+        natural["delta_eps"] = _start_deltas(layout.eps_family, level_eps)
+        x = layout.encode(m1, m2, natural)
         if not any(np.array_equal(x, earlier) for earlier in starts):
             starts.append(x)
     return starts
@@ -588,8 +589,10 @@ def fit(
     keep probabilities from the lag-1 repeat rate, empirical marginals, and a
     spread of dependence levels from near-independence to strong. The best
     optimum is kept; for M5 it is also compared with a refit from the
-    shared-mechanism corner, which wins ties. The same data give an
-    identical report.
+    shared-mechanism corner, which wins ties. That refit starts from the M2
+    optimum embedded by name on the eta scale (``_Layout.embed``): M2's
+    ``phi`` as both keep rates, its ``delta_eps`` as is, and ``delta_alpha``
+    on its upper (comonotone) bound. The same data give an identical report.
     """
     if data.n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
@@ -615,12 +618,8 @@ def fit(
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, copula_eps_family)
         best2, nit2 = _maximize_layout(m2_layout, counts, summaries)
-        x2 = best2.x
-        k = (data.d1 - 1) + (data.d2 - 1)
-        x_corner = np.concatenate(
-            [x2[:k], [x2[k], x2[k], layout.bounds()[k + 2][1], x2[k + 1]]]
-        )
-        res = _lbfgsb(objective, x_corner, layout)
+        corner = {"delta_alpha": _ETA_BOUNDS[layout.alpha_family][1]}
+        res = _lbfgsb(objective, layout.embed(m2_layout, best2.x, corner), layout)
         n_iter += nit2 + int(res.nit)
         if res.fun <= best.fun:
             best = res

@@ -48,8 +48,17 @@ class Variant(str, enum.Enum):
         return cls(text)
 
 
-def _is_product(spec: CopulaSpec | None) -> bool:
-    return spec is None or spec.family is CopulaFamily.PRODUCT
+# Each variant's free scalars in the fit's order: ``phi`` is M2's shared keep
+# rate (phi1 = phi2), ``delta_alpha`` and ``delta_eps`` the mechanism and
+# innovation dependence. A copula without a free delta is the product, except
+# M2's mechanism, which has none.
+_FREE_SCALARS = {
+    Variant.M1: ("phi1", "phi2"),
+    Variant.M2: ("phi", "delta_eps"),
+    Variant.M3: ("phi1", "phi2", "delta_eps"),
+    Variant.M4: ("phi1", "phi2", "delta_alpha"),
+    Variant.M5: ("phi1", "phi2", "delta_alpha", "delta_eps"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,33 +87,23 @@ class Bdar1Params:
                 raise ValueError(f"{name}={phi} outside the stationary range [0, 1)")
         object.__setattr__(self, "phi1", float(self.phi1))
         object.__setattr__(self, "phi2", float(self.phi2))
-        if variant is Variant.M1:
-            if not _is_product(self.copula_alpha) or not _is_product(self.copula_eps):
-                raise ValueError("M1 requires product copulas on both mechanisms and innovations")
-            object.__setattr__(self, "copula_alpha", PRODUCT)
-            object.__setattr__(self, "copula_eps", PRODUCT)
-        elif variant is Variant.M2:
+        free = _FREE_SCALARS[variant]
+        copulas = (("delta_alpha", "copula_alpha"), ("delta_eps", "copula_eps"))
+        if "phi" in free:
             if abs(self.phi1 - self.phi2) > 1e-12:
-                raise ValueError("M2 uses one shared keep probability; phi1 must equal phi2")
+                raise ValueError(f"{variant.name} uses one shared keep probability; phi1 must equal phi2")
             if self.copula_alpha is not None:
-                raise ValueError("M2 has a single shared indicator; no mechanism copula applies")
-            if self.copula_eps is None:
-                raise ValueError("M2 requires an innovation copula")
-        elif variant is Variant.M3:
-            if not _is_product(self.copula_alpha):
-                raise ValueError("M3 requires independent mechanisms (product copula)")
-            object.__setattr__(self, "copula_alpha", PRODUCT)
-            if self.copula_eps is None:
-                raise ValueError("M3 requires an innovation copula")
-        elif variant is Variant.M4:
-            if not _is_product(self.copula_eps):
-                raise ValueError("M4 requires independent innovations (product copula)")
-            object.__setattr__(self, "copula_eps", PRODUCT)
-            if self.copula_alpha is None:
-                raise ValueError("M4 requires a mechanism copula")
-        else:
-            if self.copula_alpha is None or self.copula_eps is None:
-                raise ValueError("M5 requires both copulas")
+                raise ValueError(f"{variant.name} has a single shared indicator; no mechanism copula applies")
+            copulas = copulas[1:]
+        for name, field in copulas:
+            spec = getattr(self, field)
+            if name in free:
+                if spec is None:
+                    raise ValueError(f"{variant.name} requires {field}")
+            elif spec is None or spec.family is CopulaFamily.PRODUCT:
+                object.__setattr__(self, field, PRODUCT)
+            else:
+                raise ValueError(f"{variant.name} requires {field} to be the product copula")
 
     @property
     def d1(self) -> int:
@@ -115,19 +114,13 @@ class Bdar1Params:
         return self.m2.d
 
     def named_values(self) -> dict:
-        """Natural-scale parameters by name: both full simplexes, the keep
-        rate(s), then the dependence parameters the variant leaves free."""
+        """Natural-scale parameters by name: both full simplexes, then the
+        variant's free scalars in ``_FREE_SCALARS`` order."""
         out = {f"p1_{i + 1}": p for i, p in enumerate(self.m1.probs)}
         out.update({f"p2_{i + 1}": p for i, p in enumerate(self.m2.probs)})
-        if self.variant is Variant.M2:
-            out["phi"] = self.phi1
-        else:
-            out["phi1"] = self.phi1
-            out["phi2"] = self.phi2
-        if self.variant in (Variant.M4, Variant.M5):
-            out["delta_alpha"] = self.copula_alpha.delta
-        if self.variant in (Variant.M2, Variant.M3, Variant.M5):
-            out["delta_eps"] = self.copula_eps.delta
+        natural = {"phi": self.phi1, "phi1": self.phi1, "phi2": self.phi2, "delta_eps": self.copula_eps.delta}
+        natural["delta_alpha"] = getattr(self.copula_alpha, "delta", None)  # M2 has no copula_alpha
+        out.update((name, natural[name]) for name in _FREE_SCALARS[self.variant])
         return out
 
     def to_json_dict(self) -> dict:

@@ -182,6 +182,26 @@ class TestTransforms:
         assert eta_to_phi(1e9) < 1.0
 
 
+
+class TestLayout:
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3", "m4", "m5"])
+    def test_pack_inverts_unpack(self, variant):
+        layout = _Layout.build(variant, 3, 4, "gumbel", "frank")
+        x = substream(82, "pack", variant).uniform(-3.0, 3.0, layout.size)
+        params = layout.unpack(x)
+        assert list(params.named_values())[7:] == layout.report_names()[5:]
+        assert np.allclose(layout.pack(params), x, rtol=0.0, atol=1e-9)
+
+    def test_embed_places_nested_coordinates_by_name(self):
+        m5 = _Layout.build("m5", 3, 4, "gumbel", "frank")
+        m2 = _Layout.build("m2", 3, 4, None, "frank")
+        x2 = np.arange(1.0, m2.size + 1.0)  # 5 log ratios, phi, delta_eps
+        x = m5.embed(m2, x2, {"delta_alpha": 25.0})
+        assert dict(zip(m5.report_names()[5:], x[5:])) == {
+            "phi1": 6.0, "phi2": 6.0, "delta_alpha": 25.0, "delta_eps": 7.0
+        }
+        assert np.array_equal(x[:5], x2[:5])
+
 def _straddles_turn(layout: _Layout, x: np.ndarray) -> bool:
     """Near its comonotone (countermonotone) limit a copula turns over within
     about 1/|delta| of u = v (u + v = 1); a finite-difference step of ~1e-7
