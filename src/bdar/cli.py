@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,6 +185,12 @@ class RunConfig:
         unknown = set(raw) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in raw.items():
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
         return cls(**raw)
 
     def apply_overrides(self, args: argparse.Namespace) -> "RunConfig":
@@ -249,6 +256,21 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _write_fit(out_dir: Path, variant: Variant, report: FitReport):
+    """Write ``fit_<variant>.json`` (the report) and ``params_<variant>.json``
+    (its estimates, which ``forecast`` and ``simulate`` read back)."""
+    _write_json(out_dir / f"fit_{variant.value}.json", report.to_json_dict())
+    _write_json(out_dir / f"params_{variant.value}.json", report.params_hat.to_json_dict())
+
+
+def _read_params(config: RunConfig, missing: str) -> Bdar1Params:
+    """The parameter set in the configured params file; ``missing`` is the
+    error message when none is configured."""
+    if config.params is None:
+        raise ValueError(missing)
+    return Bdar1Params.from_json_dict(json.loads(Path(config.params).read_text()))
+
+
 def run_diagnostics(series: BivariateOrdinalSeries) -> dict:
     """Association report: cross-series tau, lag-1 serial tau per series,
     and state frequency tables."""
@@ -300,8 +322,7 @@ def run_compare(config: RunConfig) -> dict:
     _write_csv(out_dir / "compare_estimates.csv", ["model", "param", "estimate", "std_error"], est_rows)
     _write_csv(out_dir / "compare_stats.csv", ["model", "loglik", "n_params", "aic", "bic"], stat_rows)
     for variant, report in reports.items():
-        _write_json(out_dir / f"fit_{variant.value}.json", report.to_json_dict())
-        _write_json(out_dir / f"params_{variant.value}.json", report.params_hat.to_json_dict())
+        _write_fit(out_dir, variant, report)
 
     trail = []
     selection: dict = {"failures": failures}
@@ -390,9 +411,7 @@ def run_forecast(config: RunConfig) -> ForecastResult:
     """
     if config.n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    if config.params is None:
-        raise ValueError("no params file configured; fit or compare first")
-    params = Bdar1Params.from_json_dict(json.loads(Path(config.params).read_text()))
+    params = _read_params(config, "no params file configured; fit or compare first")
     if config.last_state is not None:
         last_state = (int(config.last_state[0]), int(config.last_state[1]))
     elif config.input is not None:
@@ -416,9 +435,7 @@ def run_replicate_study(config: RunConfig) -> Path:
     estimate and its absolute error. That file is enough to rebuild
     boxplot-style summaries in any plotting tool.
     """
-    if config.params is None:
-        raise ValueError("no params file configured (the generating parameters)")
-    true_params = Bdar1Params.from_json_dict(json.loads(Path(config.params).read_text()))
+    true_params = _read_params(config, "no params file configured (the generating parameters)")
     alpha_family = (
         true_params.copula_alpha.family.value if true_params.copula_alpha else config.copula_alpha
     )
@@ -505,9 +522,7 @@ def _cmd_fit(args):
         copula_alpha_family=config.copula_alpha,
         copula_eps_family=config.copula_eps,
     )
-    out_dir = Path(config.output)
-    _write_json(out_dir / f"fit_{variant.value}.json", report.to_json_dict())
-    _write_json(out_dir / f"params_{variant.value}.json", report.params_hat.to_json_dict())
+    _write_fit(Path(config.output), variant, report)
     print(f"{variant.value}: loglik {report.loglik:.4f}, aic {report.aic:.2f}, "
           f"bic {report.bic:.2f}, converged {report.converged}")
     check = conditional_loglik(report.params_hat, series)
@@ -525,9 +540,7 @@ def _cmd_compare(args):
 
 def _cmd_simulate(args):
     config = _config_from_args(args)
-    if config.params is None:
-        raise ValueError("no params file configured")
-    params = Bdar1Params.from_json_dict(json.loads(Path(config.params).read_text()))
+    params = _read_params(config, "no params file configured")
     rng = substream(config.seed, "simulate")
     series = simulate(params, config.length, rng, burn_in=config.burn_in)
     out = Path(config.output) / "simulated.csv"

@@ -136,6 +136,8 @@ class Bdar1Params:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Bdar1Params":
+        if not isinstance(d, dict):
+            raise ValueError(f"a parameter set must be a JSON object, got {d!r}")
         missing = [key for key in ("variant", "phi1", "phi2", "p1", "p2") if key not in d]
         if missing:
             raise ValueError(f"parameter set lacks the keys {missing}")

@@ -144,6 +144,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="key=value"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("horizon = abc", "'horizon' must be int, got 'abc'"),
+        ('burn_in = "x"', "'burn_in' must be int or null, got 'x'"),
+        ("seed = 1.5", "'seed' must be int, got 1.5"),
+        ("seed = true", "'seed' must be int, got True"),
+        ("output = 5", "'output' must be str, got 5"),
+        ("variants = m5", "'variants' must be list, got 'm5'"),
+    ])
+    def test_value_of_wrong_type_rejected(self, tmp_path, line, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError) as info:
+            RunConfig.from_file(path)
+        assert str(info.value) == f"config key {message}"
+
+    def test_values_of_their_field_types_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"burn_in": None, "last_state": [2, 3], "quantiles": 4, "seed": 3}))
+        config = RunConfig.from_file(path)
+        assert (config.burn_in, config.last_state, config.quantiles, config.seed) == (None, [2, 3], 4, 3)
+
 
 def _fixture_config(tmp_path, **overrides) -> RunConfig:
     base = dict(
@@ -422,6 +443,24 @@ class TestMainEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+
+    @pytest.mark.parametrize("content", ["5", "null", "true", "[0.3]", '"m5"'])
+    def test_params_file_that_is_not_an_object_is_an_error(self, tmp_path, capsys, content):
+        path = tmp_path / "params.json"
+        path.write_text(content)
+        code = main(["simulate", "--params", str(path), "--length", "50",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a parameter set must be a JSON object")
+
+    def test_config_value_of_wrong_type_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizon = abc\n")
+        code = main(["forecast", "--config", str(cfg), "--params", str(BUNDLED_PARAMS),
+                     "--last-state", "1", "1", "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: config key 'horizon' must be int" in capsys.readouterr().err
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
