@@ -257,15 +257,13 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_fit(out_dir: Path, variant: Variant, report: FitReport):
-    """Write ``fit_<variant>.json`` (the report) and ``params_<variant>.json``
-    (its estimates, which ``forecast`` and ``simulate`` read back)."""
+    """Write the report and its estimates (``_read_params`` reads them back)."""
     _write_json(out_dir / f"fit_{variant.value}.json", report.to_json_dict())
     _write_json(out_dir / f"params_{variant.value}.json", report.params_hat.to_json_dict())
 
 
 def _read_params(config: RunConfig, missing: str) -> Bdar1Params:
-    """The parameter set in the configured params file; ``missing`` is the
-    error message when none is configured."""
+    """The configured params file's parameter set; ``missing`` is the error if none is."""
     if config.params is None:
         raise ValueError(missing)
     return Bdar1Params.from_json_dict(json.loads(Path(config.params).read_text()))

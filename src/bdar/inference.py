@@ -220,17 +220,16 @@ class _Layout:
     def pack(self, params: Bdar1Params) -> np.ndarray:
         return self.encode(params.m1.probs, params.m2.probs, params.named_values())
 
-    def _by_target(self, values) -> dict:
-        """Per-coordinate ``values`` keyed by the raw parameters they set."""
-        return {t: v for s, v in zip(self.scalars, values) for t in s.targets}
-
     def raw_unpack(self, x: np.ndarray):
         """Decode to plain arrays and floats without parameter-object
         validation: ``(p1, p2, phi1, phi2, delta_alpha, delta_eps)``, with a
         dependence of 0.0 where the variant has none free."""
         k1, k = self.d1 - 1, self.n_simplex
         raw = {"delta_alpha": 0.0, "delta_eps": 0.0}
-        raw.update(self._by_target([s.from_eta(eta) for s, eta in zip(self.scalars, x[k:])]))
+        for s, eta in zip(self.scalars, x[k:].tolist()):
+            value = s.from_eta(eta)
+            for t in s.targets:
+                raw[t] = value
         p1, p2 = eta_to_simplex(x[:k1]), eta_to_simplex(x[k1:k])
         return p1, p2, raw["phi1"], raw["phi2"], raw["delta_alpha"], raw["delta_eps"]
 
@@ -258,8 +257,10 @@ class _Layout:
         """The point ``x`` of a nested layout as a vector of this one, on the
         eta scale: the simplexes as they are, each scalar from the nested
         coordinate that sets the same raw parameter, the rest from ``fill``."""
-        etas = {**fill, **nested._by_target(x[self.n_simplex :])}
-        return np.concatenate([x[: self.n_simplex], [etas[s.name] for s in self.scalars]])
+        k = self.n_simplex
+        etas = dict(fill)
+        etas.update((t, eta) for s, eta in zip(nested.scalars, x[k:]) for t in s.targets)
+        return np.concatenate([x[:k], [etas[s.name] for s in self.scalars]])
 
     def bounds(self) -> list[tuple[float, float]]:
         return [_ALR_ETA_BOUNDS] * self.n_simplex + [s.bounds for s in self.scalars]
@@ -270,7 +271,7 @@ class _Layout:
 
     def _scalar_slopes(self, x: np.ndarray) -> np.ndarray:
         """d(natural)/d(eta) of the keep-rate and dependence coordinates."""
-        return np.asarray([s.slope(eta) for s, eta in zip(self.scalars, x[self.n_simplex :])])
+        return np.asarray([s.slope(eta) for s, eta in zip(self.scalars, x[self.n_simplex :].tolist())])
 
     def chain(self, x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps) -> np.ndarray:
         """Gradient on the unconstrained vector from gradients on the raw
