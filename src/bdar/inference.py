@@ -70,7 +70,9 @@ _FRANK_ETA_BOUNDS = (-25.0, 25.0)
 _PHI_ETA_BOUNDS = (-40.0, 40.0)
 _ALR_ETA_BOUNDS = (-30.0, 30.0)
 # by copula family; None for a keep rate
-_ETA_BOUNDS = {None: _PHI_ETA_BOUNDS, CopulaFamily.GUMBEL: _GUMBEL_ETA_BOUNDS, CopulaFamily.FRANK: _FRANK_ETA_BOUNDS}
+_ETA_BOUNDS = {
+    None: _PHI_ETA_BOUNDS, CopulaFamily.GUMBEL: _GUMBEL_ETA_BOUNDS, CopulaFamily.FRANK: _FRANK_ETA_BOUNDS
+}
 
 # L-BFGS-B projected-gradient tolerance and iteration cap of every run of a fit.
 LBFGSB_GTOL = 1e-8
@@ -179,7 +181,7 @@ class _Layout:
     d2: int
     alpha_family: CopulaFamily | None
     eps_family: CopulaFamily | None
-    scalars: tuple
+    scalars: tuple[_Scalar, ...]
 
     @classmethod
     def build(cls, variant, d1, d2, alpha_family, eps_family) -> "_Layout":

@@ -91,9 +91,9 @@ class Bdar1Params:
         copulas = (("delta_alpha", "copula_alpha"), ("delta_eps", "copula_eps"))
         if "phi" in free:
             if abs(self.phi1 - self.phi2) > 1e-12:
-                raise ValueError(f"{variant.name} uses one shared keep probability; phi1 must equal phi2")
+                raise ValueError("M2 uses one shared keep probability; phi1 must equal phi2")
             if self.copula_alpha is not None:
-                raise ValueError(f"{variant.name} has a single shared indicator; no mechanism copula applies")
+                raise ValueError("M2 has a single shared indicator; no mechanism copula applies")
             copulas = copulas[1:]
         for name, field in copulas:
             spec = getattr(self, field)
@@ -118,8 +118,9 @@ class Bdar1Params:
         variant's free scalars in ``_FREE_SCALARS`` order."""
         out = {f"p1_{i + 1}": p for i, p in enumerate(self.m1.probs)}
         out.update({f"p2_{i + 1}": p for i, p in enumerate(self.m2.probs)})
-        natural = {"phi": self.phi1, "phi1": self.phi1, "phi2": self.phi2, "delta_eps": self.copula_eps.delta}
+        natural = {"phi": self.phi1, "phi1": self.phi1, "phi2": self.phi2}
         natural["delta_alpha"] = getattr(self.copula_alpha, "delta", None)  # M2 has no copula_alpha
+        natural["delta_eps"] = self.copula_eps.delta
         out.update((name, natural[name]) for name in _FREE_SCALARS[self.variant])
         return out
 
