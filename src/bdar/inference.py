@@ -23,9 +23,7 @@ d1*d2 and not on the series length.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -277,9 +275,11 @@ class _Layout:
 
     def chain(self, x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps) -> np.ndarray:
         """Gradient on the unconstrained vector from gradients on the raw
-        parameters; a coordinate sums those of the parameters it sets."""
-        g_raw = {"phi1": g_phi1, "phi2": g_phi2, "delta_alpha": g_alpha, "delta_eps": g_eps}
-        g_scalar = [functools.reduce(operator.add, map(g_raw.get, s.targets)) for s in self.scalars]
+        parameters; M2's shared ``phi`` takes the sum of both keep rates'."""
+        g_named = {
+            "phi": g_phi1 + g_phi2, "phi1": g_phi1, "phi2": g_phi2, "delta_alpha": g_alpha, "delta_eps": g_eps
+        }
+        g_scalar = [g_named[s.name] for s in self.scalars]
         slopes = self._scalar_slopes(x)
         return np.concatenate([_simplex_vjp(p1, g_p1), _simplex_vjp(p2, g_p2), slopes * g_scalar])
 
