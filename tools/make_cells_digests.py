@@ -124,10 +124,6 @@ LAYOUT_GROUPS = [
 ]
 
 
-def _group_label(variant: Variant, alpha: str, eps: str) -> str:
-    return f"{variant.value} {alpha} {eps}"
-
-
 def _counts(rng: np.random.Generator, d1: int, d2: int) -> np.ndarray:
     """Seeded transition counts; about half the cells are 0."""
     return rng.poisson(0.8, size=(d1, d2, d1, d2)).astype(float)
@@ -151,7 +147,7 @@ def objective_digests(n: int = 30) -> dict:
             value, grad = objective(x)
             h.update(np.float64(value).tobytes())
             h.update(grad.tobytes())
-        out[_group_label(variant, alpha, eps)] = h.hexdigest()
+        out[f"{variant.value} {alpha} {eps}"] = h.hexdigest()
     return out
 
 
