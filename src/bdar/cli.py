@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .copulas import CopulaFamily
 from .forecast import ForecastResult, forecast
 from .inference import (
     FitReport,
@@ -160,13 +161,24 @@ class RunConfig:
     replicates: int = 100
     sample_sizes: list = dataclasses.field(default_factory=lambda: [100, 500, 1000])
 
+    def __post_init__(self):
+        # checked here, before any fit: a variant whose copula delta is fixed
+        # never reads that copula's family
+        for family in (self.copula_alpha, self.copula_eps):
+            CopulaFamily(family)
+
     @classmethod
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """Read a JSON object or key=value lines. A key=value value is decoded
+        as JSON where it parses; a field that takes text keeps the raw text
+        of a value whose JSON type it does not take (``col1 = 2020``)."""
         text = Path(path).read_text()
+        hints = typing.get_type_hints(cls)
+        allowed = {key: typing.get_args(hint) or (hint,) for key, hint in hints.items()}
         if text.lstrip().startswith("{"):
             raw = json.loads(text)
         else:
@@ -182,14 +194,15 @@ class RunConfig:
                     raw[key] = json.loads(value)
                 except json.JSONDecodeError:
                     raw[key] = value
+                if str in allowed.get(key, ()) and not isinstance(raw[key], allowed[key]):
+                    raw[key] = value
         unknown = set(raw) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
         for key, value in raw.items():
-            allowed = typing.get_args(hints[key]) or (hints[key],)
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            types = allowed[key]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
         return cls(**raw)
 

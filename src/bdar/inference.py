@@ -32,6 +32,7 @@ from scipy import optimize, special
 
 from .copulas import CopulaFamily, CopulaSpec
 from .joint import (
+    _BLOCK,
     CategoricalMarginal,
     _innovation_cells,
     _innovation_cells_vjp,
@@ -301,10 +302,20 @@ class _Layout:
 # --------------------------------------------------------------------------
 
 def transition_counts(data: BivariateOrdinalSeries) -> np.ndarray:
-    """Counts of one-step transitions, shape (d1, d2, d1, d2)."""
+    """Counts of one-step transitions, shape (d1, d2, d1, d2).
+
+    The row-major code of each transition (previous pair, current pair) is
+    written ``_BLOCK`` steps at a time into one (n - 1) array, which a single
+    ``bincount`` counts: no other full-length temporary is made.
+    """
     d1, d2 = data.d1, data.d2
-    codes = data.z1 * d2 + data.z2 - (d2 + 1)  # (z1 - 1) d2 + (z2 - 1)
-    flat = codes[:-1] * (d1 * d2) + codes[1:]
+    flat = np.empty(data.n - 1, dtype=np.int64)
+    for start in range(0, data.n - 1, _BLOCK):
+        stop = min(start + _BLOCK, data.n - 1)
+        # the pair codes (z1 - 1) d2 + (z2 - 1) of steps start..stop
+        codes = data.z1[start:stop + 1] * d2 + data.z2[start:stop + 1] - (d2 + 1)
+        np.multiply(codes[:-1], d1 * d2, out=flat[start:stop])
+        flat[start:stop] += codes[1:]
     return np.bincount(flat, minlength=(d1 * d2) ** 2).reshape(d1, d2, d1, d2).astype(float)
 
 
@@ -596,7 +607,10 @@ def fit(
     optimum embedded by name on the eta scale (``_Layout.embed``): M2's
     ``phi`` as both keep rates, its ``delta_eps`` as is, and ``delta_alpha``
     on its upper (comonotone) bound. The same data give an identical report.
+    Both copula family names must be valid, also where the variant frees
+    no delta of that copula.
     """
+    alpha_family, eps_family = CopulaFamily(copula_alpha_family), CopulaFamily(copula_eps_family)
     if data.n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
     counts = transition_counts(data)
@@ -607,7 +621,7 @@ def fit(
             raise UnobservedStateError(
                 f"state {missing} of {name} never occurs; collapse states before fitting"
             )
-    layout = _Layout.build(variant, data.d1, data.d2, copula_alpha_family, copula_eps_family)
+    layout = _Layout.build(variant, data.d1, data.d2, alpha_family, eps_family)
     objective = _make_objective(layout, counts)
     best, n_iter = _maximize_layout(layout, counts, summaries)
 
@@ -619,7 +633,7 @@ def fit(
     # loglik(full fit) >= loglik(shared-mechanism fit) to optimizer precision
     # for any data.
     if layout.variant is Variant.M5:
-        m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, copula_eps_family)
+        m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, eps_family)
         best2, nit2 = _maximize_layout(m2_layout, counts, summaries)
         corner = {"delta_alpha": _ETA_BOUNDS[layout.alpha_family][1]}
         res = _lbfgsb(objective, layout.embed(m2_layout, best2.x, corner), layout)

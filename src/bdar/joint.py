@@ -168,46 +168,56 @@ def _innovation_cells_vjp(partials, g_cells: np.ndarray):
     return g_p1, g_p2, float(np.vdot(inner, dd))
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u, side="right")``, the number of entries of the
-    cumulative sum ``cum`` at or below each uniform, through a guide table.
+# Uniforms are drawn and resolved this many at a time, so a long path needs
+# no full-length float or index temporary. ``Generator.random(a + b)`` yields
+# the numbers of ``random(a)`` followed by ``random(b)``: blocking changes no draw.
+_BLOCK = 1 << 14
 
-    The guide table (Chen & Asau 1974; Devroye 1986, III.2.4) finds each
-    index in O(1) expected work: with m the smallest power of two at least 8
-    times ``len(cum)``, ``guide[k] = #{cum <= k/m}``. The result equals the
-    plain search exactly, not only in distribution: ``Generator.random``
-    returns multiples of 2^-53 in [0, 1), so ``u * m`` and its floor k are
-    exact and k/m <= u; hence ``guide[k]`` is a lower bound of
-    ``#{cum <= u}``, and it is the answer when ``cum[guide[k]] > u``. The
-    other uniforms (a few percent) are finished by the full search. With
-    ``cum[-1] = 1 > u`` every index stays in range, and zero-mass cells are
-    never drawn, as under the plain search.
+
+def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` cells of a pmf by inverse CDF, as row-major cell codes in
+    the narrowest unsigned dtype that holds ``cells.size - 1``.
+
+    One uniform per draw indexes the cumulative sum ``cum`` of the flattened
+    cells (its last entry forced to 1), and the codes equal
+    ``np.searchsorted(cum, rng.random(size), side="right")`` exactly. The
+    uniforms are drawn and resolved ``_BLOCK`` at a time through one guide
+    table (Chen & Asau 1974; Devroye 1986, III.2.4), which finds each index
+    in O(1) expected work: with m the smallest power of two at least 8 times
+    ``len(cum)``, ``guide[k] = #{cum <= k/m}``. ``Generator.random`` returns
+    multiples of 2^-53 in [0, 1), so ``u * m`` and its floor k are exact and
+    k/m <= u; hence ``guide[k]`` is a lower bound of ``#{cum <= u}``, and it
+    is the answer when ``cum[guide[k]] > u``. The other uniforms (a few
+    percent) are finished by the full search. With ``cum[-1] = 1 > u`` every
+    index stays in range, and zero-mass cells are never drawn, as under the
+    plain search.
     """
+    cum = np.cumsum(cells.ravel())
+    cum[-1] = 1.0
     m = 1 << (8 * cum.size - 1).bit_length()
     # cum <= k/m exactly when ceil(cum * m) <= k (cum * m is exact): counting
     # those ceilings builds the table in O(m) instead of m binary searches
     guide = np.cumsum(np.bincount(np.ceil(cum * m).astype(np.int64), minlength=m + 1)[:m])
-    flat = guide[(u * m).astype(np.int64)]
-    unresolved = cum[flat] <= u
-    flat[unresolved] = np.searchsorted(cum, u[unresolved], side="right")
-    return flat
+    codes = np.empty(size, dtype=np.min_scalar_type(cells.size - 1))
+    for start in range(0, size, _BLOCK):
+        u = rng.random(min(_BLOCK, size - start))
+        flat = guide[(u * m).astype(np.int64)]
+        unresolved = cum[flat] <= u
+        flat[unresolved] = np.searchsorted(cum, u[unresolved], side="right")
+        codes[start:start + len(u)] = flat
+    return codes
 
 
 def sample_joint(cells: np.ndarray, rng: np.random.Generator, size: int | None = None):
     """Draw cells of a 2-d joint pmf by inverse CDF, as 0-based (row, col) indices.
 
-    The cells are flattened row-major and a single uniform indexes their
-    cumulative sum, so draws are reproducible given a seeded generator. The
-    index search is ``_inverse_cdf``'s guide table, whose draws equal those of
-    ``np.searchsorted`` exactly. Returns a pair of ints, or a pair of arrays
-    when ``size`` is set; a single draw uses one uniform, as ``size=1`` does.
+    The ``_draw_cells`` codes of the row-major cells, split into rows and
+    columns: one uniform per draw, so draws are reproducible given a seeded
+    generator. Returns a pair of ints, or a pair of intp arrays when ``size``
+    is set; a single draw uses one uniform, as ``size=1`` does.
     """
-    d1, d2 = cells.shape
-    cum = np.cumsum(cells.ravel())
-    cum[-1] = 1.0
-    flat = _inverse_cdf(cum, rng.random(1 if size is None else size))
-    rows = np.repeat(np.arange(d1), d2)[flat]
-    cols = np.tile(np.arange(d2), d1)[flat]
+    codes = _draw_cells(cells, rng, 1 if size is None else size)
+    rows, cols = np.divmod(codes.astype(np.intp), cells.shape[1])
     if size is None:
         return int(rows[0]), int(cols[0])
     return rows, cols

@@ -19,7 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec, _json_float
-from .joint import CategoricalMarginal, _innovation_cells, _mechanism_cells, sample_joint
+from .joint import (
+    _BLOCK,
+    CategoricalMarginal,
+    _draw_cells,
+    _innovation_cells,
+    _mechanism_cells,
+    sample_joint,
+)
 
 
 class Variant(str, enum.Enum):
@@ -413,15 +420,26 @@ def cross_moments(
 
 def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int) -> np.ndarray:
     """Resolve z_0 = init, z_t = keep_t * z_{t-1} + (1 - keep_t) * fresh_t
-    (t = 1..n) without a Python loop; returns z_0..z_n.
+    (t = 1..n) without a loop per step; returns z_0..z_n as int64.
 
     Each position takes the fresh value at the most recent non-keep step, or
-    the initial state if no such step has happened yet.
+    the initial state if no such step has happened yet. ``keep`` (nonzero
+    where the state is kept) and ``fresh`` may be any narrow integer arrays;
+    the steps are resolved ``_BLOCK`` at a time, each block from the last
+    state of the one before, so the int64 states are the only full-length
+    array made.
     """
-    pos = np.arange(len(keep) + 1)
-    pos[1:] *= keep == 0
-    np.maximum.accumulate(pos, out=pos)
-    return np.concatenate([[init], fresh])[pos]
+    n = len(keep)
+    z = np.empty(n + 1, dtype=np.int64)
+    z[0] = init
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        # source 0 is the state before the block, source k its k-th fresh value
+        source = np.arange(stop - start + 1)
+        source[1:] *= keep[start:stop] == 0
+        np.maximum.accumulate(source, out=source)
+        z[start + 1:stop + 1] = np.concatenate(([z[start]], fresh[start:stop]))[source[1:]]
+    return z
 
 
 def simulate(
@@ -438,6 +456,10 @@ def simulate(
     fixed ``init`` pair may be supplied instead, in which case burn-in
     defaults to 100. Draw order is fixed (initial pair, all mechanism pairs,
     all innovation pairs) so a seeded generator reproduces the path exactly.
+    The pairs are drawn as narrow cell codes (``joint._draw_cells``) and the
+    kept states carried forward in blocks: besides the returned int64 states,
+    a path holds two codes of 1 or 2 bytes per step and temporaries of one
+    block.
     """
     if length < 2:
         raise ValueError("length must be >= 2")
@@ -454,10 +476,13 @@ def simulate(
         if not (0 <= init1 < params.d1 and 0 <= init2 < params.d2):
             raise ValueError(f"initial state {init} outside the state space")
     n = length + burn - 1
-    a1, a2 = sample_joint(kernel.mech, rng, size=n)
-    e1, e2 = sample_joint(kernel.pe, rng, size=n)
-    z1 = _carry_forward(a1, e1, init1)
-    z2 = _carry_forward(a2, e2, init2)
+    mech = _draw_cells(kernel.mech, rng, n)  # 2 * keep1 + keep2
+    innov = _draw_cells(kernel.pe, rng, n)  # d2 * fresh1 + fresh2
+    z1 = _carry_forward(mech >> 1, innov // params.d2, init1)
+    # the codes are not needed again: decode the second series in place
+    mech &= 1
+    innov %= params.d2
+    z2 = _carry_forward(mech, innov, init2)
     z1 += 1
     z2 += 1
     return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
@@ -476,16 +501,16 @@ def dar1_simulate(
         raise ValueError(f"phi={phi} outside [0, 1)")
     if length < 2:
         raise ValueError("length must be >= 2")
-    cum = marginal.cdf()
+    probs = marginal.as_array()
     if init is None:
         burn = 0 if burn_in is None else burn_in
-        init = int(np.searchsorted(cum, rng.random(), side="right")) + 1
+        init = int(_draw_cells(probs, rng, 1)[0]) + 1
     else:
         burn = 100 if burn_in is None else burn_in
         if not 1 <= init <= marginal.d:
             raise ValueError(f"initial state {init} outside 1..{marginal.d}")
     n = length + burn - 1
-    keep = (rng.random(n) < phi).astype(np.int64)
-    fresh = np.searchsorted(cum, rng.random(n), side="right") + 1
-    z = _carry_forward(keep, fresh, init)
+    keep = _draw_cells(np.array([phi, 1.0 - phi]), rng, n) == 0  # u < phi
+    z = _carry_forward(keep, _draw_cells(probs, rng, n), init - 1)
+    z += 1
     return z[burn:]

@@ -149,7 +149,7 @@ class TestRunConfig:
         ('burn_in = "x"', "'burn_in' must be int or null, got 'x'"),
         ("seed = 1.5", "'seed' must be int, got 1.5"),
         ("seed = true", "'seed' must be int, got True"),
-        ("output = 5", "'output' must be str, got 5"),
+        pytest.param('{"output": 5}', "'output' must be str, got 5", id="json-output-5"),
         ("variants = m5", "'variants' must be list, got 'm5'"),
     ])
     def test_value_of_wrong_type_rejected(self, tmp_path, line, message):
@@ -158,6 +158,19 @@ class TestRunConfig:
         with pytest.raises(ValueError) as info:
             RunConfig.from_file(path)
         assert str(info.value) == f"config key {message}"
+
+    def test_text_fields_keep_unquoted_values(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text('col1 = 2020\ncol2 = "y2"\noutput = true\ninput = null\nparams = 5\n')
+        config = RunConfig.from_file(path)
+        assert (config.col1, config.col2, config.output) == ("2020", "y2", "true")
+        assert (config.input, config.params) == (None, "5")
+
+    def test_misspelled_copula_family_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("copula_eps = frnak\n")
+        with pytest.raises(ValueError, match="'frnak' is not a valid CopulaFamily"):
+            RunConfig.from_file(path)
 
     def test_values_of_their_field_types_accepted(self, tmp_path):
         path = tmp_path / "c.json"
@@ -282,6 +295,23 @@ class TestCompare:
         config = _fixture_config(tmp_path, variants=["m2", "zzz"])
         with pytest.raises(ValueError):
             run_compare(config)
+
+
+    def test_misspelled_copula_family_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        with pytest.raises(ValueError, match="'bogus' is not a valid CopulaFamily"):
+            run_compare(_fixture_config(tmp_path, copula_alpha="bogus"))
+        code = main([
+            "compare", "--input", str(BUNDLED_SERIES),
+            "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS),
+            "--copula-alpha", "bogus", "--output", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "error: 'bogus' is not a valid CopulaFamily" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFitCommand:

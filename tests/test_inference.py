@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from bdar.inference import (
     simplex_to_eta,
     transition_counts,
 )
+from bdar.joint import _BLOCK
 from bdar.rng import substream
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
@@ -300,6 +302,14 @@ class TestFit:
         with pytest.raises(ValueError, match="at least 20"):
             fit(data, "m1")
 
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3", "m4", "m5"])
+    def test_misspelled_family_rejected_by_every_variant(self, variant, study_params):
+        # a variant with the product copula never reads that family otherwise
+        series = simulate(study_params, 100, substream(75, "family-names"))
+        for alpha, eps in (("bogus", "frank"), ("gumbel", "bogus")):
+            with pytest.raises(ValueError, match="'bogus' is not a valid CopulaFamily"):
+                fit(series, variant, alpha, eps)
+
     def test_report_json_round_trip(self, study_params):
         series = simulate(study_params, 400, substream(75, "json"))
         report = fit(series, "m2", "gumbel", "gumbel")
@@ -541,6 +551,27 @@ class TestStartStatistics:
         for t in range(1, data.n):
             want[data.z1[t - 1] - 1, data.z2[t - 1] - 1, data.z1[t] - 1, data.z2[t] - 1] += 1
         assert np.array_equal(transition_counts(data), want)
+
+    def test_transition_counts_across_blocks(self, study_params):
+        # the codes taken in one pass, over series whose steps end just
+        # before, at and after a block edge
+        for n in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 3):
+            data = simulate(study_params, n, substream(82, "count-blocks", n))
+            codes = (data.z1 - 1) * 3 + (data.z2 - 1)
+            want = np.bincount(codes[:-1] * 9 + codes[1:], minlength=81).reshape(3, 3, 3, 3)
+            assert np.array_equal(transition_counts(data), want)
+
+    def test_transition_counts_peak_memory(self, study_params):
+        # one int64 code per transition, half the bytes of the two series
+        data = simulate(study_params, 10**6, substream(83, "count-memory"))
+        transition_counts(simulate(study_params, 100, substream(83, "warm")))
+        tracemalloc.start()
+        try:
+            transition_counts(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * (data.z1.nbytes + data.z2.nbytes)
 
     def test_default_starts_are_distinct(self, study_params):
         config = cli.RunConfig(

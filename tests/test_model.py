@@ -7,6 +7,7 @@ criterion-sized versions live in test_acceptance.py.
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from bdar import (
     stationary_joint_pmf,
     transition_tensor,
 )
+from bdar.joint import _BLOCK, _draw_cells, sample_joint
 from bdar.rng import substream
 
 
@@ -467,3 +469,159 @@ class TestDar1Simulate:
         a = dar1_simulate(0.4, m, 200, substream(9, "dar-det"))
         b = dar1_simulate(0.4, m, 200, substream(9, "dar-det"))
         assert np.array_equal(a, b)
+
+
+def _plain_draws(cells, rng, n):
+    """Row-major cell codes by the plain inverse-CDF search, one uniform each."""
+    cum = np.cumsum(np.asarray(cells, dtype=float).ravel())
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(n), side="right")
+
+
+def _carry_forward_loop(init, keeps, fresh):
+    """z_0 = init, then the previous state where kept and the fresh one elsewhere."""
+    path = [init]
+    for keep, value in zip(keeps, fresh):
+        path.append(path[-1] if keep else value)
+    return np.array(path)
+
+
+def _reference_simulate(params, length, rng, burn_in=None, init=None):
+    """``simulate`` by the plain search and a loop per step over the same stream."""
+    kernel = TransitionKernel.from_params(params)
+    if init is None:
+        burn = 0 if burn_in is None else burn_in
+        init1, init2 = divmod(int(_plain_draws(kernel.stationary(), rng, 1)[0]), params.d2)
+    else:
+        burn = 100 if burn_in is None else burn_in
+        init1, init2 = init[0] - 1, init[1] - 1
+    n = length + burn - 1
+    a1, a2 = np.divmod(_plain_draws(kernel.mech, rng, n), 2)
+    e1, e2 = np.divmod(_plain_draws(kernel.pe, rng, n), params.d2)
+    z1 = _carry_forward_loop(init1, a1.tolist(), e1.tolist()) + 1
+    z2 = _carry_forward_loop(init2, a2.tolist(), e2.tolist()) + 1
+    return z1[burn:], z2[burn:]
+
+
+def _reference_dar1_simulate(phi, marginal, length, rng, burn_in=None, init=None):
+    """``dar1_simulate`` by the plain search and a loop per step over the same stream."""
+    if init is None:
+        burn = 0 if burn_in is None else burn_in
+        init = int(_plain_draws(marginal.probs, rng, 1)[0]) + 1
+    else:
+        burn = 100 if burn_in is None else burn_in
+    n = length + burn - 1
+    keeps = (rng.random(n) < phi).tolist()
+    fresh = (_plain_draws(marginal.probs, rng, n) + 1).tolist()
+    return _carry_forward_loop(init, keeps, fresh)[burn:]
+
+
+# lengths around the block edges of the draws and of the carry-forward
+_EDGE_LENGTHS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+class TestBlockEdges:
+    """Blocked draws and carry-forward against one plain search over the
+    whole stream and a loop per step."""
+
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    @pytest.mark.parametrize("params_name, init, burn_in", [
+        ("study_params", None, None),
+        ("fixture_params", (2, 3), None),
+        ("study_params", None, 7),
+        ("fixture_params", (4, 1), 0),
+    ])
+    def test_simulate_matches_reference(self, request, params_name, init, burn_in, length):
+        params = request.getfixturevalue(params_name)
+        key = (params_name, str(init), str(burn_in), length)
+        got = simulate(params, length, substream(95, *key), burn_in=burn_in, init=init)
+        want1, want2 = _reference_simulate(
+            params, length, substream(95, *key), burn_in=burn_in, init=init
+        )
+        assert got.z1.dtype == got.z2.dtype == np.int64
+        assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
+
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    @pytest.mark.parametrize("init, burn_in", [(None, None), (2, None), (None, 3), (1, 0)])
+    def test_dar1_simulate_matches_reference(self, init, burn_in, length):
+        m = CategoricalMarginal((0.2, 0.3, 0.5))
+        key = (str(init), str(burn_in), length)
+        got = dar1_simulate(0.45, m, length, substream(96, *key), burn_in=burn_in, init=init)
+        want = _reference_dar1_simulate(0.45, m, length, substream(96, *key), burn_in=burn_in, init=init)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape, dtype", [((2, 2), np.uint8), ((16, 16), np.uint8),
+                                              ((17, 16), np.uint16), ((30, 30), np.uint16)])
+    def test_draw_cells_over_several_blocks(self, shape, dtype):
+        rng = substream(97, *shape)
+        cells = rng.random(shape)
+        cells[rng.random(shape) < 0.2] = 0.0
+        cells /= cells.sum()
+        n = 3 * _BLOCK + 5
+        codes = _draw_cells(cells, substream(98, *shape), n)
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, _plain_draws(cells, substream(98, *shape), n))
+
+    def test_sample_joint_returns_intp(self, study_params):
+        cells = TransitionKernel.from_params(study_params).pe
+        rows, cols = sample_joint(cells, substream(99, "intp"), size=_BLOCK + 1)
+        assert rows.dtype == cols.dtype == np.intp
+        codes = _plain_draws(cells, substream(99, "intp"), _BLOCK + 1)
+        assert np.array_equal(rows * 3 + cols, codes)
+        row, col = sample_joint(cells, substream(99, "intp"))
+        assert type(row) is int and type(col) is int and row * 3 + col == codes[0]
+
+
+def test_simulate_peak_memory_is_near_its_output(study_params):
+    # the returned int64 states are 16 bytes per step; the draws and the
+    # carry-forward add about 2 bytes per step plus blocks of fixed size
+    simulate(study_params, 1000, substream(91, "warm"))
+    tracemalloc.start()
+    try:
+        s = simulate(study_params, 200_000, substream(91, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (s.z1.nbytes + s.z2.nbytes)
+
+
+_FRANK_M5 = Bdar1Params(
+    variant="m5", phi1=0.3, phi2=0.45,
+    m1=CategoricalMarginal((0.2, 0.5, 0.3)), m2=CategoricalMarginal((0.35, 0.4, 0.25)),
+    copula_alpha=CopulaSpec("frank", 4.0), copula_eps=CopulaSpec("frank", -5.0),
+)
+
+
+@pytest.mark.parametrize("params_name", ["study_params", "frank_m5"])
+def test_long_path_matches_stationary_pmf_and_cross_moments(request, params_name):
+    """The paper's properties on one path of 10^6 steps: the stationary joint
+    pmf and the lag-0/1/2 (cross-)correlations of ``cross_moments``.
+
+    The pair chain's transition operator has eigenvalues 1, phi1, phi2 and
+    the both-keep mass, so the lag-h correlations of any function of the pair
+    fall at least as fast as lam^h, lam = max(phi1, phi2). The bands are 4.5
+    standard errors of a binomial frequency (or of a correlation, 1/sqrt(n))
+    widened by the integrated autocorrelation (1 + lam) / (1 - lam), and by
+    a further 2 for a cross-correlation, whose variance sums the product of
+    both series' autocorrelations and that of both cross-correlations."""
+    params = _FRANK_M5 if params_name == "frank_m5" else request.getfixturevalue(params_name)
+    n = 10**6
+    s = simulate(params, n, substream(92, params_name))
+    lam = max(params.phi1, params.phi2)
+    inflation = (1.0 + lam) / (1.0 - lam)
+
+    pmf = TransitionKernel.from_params(params).stationary()
+    freq = np.bincount((s.z1 - 1) * params.d2 + (s.z2 - 1), minlength=pmf.size) / n
+    band = 4.5 * np.sqrt(pmf.ravel() * (1.0 - pmf.ravel()) * inflation / n)
+    assert np.all(np.abs(freq - pmf.ravel()) <= band)
+
+    rho = cross_moments(params, 2).rhos
+    z = (s.z1.astype(float), s.z2.astype(float))
+    band = 4.5 * np.sqrt(2.0 * inflation / n)
+    for k in (0, 1, 2):
+        for r in (0, 1):
+            for c in (0, 1):
+                if k == 0 and r == c:
+                    continue
+                got = np.corrcoef(z[r][k:], z[c][:n - k])[0, 1]
+                assert abs(got - rho[k, r, c]) <= band, (k, r, c)
