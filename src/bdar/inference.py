@@ -15,10 +15,13 @@ errors come from the Hessian on the unconstrained scale (central differences of 
 to the reported scale by the delta method with the transforms' closed-form
 Jacobian.
 
-A fit reads the series only through ``transition_counts``: the objective,
-the starting points and the unobserved-state check all work from the counts
-plus the first pair, so after one counting pass the cost of a fit depends on
-d1*d2 and not on the series length.
+A fit reads the series only through ``transition_counts``. The one-step
+probability depends on the previous pair only through whether each series
+repeated its state, so the counts have 4*d1*d2 cells: (first series
+repeated, second series repeated, current pair). The objective, the starting
+points and the unobserved-state check all work from these counts plus the
+first pair, so after one counting pass the cost of a fit depends on d1*d2
+and not on the series length.
 """
 
 from __future__ import annotations
@@ -301,41 +304,63 @@ class _Layout:
 # Likelihood
 # --------------------------------------------------------------------------
 
-def transition_counts(data: BivariateOrdinalSeries) -> np.ndarray:
-    """Counts of one-step transitions, shape (d1, d2, d1, d2).
-
-    The row-major code of each transition (previous pair, current pair) is
-    written ``_BLOCK`` steps at a time into one (n - 1) array, which a single
-    ``bincount`` counts: no other full-length temporary is made.
-    """
+def _pattern_codes(data: BivariateOrdinalSeries):
+    """``(start, codes)`` per block of ``_BLOCK`` steps: for the steps from
+    ``start`` to ``start + len(codes)`` (0-based), the row-major index of
+    (first series repeated, second series repeated, current pair) in a
+    (2, 2, d1, d2) array."""
     d1, d2 = data.d1, data.d2
-    flat = np.empty(data.n - 1, dtype=np.int64)
     for start in range(0, data.n - 1, _BLOCK):
         stop = min(start + _BLOCK, data.n - 1)
-        # the pair codes (z1 - 1) d2 + (z2 - 1) of steps start..stop
-        codes = data.z1[start:stop + 1] * d2 + data.z2[start:stop + 1] - (d2 + 1)
-        np.multiply(codes[:-1], d1 * d2, out=flat[start:stop])
-        flat[start:stop] += codes[1:]
-    return np.bincount(flat, minlength=(d1 * d2) ** 2).reshape(d1, d2, d1, d2).astype(float)
+        z1, z2 = data.z1[start:stop + 1], data.z2[start:stop + 1]
+        # the repeat pattern 2 r1 + r2 in one byte per step
+        pattern = (z1[1:] == z1[:-1]).view(np.uint8) << 1
+        pattern |= (z2[1:] == z2[:-1]).view(np.uint8)
+        codes = np.multiply(pattern, d1 * d2, dtype=np.int64)
+        codes += z1[1:] * d2
+        codes += z2[1:]
+        codes -= d2 + 1
+        yield start, codes
+
+
+def transition_counts(data: BivariateOrdinalSeries) -> np.ndarray:
+    """Counts of one-step outcomes by repeat pattern, shape (2, 2, d1, d2).
+
+    ``counts[r1, r2, i, j]`` is the number of steps that end in the 0-based
+    pair (i, j), where ``r1`` (``r2``) is 1 if the first (second) series
+    repeated its previous state. The transition kernel depends on the
+    previous pair only through these repeats, so the 4 d1 d2 cells are the
+    likelihood's sufficient statistic. Each block of ``_BLOCK`` steps is
+    counted by one ``bincount``: no full-length temporary is made.
+    """
+    counts = np.zeros(4 * data.d1 * data.d2, dtype=np.int64)
+    for _, codes in _pattern_codes(data):
+        counts += np.bincount(codes, minlength=counts.size)
+    return counts.reshape(2, 2, data.d1, data.d2).astype(float)
 
 
 def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> float:
     """Sum over t >= 2 of log P(pair at t | pair at t-1).
 
-    Raises ``LikelihoodError`` (naming the first offending time step) if any
-    observed transition has probability below ``MIN_TERM_PROB``, rather than
-    silently returning -inf.
+    Raises ``LikelihoodError`` (naming the earliest offending time step) if
+    any observed transition has probability below ``MIN_TERM_PROB``, rather
+    than silently returning -inf.
     """
     if data.d1 > params.d1 or data.d2 > params.d2:
         raise ValueError("data states exceed the parameter state space")
-    obs = Transitions.from_counts(transition_counts(data))
+    counts = transition_counts(data)
+    obs = Transitions.from_counts(counts)
     log_probs = TransitionKernel.from_params(params).log_prob(obs)
-    bad = np.flatnonzero(log_probs < math.log(MIN_TERM_PROB))
-    if len(bad):
-        s, l, i, j = (int(a[bad[0]]) + 1 for a in (obs.s, obs.l, obs.i, obs.j))
-        hit = (data.z1[:-1] == s) & (data.z2[:-1] == l) & (data.z1[1:] == i) & (data.z2[1:] == j)
+    bad = log_probs < math.log(MIN_TERM_PROB)
+    if bad.any():
+        # from_counts lists the cells in flatnonzero order
+        impossible = np.zeros(counts.size, dtype=bool)
+        impossible[np.flatnonzero(counts)[bad]] = True
+        hits = (start + np.flatnonzero(impossible[codes]) for start, codes in _pattern_codes(data))
+        k = int(next(hit[0] for hit in hits if len(hit)))  # the step from k to k + 1
+        s, l, i, j = data.z1[k], data.z2[k], data.z1[k + 1], data.z2[k + 1]
         raise LikelihoodError(
-            f"transition ({s},{l}) -> ({i},{j}) at t={int(np.argmax(hit)) + 2} "
+            f"transition ({s},{l}) -> ({i},{j}) at t={k + 2} "
             "has zero probability under these parameters"
         )
     return float(obs.weights @ log_probs)
@@ -438,17 +463,17 @@ def _series_summaries(counts: np.ndarray, first) -> list:
     """``(freq, repeat)`` for each series: how often each state occurs, and
     the lag-1 repeat rate.
 
-    Both are read off the transition counts plus the first pair ``first``.
-    The counts are exact integers in float64, so the result equals a direct
-    scan of the series bit for bit.
+    Both are read off the repeat-pattern counts plus the first pair
+    ``first``. The counts are exact integers in float64, so the result
+    equals a direct scan of the series bit for bit.
     """
     n_steps = counts.sum()
+    repeats = (counts[1].sum(), counts[:, 1].sum())
     out = []
-    for axes, z0 in (((1, 3), first[0]), ((0, 2), first[1])):
-        moves = counts.sum(axis=axes)  # the series' own transitions, (d, d)
-        freq = moves.sum(axis=0)
+    for k, z0 in enumerate(first):
+        freq = counts.sum(axis=(0, 1, 3 - k))  # by the series' current state
         freq[z0 - 1] += 1.0
-        out.append((freq, float(np.trace(moves) / n_steps)))
+        out.append((freq, float(repeats[k] / n_steps)))
     return out
 
 
@@ -521,10 +546,11 @@ def _default_starts(summaries: list, layout: _Layout) -> list:
 def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
-    Works from the sufficient statistics (transition counts) and the mixture
-    that ``conditional_loglik`` uses. The cells come from the builders of
-    ``TransitionKernel.from_params``, whose one copula pass per call also
-    gives the partials the gradient needs. So the value equals
+    Works from the sufficient statistics (the repeat-pattern counts of
+    ``transition_counts``) and the mixture that ``conditional_loglik`` uses.
+    The cells come from the builders of ``TransitionKernel.from_params``,
+    whose one copula pass per call also gives the partials the gradient
+    needs. So the value equals
     ``-conditional_loglik(layout.unpack(x), data)`` exactly (``==``) wherever
     no term is floored. The gradient is exact: the chain rule runs back
     through the four-term mixture, the mechanism and innovation cells (copula

@@ -48,12 +48,6 @@ class CategoricalMarginal:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def cdf(self) -> np.ndarray:
-        """Cumulative probabilities F(1)..F(d), with F(d) forced to exactly 1."""
-        c = np.cumsum(self.probs)
-        c[-1] = 1.0
-        return c
-
 
 def _mechanism_cells(phi1: float, phi2: float, family: CopulaFamily | None, delta: float):
     """The 2x2 mechanism cells, with negative rounding clamped to 0, and the

@@ -229,15 +229,15 @@ def dar1_conditional_pmf(phi: float, marginal: CategoricalMarginal, prev: int) -
 
 
 class Transitions(NamedTuple):
-    """Distinct observed one-step transitions (s, l) -> (i, j) with their counts.
+    """Distinct observed one-step outcomes with their counts: the current
+    pair (i, j) and whether each series repeated its previous state.
 
-    States are 0-based. ``keep1`` and ``keep2`` are 1.0 where the first or
-    second series repeated its state and 0.0 elsewhere; ``both`` is their
-    product.
+    The kernel depends on the previous pair (s, l) only through 1[i = s] and
+    1[j = l], so these are the likelihood's sufficient statistics. States are
+    0-based. ``keep1`` and ``keep2`` are 1.0 where the first or second series
+    repeated its state and 0.0 elsewhere; ``both`` is their product.
     """
 
-    s: np.ndarray
-    l: np.ndarray
     i: np.ndarray
     j: np.ndarray
     weights: np.ndarray
@@ -247,16 +247,16 @@ class Transitions(NamedTuple):
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "Transitions":
-        """The nonzero cells of a (d1, d2, d1, d2) transition-count array."""
-        d1, d2 = counts.shape[:2]
+        """The nonzero cells of a (2, 2, d1, d2) repeat-pattern count array,
+        indexed by (first series repeated, second series repeated, i, j)."""
+        d1, d2 = counts.shape[2:]
         flat = counts.ravel()
         k = np.flatnonzero(flat)
-        prev, cur = np.divmod(k, d1 * d2)
-        s, l = np.divmod(prev, d2)
+        pattern, cur = np.divmod(k, d1 * d2)
         i, j = np.divmod(cur, d2)
-        keep1 = (i == s).astype(float)
-        keep2 = (j == l).astype(float)
-        return cls(s, l, i, j, flat[k], keep1, keep2, keep1 * keep2)
+        keep1 = (pattern >> 1).astype(float)
+        keep2 = (pattern & 1).astype(float)
+        return cls(i, j, flat[k], keep1, keep2, keep1 * keep2)
 
 
 class TransitionKernel(NamedTuple):

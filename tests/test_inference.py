@@ -25,6 +25,7 @@ from bdar import (
     kendall_tau,
     likelihood_ratio_test,
     simulate,
+    transition_tensor,
 )
 from bdar import cli, inference
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
@@ -43,7 +44,13 @@ from bdar.inference import (
     simplex_to_eta,
     transition_counts,
 )
-from bdar.joint import _BLOCK
+from bdar.joint import (
+    _BLOCK,
+    _innovation_cells,
+    _innovation_cells_vjp,
+    _mechanism_cells,
+    _mechanism_cells_vjp,
+)
 from bdar.rng import substream
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
@@ -126,6 +133,48 @@ class TestConditionalLoglik:
         data = BivariateOrdinalSeries(np.array([1, 1]), np.array([1, 2]), 2, 2)
         with pytest.raises(LikelihoodError, match="t=2"):
             conditional_loglik(p, data)
+
+    def test_zero_probability_names_earliest_step(self):
+        # both steps t=2, (2,2) -> (1,2), and t=4, (1,1) -> (2,1), are
+        # impossible; the error names the earlier one
+        p = Bdar1Params(
+            variant="m2", phi1=0.5, phi2=0.5,
+            m1=CategoricalMarginal((0.5, 0.5)), m2=CategoricalMarginal((0.5, 0.5)),
+            copula_eps=CopulaSpec("frank", 1e17),
+        )
+        data = BivariateOrdinalSeries(np.array([2, 1, 1, 2]), np.array([2, 2, 1, 1]), 2, 2)
+        with pytest.raises(LikelihoodError, match=r"^transition \(2,2\) -> \(1,2\) at t=2 "):
+            conditional_loglik(p, data)
+
+    def test_zero_probability_step_across_blocks(self):
+        # the only impossible step lies in the third block of the count
+        p = Bdar1Params(
+            variant="m2", phi1=0.5, phi2=0.5,
+            m1=CategoricalMarginal((0.5, 0.5)), m2=CategoricalMarginal((0.5, 0.5)),
+            copula_eps=CopulaSpec("frank", 1e17),
+        )
+        n = 2 * _BLOCK + 10
+        z1 = np.ones(n, dtype=np.int64)
+        z2 = np.ones(n, dtype=np.int64)
+        k = 2 * _BLOCK + 3  # the step from index k to k + 1
+        z2[k + 1:] = 2
+        data = BivariateOrdinalSeries(z1, z2, 2, 2)
+        with pytest.raises(LikelihoodError, match=rf"^transition \(1,1\) -> \(1,2\) at t={k + 2} "):
+            conditional_loglik(p, data)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_transition_tensor(self, seed, random_params_factory):
+        # the repeat-pattern likelihood against a sum over the steps of the
+        # dense (d1 d2)^2 tensor, for d up to 8
+        rng = substream(84, "dense-loglik", seed)
+        d1, d2 = (int(d) for d in rng.integers(2, 9, size=2))
+        family = ("gumbel", "frank")[seed % 2]
+        params = random_params_factory(rng, d1=d1, d2=d2, family=family)
+        series = simulate(params, 400, rng)
+        tensor = transition_tensor(params)
+        z1, z2 = series.z1 - 1, series.z2 - 1
+        want = math.fsum(np.log(tensor[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
+        assert conditional_loglik(params, series) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_state_range_checked(self, study_params):
         data = BivariateOrdinalSeries(np.array([1, 4]), np.array([1, 2]), 4, 3)
@@ -220,7 +269,66 @@ def _straddles_turn(layout: _Layout, x: np.ndarray) -> bool:
     return False
 
 
+def _dense_counts(series: BivariateOrdinalSeries) -> np.ndarray:
+    """(d1, d2, d1, d2) counts of the transitions (s, l) -> (i, j), by a loop
+    over the steps."""
+    counts = np.zeros((series.d1, series.d2, series.d1, series.d2))
+    z1, z2 = series.z1 - 1, series.z2 - 1
+    for t in range(1, series.n):
+        counts[z1[t - 1], z2[t - 1], z1[t], z2[t]] += 1
+    return counts
+
+
+def _fold_by_repeats(dense: np.ndarray) -> np.ndarray:
+    """Dense transition counts summed, cell by cell, into (series 1 repeated,
+    series 2 repeated, i, j)."""
+    d1, d2 = dense.shape[:2]
+    out = np.zeros((2, 2, d1, d2))
+    for s, l, i, j in np.ndindex(dense.shape):
+        out[int(s == i), int(l == j), i, j] += dense[s, l, i, j]
+    return out
+
+
+def _per_transition_objective(layout: _Layout, dense: np.ndarray, x: np.ndarray):
+    """The objective's value and gradient as a sum over the distinct
+    transitions (s, l) -> (i, j) of dense counts: the formula the fit used
+    before it read repeat-pattern counts."""
+    s, l, i, j = np.nonzero(dense)
+    weights = dense[s, l, i, j]
+    keep1, keep2 = (i == s).astype(float), (j == l).astype(float)
+    p1, p2, phi1, phi2, delta_alpha, delta_eps = layout.raw_unpack(x)
+    alpha_family, eps_family = layout.copula_families()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pe, eps_partials = _innovation_cells(p1, p2, eps_family, delta_eps)
+        mech, alpha_partials = _mechanism_cells(phi1, phi2, alpha_family, delta_alpha)
+    m = mech.ravel().tolist()
+    terms = (pe[i, j], keep2 * p1[i], keep1 * p2[j], keep1 * keep2)
+    probs = sum(mk * term for mk, term in zip(m, terms))
+    floored = np.maximum(probs, inference.MIN_TERM_PROB)
+    value = -float(weights @ np.log(floored))
+    g_probs = np.where(probs >= inference.MIN_TERM_PROB, -weights / floored, 0.0)
+    g_pe = np.zeros_like(pe)
+    np.add.at(g_pe, (i, j), m[0] * g_probs)
+    g_p1, g_p2, g_eps = _innovation_cells_vjp(eps_partials, g_pe * (pe > 0.0))
+    g_p1 += np.bincount(i, weights=m[1] * keep2 * g_probs, minlength=layout.d1)
+    g_p2 += np.bincount(j, weights=m[2] * keep1 * g_probs, minlength=layout.d2)
+    g_mech = [float(g_probs @ term) if mk > 0.0 else 0.0 for mk, term in zip(m, terms)]
+    g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(alpha_partials, *g_mech)
+    return value, layout.chain(x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps)
+
+
 class TestGradient:
+    @given(case=_objective_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_transition_formula(self, case):
+        # summing by repeat pattern regroups the float sums, nothing else
+        layout, x, seed = case
+        series = simulate(layout.unpack(x), 150, substream(seed, "per-transition"))
+        value, grad = _make_objective(layout, transition_counts(series))(x)
+        want_value, want_grad = _per_transition_objective(layout, _dense_counts(series), x)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
     @given(case=_objective_cases())
     @settings(max_examples=150, deadline=None)
     def test_value_and_gradient_match_oracles(self, case):
@@ -547,22 +655,36 @@ class TestStartStatistics:
         rng = substream(80, "transition-counts", d1, d2)
         z1, z2 = rng.integers(1, d1 + 1, 500), rng.integers(1, d2 + 1, 500)
         data = BivariateOrdinalSeries(z1, z2, d1, d2)
-        want = np.zeros((d1, d2, d1, d2))
+        want = np.zeros((2, 2, d1, d2))
         for t in range(1, data.n):
-            want[data.z1[t - 1] - 1, data.z2[t - 1] - 1, data.z1[t] - 1, data.z2[t] - 1] += 1
+            repeat1, repeat2 = int(z1[t] == z1[t - 1]), int(z2[t] == z2[t - 1])
+            want[repeat1, repeat2, z1[t] - 1, z2[t] - 1] += 1
         assert np.array_equal(transition_counts(data), want)
+        assert np.array_equal(transition_counts(data), _fold_by_repeats(_dense_counts(data)))
 
     def test_transition_counts_across_blocks(self, study_params):
-        # the codes taken in one pass, over series whose steps end just
-        # before, at and after a block edge
+        # series whose steps end just before, at and after a block edge,
+        # against the dense transition counts folded by repeat pattern
         for n in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 3):
             data = simulate(study_params, n, substream(82, "count-blocks", n))
             codes = (data.z1 - 1) * 3 + (data.z2 - 1)
-            want = np.bincount(codes[:-1] * 9 + codes[1:], minlength=81).reshape(3, 3, 3, 3)
-            assert np.array_equal(transition_counts(data), want)
+            dense = np.bincount(codes[:-1] * 9 + codes[1:], minlength=81).reshape(3, 3, 3, 3)
+            assert np.array_equal(transition_counts(data), _fold_by_repeats(dense))
+
+    def test_transition_counts_match_loop_across_blocks(self):
+        rng = substream(85, "count-loop-blocks")
+        n = 2 * _BLOCK + 3
+        z1, z2 = rng.integers(1, 5, n), rng.integers(1, 3, n)
+        # long runs, so that repeats of both series straddle the block edges
+        z1[_BLOCK - 5:_BLOCK + 5] = 2
+        z2[2 * _BLOCK - 4:2 * _BLOCK + 3] = 1
+        want = np.zeros((2, 2, 4, 2))
+        for t in range(1, n):
+            want[int(z1[t] == z1[t - 1]), int(z2[t] == z2[t - 1]), z1[t] - 1, z2[t] - 1] += 1
+        assert np.array_equal(transition_counts(BivariateOrdinalSeries(z1, z2, 4, 2)), want)
 
     def test_transition_counts_peak_memory(self, study_params):
-        # one int64 code per transition, half the bytes of the two series
+        # temporaries of one block, whatever the series length
         data = simulate(study_params, 10**6, substream(83, "count-memory"))
         transition_counts(simulate(study_params, 100, substream(83, "warm")))
         tracemalloc.start()
@@ -571,7 +693,20 @@ class TestStartStatistics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.75 * (data.z1.nbytes + data.z2.nbytes)
+        assert peak <= 0.1 * (data.z1.nbytes + data.z2.nbytes)
+
+    def test_conditional_loglik_peak_memory_d30(self, random_params_factory):
+        # 4 d1 d2 = 3600 count cells, not (d1 d2)^2 = 810,000
+        params = random_params_factory(substream(86, "loglik-d30"), d1=30, d2=30, family="frank")
+        data = simulate(params, 200_000, substream(86, "loglik-d30-path"))
+        conditional_loglik(params, simulate(params, 100, substream(86, "warm")))
+        tracemalloc.start()
+        try:
+            conditional_loglik(params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * (data.z1.nbytes + data.z2.nbytes)
 
     def test_default_starts_are_distinct(self, study_params):
         config = cli.RunConfig(
@@ -599,34 +734,36 @@ class TestStartStatistics:
 
 # sha256 of the objective's value and gradient per layout group, of every
 # _default_starts vector and of every L-BFGS-B start of a seeded M5 fit
-# (tools/make_cells_digests.py), taken while each method of _Layout still
-# branched on the variant
+# (tools/make_cells_digests.py). The starts digest was taken while each
+# method of _Layout still branched on the variant; the other two since the
+# objective sums its terms by repeat pattern, which regroups the float sums
+# (test_matches_per_transition_formula checks the regrouping).
 OBJECTIVE_SHA256 = {
-    "m1 frank frank": "6e3f64e660901e2f3ed72e171ee027fdda526b685e06a63ad43cfd957974e4ca",
-    "m1 frank gumbel": "d1455cd3d2ae34502f5c65da6c9be5505798b0e8247f5e6334ee407e78385f89",
-    "m1 gumbel frank": "1e5d0a64d2829b19ab490ad8d3e793cbbd457fca4911885d4eee01512ff928d3",
-    "m1 gumbel gumbel": "007caecefa21a067a71baa68531450c2f3004d779cafa55bf238f6e1083f05be",
-    "m2 frank frank": "bfbe19da46a0cff5467d4bafd14045fe6a9797a51034002dce6cbe3229db80f7",
-    "m2 frank gumbel": "45738f7b07277a080b0ab3d0c1db4ed1fd7d95130b9acd915c93fccc8491b1c5",
-    "m2 gumbel frank": "43de496668f077023d1d514c97c5282ecc4d351fdc5164235921b21ddb8f30c8",
-    "m2 gumbel gumbel": "6cdcb26a7631a7736c6ce69e2e0472e1917f9fc32ab89ebdad898a1c11f33649",
-    "m3 frank frank": "2df807c02c8f6b92b4a9d57f772299153f01ecd3e3c5d5902e49ded29a486f6c",
-    "m3 frank gumbel": "709d45afbb2c9c9d98efe55c4cfbd81ba5b6d2f67b247d9fba5fb029808df915",
-    "m3 gumbel frank": "b73026da0e7a4dd44a327d016e8d69457ee4963c947314a7324a967b6ac88e05",
-    "m3 gumbel gumbel": "8b8eb06e85f5ae0ad1542cd26db4373e83ae8b671f5ff57b6d4f6eac4dcdc55a",
-    "m4 frank frank": "37c5ef85afe2a422ca89ce1a4c1b1d5b483bd11ad8a42cf743dddc626d6b437b",
-    "m4 frank gumbel": "82f84732dea7b52e2cf8cfacd7978e17361352d483fa2ddb7a80108a95757e25",
-    "m4 gumbel frank": "8fe87bc9aab722c06a9a5c09a77dcbf17901304460e9c23e356d456296447407",
-    "m4 gumbel gumbel": "32c1be1d7d931c8eba094304312de3af32a3847754481f34bb47b5370142b3a3",
-    "m5 frank frank": "29b5cfb4fa087268b367bc66f3270e2b0015d5661b1acd874c2f606992dbc1b1",
-    "m5 frank gumbel": "84038c3fb0c63195b48456935fe1981864631b2c9398a66b07919c735daeb716",
-    "m5 gumbel frank": "194c39bd0557d8f739f146c36e30fc8b6c864ecfc2f3c6f92eea514b6a20590c",
-    "m5 gumbel gumbel": "19e252653feedfb9c6e81685b52dc8d6a99cd9b31e91cf925c02126ca1ffdc6c",
+    "m1 frank frank": "6eb3a3fa02baca91a6fcfe3c8282f2f1c1ba2389b0d7cb5ca79468a833e35da2",
+    "m1 frank gumbel": "84a9c321264665ab638d4b9e64761c040b8554938b67528c13a3258c3e0fce36",
+    "m1 gumbel frank": "0d4fa559b2ccac6969f985d3d7e7e335a3374142208062a80d5660c30c80d124",
+    "m1 gumbel gumbel": "ad2ea856ef827f6c06e3c255b6a894cc2280597b98ccc3ff53f98640c3a4ddad",
+    "m2 frank frank": "47b2e3e9c9346d42697cd697485b68ea8036c13850a80a15d95a144cec02367f",
+    "m2 frank gumbel": "b601ff665fea7a7a8ccf4551f36f7a0485121612158fdd28286437f243546e4d",
+    "m2 gumbel frank": "417803b7d1c6d82bc2ec5f81817bc84ae7e65c1c4c0b8670515710a9d64660bf",
+    "m2 gumbel gumbel": "f5ef6b790ae6894cccc9a87787a37a99d2ea14cd3965b28c05acc090d675664c",
+    "m3 frank frank": "c095561ca665adf2a9577f8bb5fbcb85def13268c5c90b0d540699406774346e",
+    "m3 frank gumbel": "c110674956f9834d10200791d873e2acf60f4fe55e77d0122945b2c7b24ed711",
+    "m3 gumbel frank": "10a66138fb61415b80521b726d6f249478dfbe99f0d16266a2b9d244a1f83c98",
+    "m3 gumbel gumbel": "cb6844a5a89f93486f644eca9f406bbb9d3e7fae67aeefc5a04e2515c83ef781",
+    "m4 frank frank": "8fd56be785d466dae7c455c66814672cc74daf795ec43993da54bef650d2940f",
+    "m4 frank gumbel": "feffc383f669755113391ae38788beadb5adc6efa4df5a29f0073d6c02827512",
+    "m4 gumbel frank": "a60cb3875dbd11c92e34b8e91f59396d7af11daf975586bc9157c3d566ebf68f",
+    "m4 gumbel gumbel": "9af1d5361ed3e45fa1d55fab7f8938e15b27585cd3e48a7abe5e299ff8f0237b",
+    "m5 frank frank": "df77d3961835cab2e53aa3b5d26f9f55d80d6fe615be49b40a26307d3b941862",
+    "m5 frank gumbel": "abbeac40a4d9f76269c90c2c0757501b2dff01cbe638c46696ded8cd287f2d3c",
+    "m5 gumbel frank": "777ba7474c990f433abe4c2f9b6128e9d452519780257a73e53b94e7afc6de24",
+    "m5 gumbel gumbel": "67c88643b0f8ec21fef58d1223b1d0d2a17c6036b905ca3f6ab70c478cfb8ee6",
 }
 DEFAULT_STARTS_SHA256 = "3c37f86a0df28701bc4b76aed945ab781223acd251b46237be19b994cc31b3f5"
 FIT_STARTS_SHA256 = {
-    "m5 frank": "eaab97b98e6754be3efe69d3516a5fecb9a3feadb12cd6acedd37b6ca9c9911f",
-    "m5 gumbel": "50cff3dec8def20a9cac81f136f7bbd3869bbbdcc1494d5e473e10ce1c2d5891",
+    "m5 frank": "a49c6bd3fae778474267dd666ad68e3fba7961f2fc4e694d97820833fdebfb4c",
+    "m5 gumbel": "00a497da0488fa9f2c095595e99f6b869cc8a144f595e8141cfc6206ff4b3cbf",
 }
 
 

@@ -222,12 +222,17 @@ class TestTransitionKernel:
         want = (dist.ravel() @ tensor.reshape(n_states, n_states)).reshape(p.d1, p.d2)
         assert np.max(np.abs(kernel.push(dist) - want)) <= 1e-14
 
-        counts = rng.integers(0, 3, size=tensor.shape).astype(float)
+        counts = rng.integers(0, 3, size=(2, 2, p.d1, p.d2)).astype(float)
         obs = Transitions.from_counts(counts)
-        assert np.array_equal(obs.weights, counts[obs.s, obs.l, obs.i, obs.j])
+        r1, r2 = obs.keep1.astype(int), obs.keep2.astype(int)
+        assert np.array_equal(obs.weights, counts[r1, r2, obs.i, obs.j])
         assert obs.weights.sum() == counts.sum()
+        assert np.array_equal(obs.both, obs.keep1 * obs.keep2)
+        # a previous pair with each cell's repeat pattern
+        s = np.where(r1 == 1, obs.i, (obs.i + 1) % p.d1)
+        l = np.where(r2 == 1, obs.j, (obs.j + 1) % p.d2)
         with np.errstate(divide="ignore"):
-            want_log = np.log(tensor[obs.s, obs.l, obs.i, obs.j])
+            want_log = np.log(tensor[s, l, obs.i, obs.j])
         assert np.allclose(kernel.log_prob(obs), want_log, rtol=0.0, atol=1e-13)
 
         series = simulate(p, 60, substream(seed, "kernel-oracle"))

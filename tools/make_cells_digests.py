@@ -125,8 +125,17 @@ LAYOUT_GROUPS = [
 
 
 def _counts(rng: np.random.Generator, d1: int, d2: int) -> np.ndarray:
-    """Seeded transition counts; about half the cells are 0."""
-    return rng.poisson(0.8, size=(d1, d2, d1, d2)).astype(float)
+    """Seeded counts in the (2, 2, d1, d2) repeat-pattern shape of
+    ``transition_counts``: dense (s, l) -> (i, j) counts, about half of them
+    0, summed by whether s = i and whether l = j."""
+    dense = rng.poisson(0.8, size=(d1, d2, d1, d2)).astype(float)
+    repeat1 = np.eye(d1, dtype=bool)[:, None, :, None]  # s == i
+    repeat2 = np.eye(d2, dtype=bool)[None, :, None, :]  # l == j
+    out = np.empty((2, 2, d1, d2))
+    for r1 in (0, 1):
+        for r2 in (0, 1):
+            out[r1, r2] = np.sum(dense, axis=(0, 1), where=(repeat1 == r1) & (repeat2 == r2))
+    return out
 
 
 def objective_digests(n: int = 30) -> dict:
