@@ -3,7 +3,8 @@
 Each series keeps its previous state or draws a fresh one; the two series'
 keep/innovate indicators and their innovations are coupled through copulas.
 The package provides exact conditional likelihood fitting of five nested
-variants, simulation, moment formulas, and Monte-Carlo forecasting.
+variants, simulation, moment formulas, and forecasting: Monte-Carlo
+trajectories and exact h-step pmfs.
 """
 
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf, rectangle_mass
@@ -25,7 +26,6 @@ from .model import (
     BivariateOrdinalSeries,
     CrossMoments,
     TransitionKernel,
-    Transitions,
     Variant,
     cross_moments,
     dar1_conditional_pmf,
@@ -52,7 +52,6 @@ __all__ = [
     "LikelihoodError",
     "LrtResult",
     "TransitionKernel",
-    "Transitions",
     "UnobservedStateError",
     "Variant",
     "conditional_loglik",

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -104,8 +105,9 @@ def quantile_breakpoints(values, n_states: int) -> DiscretizationRule:
 def ingest(path, col1: str, col2: str):
     """Read two aligned numeric columns from a CSV file.
 
-    Returns (row labels, values1, values2). Missing or non-numeric cells are
-    rejected with their 1-based data row numbers.
+    Returns (row labels, values1, values2). Missing, non-numeric or
+    non-finite (nan, inf) cells are rejected with their 1-based data row
+    numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -118,19 +120,18 @@ def ingest(path, col1: str, col2: str):
             raise ValueError(f"columns {col1!r}, {col2!r} not both present in {path.name}")
         label_col = reader.fieldnames[0] if reader.fieldnames[0] not in (col1, col2) else None
         for row_no, row in enumerate(reader, start=1):
-            cells = (row.get(col1, ""), row.get(col2, ""))
-            if any(c is None or str(c).strip() == "" for c in cells):
-                bad_rows.append(row_no)
-                continue
             try:
-                y1.append(float(cells[0]))
-                y2.append(float(cells[1]))
-            except ValueError:
+                v1, v2 = float(row[col1]), float(row[col2])
+            except (TypeError, ValueError):  # a short row gives None, a blank cell ""
+                v1 = v2 = math.nan
+            if not (math.isfinite(v1) and math.isfinite(v2)):
                 bad_rows.append(row_no)
                 continue
+            y1.append(v1)
+            y2.append(v2)
             labels.append(row[label_col] if label_col else str(row_no))
     if bad_rows:
-        raise ValueError(f"missing or non-numeric values in rows: {bad_rows}")
+        raise ValueError(f"missing, non-numeric or non-finite values in rows: {bad_rows}")
     if not y1:
         raise ValueError(f"no data rows in {path.name}")
     return labels, np.asarray(y1), np.asarray(y2)

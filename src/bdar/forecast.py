@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .joint import _draw_cells
 # transition_tensor has no caller here; perfbench hooks bdar.forecast.transition_tensor
 from .model import Bdar1Params, TransitionKernel, transition_tensor  # noqa: F401
 
@@ -69,7 +70,8 @@ def forecast(
     """Monte Carlo forecast of the next ``horizon`` steps from ``last_state``.
 
     ``rng`` may be a seed (recorded in the result) or a prebuilt generator.
-    Each step draws all mechanism pairs, then all innovation pairs, as
+    Each step draws all mechanism pairs, then all innovation pairs, as cell
+    codes (``joint._draw_cells``), and carries the kept states forward, as
     ``simulate`` does; trajectory i consumes element i of each step's
     mechanism draws and element i of its innovation draws, and a fixed seed
     reproduces the result exactly.
@@ -93,7 +95,10 @@ def forecast(
     j = np.full(n_sims, l - 1, dtype=np.int64)
     joint_counts = np.empty((horizon, d1, d2), dtype=np.int64)
     for h in range(horizon):
-        i, j = kernel.sample(i, j, gen)
+        mech = _draw_cells(kernel.mech, gen, n_sims)  # 2 * keep1 + keep2
+        innov = _draw_cells(kernel.pe, gen, n_sims)  # d2 * fresh1 + fresh2
+        i = np.where(mech >> 1, i, innov // d2)
+        j = np.where(mech & 1, j, innov % d2)
         joint_counts[h] = np.bincount(i * d2 + j, minlength=n_states).reshape(d1, d2)
 
     joint = joint_counts / float(n_sims)

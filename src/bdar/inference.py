@@ -9,8 +9,10 @@ exact gradient, taken by the chain rule through the copula partials, the
 innovation and mechanism cells and the transforms, so L-BFGS-B needs one
 call per step. Each call builds the mechanism and innovation cells with
 the builders that ``TransitionKernel.from_params`` uses: one copula pass
-each gives the cells and the partials. So the value equals
-``-conditional_loglik`` exactly wherever no term is floored. Standard
+each gives the cells and the partials. It scores the counts against the
+kernel's ``by_pattern`` probabilities cell by cell, as
+``conditional_loglik`` does, so the value equals ``-conditional_loglik``
+exactly wherever no term is floored. Standard
 errors come from the Hessian on the unconstrained scale (central differences of that gradient), pushed back
 to the reported scale by the delta method with the transforms' closed-form
 Jacobian.
@@ -48,7 +50,6 @@ from .model import (  # noqa: F401
     Bdar1Params,
     BivariateOrdinalSeries,
     TransitionKernel,
-    Transitions,
     Variant,
     transition_tensor,
 )
@@ -349,13 +350,10 @@ def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> flo
     if data.d1 > params.d1 or data.d2 > params.d2:
         raise ValueError("data states exceed the parameter state space")
     counts = transition_counts(data)
-    obs = Transitions.from_counts(counts)
-    log_probs = TransitionKernel.from_params(params).log_prob(obs)
-    bad = log_probs < math.log(MIN_TERM_PROB)
-    if bad.any():
-        # from_counts lists the cells in flatnonzero order
-        impossible = np.zeros(counts.size, dtype=bool)
-        impossible[np.flatnonzero(counts)[bad]] = True
+    # the series may visit fewer states than the parameters hold
+    probs = TransitionKernel.from_params(params).by_pattern()[:, :, :data.d1, :data.d2]
+    impossible = ((counts > 0) & (probs < MIN_TERM_PROB)).ravel()
+    if impossible.any():
         hits = (start + np.flatnonzero(impossible[codes]) for start, codes in _pattern_codes(data))
         k = int(next(hit[0] for hit in hits if len(hit)))  # the step from k to k + 1
         s, l, i, j = data.z1[k], data.z2[k], data.z1[k + 1], data.z2[k + 1]
@@ -363,7 +361,7 @@ def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> flo
             f"transition ({s},{l}) -> ({i},{j}) at t={k + 2} "
             "has zero probability under these parameters"
         )
-    return float(obs.weights @ log_probs)
+    return float(np.vdot(counts, np.log(np.maximum(probs, MIN_TERM_PROB))))
 
 
 def _central_gradient(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -546,20 +544,19 @@ def _default_starts(summaries: list, layout: _Layout) -> list:
 def _make_objective(layout: _Layout, counts: np.ndarray):
     """Negative log-likelihood and its gradient over the unconstrained vector.
 
-    Works from the sufficient statistics (the repeat-pattern counts of
-    ``transition_counts``) and the mixture that ``conditional_loglik`` uses.
-    The cells come from the builders of ``TransitionKernel.from_params``,
+    Scores the sufficient statistics (the repeat-pattern counts of
+    ``transition_counts``) against ``TransitionKernel.by_pattern``, the
+    probabilities indexed like them, cell by cell as ``conditional_loglik``
+    does. The cells come from the builders of ``TransitionKernel.from_params``,
     whose one copula pass per call also gives the partials the gradient
     needs. So the value equals
     ``-conditional_loglik(layout.unpack(x), data)`` exactly (``==``) wherever
     no term is floored. The gradient is exact: the chain rule runs back
-    through the four-term mixture, the mechanism and innovation cells (copula
-    partials) and the transforms.
+    through the four-term mixture (sums of the cell gradients over the
+    repeat patterns each term enters), the mechanism and innovation cells
+    (copula partials) and the transforms.
     Terms floored at ``MIN_TERM_PROB`` and clamped cells carry no gradient.
     """
-    obs = Transitions.from_counts(counts)
-    weights = obs.weights
-    cell = obs.i * layout.d2 + obs.j
     alpha_family, eps_family = layout.copula_families()
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -567,21 +564,20 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pe, eps_partials = _innovation_cells(p1, p2, eps_family, delta_eps)
             mech, alpha_partials = _mechanism_cells(phi1, phi2, alpha_family, delta_alpha)
-        kernel = TransitionKernel(mech, pe, p1, p2)
-        terms = kernel.terms(obs)
-        probs = kernel.mix(terms)
+        probs = TransitionKernel(mech, pe, p1, p2).by_pattern()
         floored = np.maximum(probs, MIN_TERM_PROB)
-        value = -float(weights @ np.log(floored))
+        value = -float(np.vdot(counts, np.log(floored)))
 
-        g_probs = np.where(probs >= MIN_TERM_PROB, -weights / floored, 0.0)
+        g_probs = np.where(probs >= MIN_TERM_PROB, -counts / floored, 0.0)
+        g_pe = g_probs.sum(axis=(0, 1))
+        g_keep2 = g_probs[:, 1].sum(axis=(0, 2))  # the m01 p1[i] term, by i
+        g_keep1 = g_probs[1].sum(axis=(0, 1))  # the m10 p2[j] term, by j
+        g_terms = (np.vdot(g_pe, pe), g_keep2 @ p1, g_keep1 @ p2, g_probs[1, 1].sum())
         m00, m01, m10, m11 = mech.ravel().tolist()
-        g_pe = np.bincount(cell, weights=m00 * g_probs, minlength=pe.size).reshape(pe.shape)
-        g_p1, g_p2, g_eps = _innovation_cells_vjp(eps_partials, g_pe * (pe > 0.0))
-        g_p1 += np.bincount(obs.i, weights=m01 * obs.keep2 * g_probs, minlength=layout.d1)
-        g_p2 += np.bincount(obs.j, weights=m10 * obs.keep1 * g_probs, minlength=layout.d2)
-        g_mech = [
-            float(g_probs @ term) if m > 0.0 else 0.0 for m, term in zip((m00, m01, m10, m11), terms)
-        ]
+        g_mech = [float(g) if m > 0.0 else 0.0 for m, g in zip((m00, m01, m10, m11), g_terms)]
+        g_p1, g_p2, g_eps = _innovation_cells_vjp(eps_partials, m00 * g_pe * (pe > 0.0))
+        g_p1 += m01 * g_keep2
+        g_p2 += m10 * g_keep1
         g_phi1, g_phi2, g_alpha = _mechanism_cells_vjp(alpha_partials, *g_mech)
         grad = layout.chain(x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps)
         return value, grad

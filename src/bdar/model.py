@@ -228,44 +228,16 @@ def dar1_conditional_pmf(phi: float, marginal: CategoricalMarginal, prev: int) -
     return out
 
 
-class Transitions(NamedTuple):
-    """Distinct observed one-step outcomes with their counts: the current
-    pair (i, j) and whether each series repeated its previous state.
-
-    The kernel depends on the previous pair (s, l) only through 1[i = s] and
-    1[j = l], so these are the likelihood's sufficient statistics. States are
-    0-based. ``keep1`` and ``keep2`` are 1.0 where the first or second series
-    repeated its state and 0.0 elsewhere; ``both`` is their product.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    weights: np.ndarray
-    keep1: np.ndarray
-    keep2: np.ndarray
-    both: np.ndarray
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "Transitions":
-        """The nonzero cells of a (2, 2, d1, d2) repeat-pattern count array,
-        indexed by (first series repeated, second series repeated, i, j)."""
-        d1, d2 = counts.shape[2:]
-        flat = counts.ravel()
-        k = np.flatnonzero(flat)
-        pattern, cur = np.divmod(k, d1 * d2)
-        i, j = np.divmod(cur, d2)
-        keep1 = (pattern >> 1).astype(float)
-        keep2 = (pattern & 1).astype(float)
-        return cls(i, j, flat[k], keep1, keep2, keep1 * keep2)
-
-
 class TransitionKernel(NamedTuple):
     """The one-step BDAR(1) transition as a four-term mixture.
 
     P(i, j | s, l) = mech[0, 0] pe[i, j] + mech[0, 1] p1[i] 1[j = l]
     + mech[1, 0] 1[i = s] p2[j] + mech[1, 1] 1[i = s, j = l]: the 2x2
     mechanism cells (index 1 = keep) weigh the innovation pmf ``pe`` and its
-    marginals ``p1``, ``p2``. Nothing of size (d1 d2)^2 is ever built.
+    marginals ``p1``, ``p2``. Three views cover every use, and nothing of
+    size (d1 d2)^2 is ever built: ``by_pattern`` gives the probabilities by
+    repeat pattern that the likelihood scores, ``push`` moves a pmf of the
+    pair one step ahead, and ``stationary`` gives its fixed point.
     """
 
     mech: np.ndarray
@@ -284,27 +256,19 @@ class TransitionKernel(NamedTuple):
             pe = _innovation_cells(p1, p2, eps.family, eps.delta)[0]
         return cls(mech, pe, p1, p2)
 
-    def terms(self, obs: Transitions) -> tuple:
-        """P(observed pair | mechanism outcome) for the outcomes in
-        ``mech.ravel()`` order: both innovate, only the second keeps, only
-        the first keeps, both keep."""
-        return (
-            self.pe[obs.i, obs.j],
-            obs.keep2 * self.p1[obs.i],
-            obs.keep1 * self.p2[obs.j],
-            obs.both,
-        )
+    def by_pattern(self) -> np.ndarray:
+        """One-step probabilities by repeat pattern, shape (2, 2, d1, d2).
 
-    def mix(self, terms: tuple) -> np.ndarray:
-        """Transition probabilities from the per-outcome ``terms``."""
+        ``[r1, r2, i, j]`` is the probability of the 0-based pair (i, j) after
+        any previous pair (s, l) with r1 = 1[i = s] and r2 = 1[j = l]:
+        m00 pe[i, j] + r2 m01 p1[i] + r1 m10 p2[j] + r1 r2 m11, the terms
+        added in that order. It is indexed like ``transition_counts``.
+        """
         m00, m01, m10, m11 = self.mech.ravel().tolist()
-        t00, t01, t10, t11 = terms
-        return m00 * t00 + m01 * t01 + m10 * t10 + m11 * t11
-
-    def log_prob(self, obs: Transitions) -> np.ndarray:
-        """Log probability of each observed transition (-inf where it is 0)."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.mix(self.terms(obs)))
+        neither = m00 * self.pe
+        second = neither + m01 * self.p1[:, None]
+        first_term = m10 * self.p2
+        return np.array([[neither, second], [neither + first_term, second + first_term + m11]])
 
     def push(self, dist: np.ndarray) -> np.ndarray:
         """The pmf of the next pair given the pmf ``dist`` of the current one,
@@ -330,13 +294,6 @@ class TransitionKernel(NamedTuple):
         if pi11 >= 1.0 - 1e-12:
             raise ValueError("both series kept forever (pi11 ~ 1); stationary joint pmf undefined")
         return ((mech[1, 0] + mech[0, 1]) * np.outer(p1, p2) + mech[0, 0] * pe) / (1.0 - pi11)
-
-    def sample(self, i: np.ndarray, j: np.ndarray, rng: np.random.Generator):
-        """Advance 0-based pairs (i, j) one step: draw every mechanism pair,
-        then every innovation pair, then carry the kept states forward."""
-        a1, a2 = sample_joint(self.mech, rng, size=len(i))
-        e1, e2 = sample_joint(self.pe, rng, size=len(i))
-        return np.where(a1 == 1, i, e1), np.where(a2 == 1, j, e2)
 
 
 def joint_conditional_pmf(params: Bdar1Params, prev1: int, prev2: int) -> np.ndarray:

@@ -94,9 +94,10 @@ class TestIngest:
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         path = tmp_path / "texty.csv"
-        path.write_text("t,a,b\n1,3.0,4.0\n2,oops,6.0\n")
-        with pytest.raises(ValueError, match=r"rows: \[2\]"):
-            ingest(path, "a", "b")
+        for cell in ("oops", "nan", "NaN", "inf"):
+            path.write_text(f"t,a,b\n1,3.0,4.0\n2,{cell},6.0\n")
+            with pytest.raises(ValueError, match=r"rows: \[2\]"):
+                ingest(path, "a", "b")
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"

@@ -176,6 +176,28 @@ class TestConditionalLoglik:
         want = math.fsum(np.log(tensor[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
         assert conditional_loglik(params, series) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_series_visits_fewer_states_than_params(self, study_params):
+        # the counts are 2 x 2 per pattern, the kernel 3 x 3
+        data = BivariateOrdinalSeries.from_sequences([1, 2, 2, 1, 2], [1, 1, 2, 2, 1])
+        assert (data.d1, data.d2) == (2, 2)
+        params = Bdar1Params(
+            variant="m1", phi1=study_params.phi1, phi2=study_params.phi2,
+            m1=study_params.m1, m2=study_params.m2,
+        )
+        tensor = transition_tensor(params)
+        z1, z2 = data.z1 - 1, data.z2 - 1
+        want = math.fsum(np.log(tensor[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
+        assert conditional_loglik(params, data) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_zero_probability_step_in_fewer_states_than_params(self):
+        # one shared indicator and comonotone innovations: only the last
+        # step, (2,2) -> (1,2), moves one series alone
+        m = CategoricalMarginal((0.3, 0.3, 0.4))
+        p = Bdar1Params("m2", 0.5, 0.5, m, m, copula_eps=CopulaSpec("frank", 1e17))
+        data = BivariateOrdinalSeries.from_sequences([1, 1, 2, 2, 1], [1, 1, 2, 2, 2])
+        with pytest.raises(LikelihoodError, match=r"^transition \(2,2\) -> \(1,2\) at t=5 "):
+            conditional_loglik(p, data)
+
     def test_state_range_checked(self, study_params):
         data = BivariateOrdinalSeries(np.array([1, 4]), np.array([1, 2]), 4, 3)
         with pytest.raises(ValueError, match="exceed"):
@@ -736,34 +758,36 @@ class TestStartStatistics:
 # _default_starts vector and of every L-BFGS-B start of a seeded M5 fit
 # (tools/make_cells_digests.py). The starts digest was taken while each
 # method of _Layout still branched on the variant; the other two since the
-# objective sums its terms by repeat pattern, which regroups the float sums
-# (test_matches_per_transition_formula checks the regrouping).
+# objective scores every repeat-pattern cell against
+# TransitionKernel.by_pattern and sums the gradient over patterns by axis,
+# which regroups the float sums (test_matches_per_transition_formula checks
+# the regrouping).
 OBJECTIVE_SHA256 = {
-    "m1 frank frank": "6eb3a3fa02baca91a6fcfe3c8282f2f1c1ba2389b0d7cb5ca79468a833e35da2",
-    "m1 frank gumbel": "84a9c321264665ab638d4b9e64761c040b8554938b67528c13a3258c3e0fce36",
-    "m1 gumbel frank": "0d4fa559b2ccac6969f985d3d7e7e335a3374142208062a80d5660c30c80d124",
-    "m1 gumbel gumbel": "ad2ea856ef827f6c06e3c255b6a894cc2280597b98ccc3ff53f98640c3a4ddad",
-    "m2 frank frank": "47b2e3e9c9346d42697cd697485b68ea8036c13850a80a15d95a144cec02367f",
-    "m2 frank gumbel": "b601ff665fea7a7a8ccf4551f36f7a0485121612158fdd28286437f243546e4d",
-    "m2 gumbel frank": "417803b7d1c6d82bc2ec5f81817bc84ae7e65c1c4c0b8670515710a9d64660bf",
-    "m2 gumbel gumbel": "f5ef6b790ae6894cccc9a87787a37a99d2ea14cd3965b28c05acc090d675664c",
-    "m3 frank frank": "c095561ca665adf2a9577f8bb5fbcb85def13268c5c90b0d540699406774346e",
-    "m3 frank gumbel": "c110674956f9834d10200791d873e2acf60f4fe55e77d0122945b2c7b24ed711",
-    "m3 gumbel frank": "10a66138fb61415b80521b726d6f249478dfbe99f0d16266a2b9d244a1f83c98",
-    "m3 gumbel gumbel": "cb6844a5a89f93486f644eca9f406bbb9d3e7fae67aeefc5a04e2515c83ef781",
-    "m4 frank frank": "8fd56be785d466dae7c455c66814672cc74daf795ec43993da54bef650d2940f",
-    "m4 frank gumbel": "feffc383f669755113391ae38788beadb5adc6efa4df5a29f0073d6c02827512",
-    "m4 gumbel frank": "a60cb3875dbd11c92e34b8e91f59396d7af11daf975586bc9157c3d566ebf68f",
-    "m4 gumbel gumbel": "9af1d5361ed3e45fa1d55fab7f8938e15b27585cd3e48a7abe5e299ff8f0237b",
-    "m5 frank frank": "df77d3961835cab2e53aa3b5d26f9f55d80d6fe615be49b40a26307d3b941862",
-    "m5 frank gumbel": "abbeac40a4d9f76269c90c2c0757501b2dff01cbe638c46696ded8cd287f2d3c",
-    "m5 gumbel frank": "777ba7474c990f433abe4c2f9b6128e9d452519780257a73e53b94e7afc6de24",
-    "m5 gumbel gumbel": "67c88643b0f8ec21fef58d1223b1d0d2a17c6036b905ca3f6ab70c478cfb8ee6",
+    "m1 frank frank": "e2f2cb956f7083d7212bab700ecfe36449347985c2c8a8b5710052589b6d97c7",
+    "m1 frank gumbel": "ba5d02bf5435c7e8d272c181a490accac5822c79a6c0a2081382f50674d67a4a",
+    "m1 gumbel frank": "fbe39a4206ff6030a2ff338a80d4e886cfebd8fce1549c719f73226359fb06a1",
+    "m1 gumbel gumbel": "fe7e30d43f2aae79883510cac291297785b59176d295dacf77f330c6e15acadd",
+    "m2 frank frank": "99b9cff3ee8743fbb4bd6aa1e48ea9663e91c1c7d66c636cdff121f616b75df2",
+    "m2 frank gumbel": "d5040cba93db031986ccee9ee4d4c6f9a17101d5071604b69b06ac32de1442c7",
+    "m2 gumbel frank": "a992edecb47eeb447e6b21750b478edbb6447888599224d733b2dacb8759e76a",
+    "m2 gumbel gumbel": "b9fd6977b7bd230e093eb4b0e390d0219b65561bd50609608f9a9499a2fbe3b3",
+    "m3 frank frank": "7a4c93bf5859f38a24e3770ede14881da7778ac60b4d5b0c0add33b70f7d3556",
+    "m3 frank gumbel": "afd1b79033d608726b08ff17481f591cf136dd2c53b6be2af6849f189f013521",
+    "m3 gumbel frank": "f996e06aeb02917822672d6c85d47572234487eb34bad83e3d6f4847db3c6080",
+    "m3 gumbel gumbel": "86f27a6b9ae51d03ce2a11787cb081c8fa1a041ee07c96903a8f0b791415a2ad",
+    "m4 frank frank": "4d48ad2ad0eebe64befca4b2d048fb23189e94d245b9ce956ded8fc67da99b0b",
+    "m4 frank gumbel": "ac140f9a1b639faf6b899831fa0b62f220af042adffd206579a6092bf7f351fc",
+    "m4 gumbel frank": "1fd0495c30480fbb56e73c83d861aba4cf407109d2da3bf7cb2ed8c87bb1f6bb",
+    "m4 gumbel gumbel": "e2f8cc79c11112804e7375b2b37647cc2477e639f0afccb51cf819bbaa3e4685",
+    "m5 frank frank": "1a6d98f7145115de19fcf61904a6d3610918f8872cd1548c02053f51b14a535e",
+    "m5 frank gumbel": "d54a333b3c4d96d42dd0ba74f25f540704c65c509817afb5e5d1fcdab833b206",
+    "m5 gumbel frank": "eea94e59a0d57753edae537cece1da3fd9d2af6063b88018c2dc708e5e61e23c",
+    "m5 gumbel gumbel": "c8b46a57fc19afdf074bc9f6b4a94dccd86e1011a9b3dab30dd4b3689ebe2fe4",
 }
 DEFAULT_STARTS_SHA256 = "3c37f86a0df28701bc4b76aed945ab781223acd251b46237be19b994cc31b3f5"
 FIT_STARTS_SHA256 = {
-    "m5 frank": "a49c6bd3fae778474267dd666ad68e3fba7961f2fc4e694d97820833fdebfb4c",
-    "m5 gumbel": "00a497da0488fa9f2c095595e99f6b869cc8a144f595e8141cfc6206ff4b3cbf",
+    "m5 frank": "790cab62f6245dcecb00c61280fd8d870cfb60fcac73b411cb816d679b7e680a",
+    "m5 gumbel": "b7c32353cde97870950bee107d4a57d2b46d82407a2db87e2decb782bedcc48e",
 }
 
 

@@ -21,7 +21,6 @@ from bdar import (
     CategoricalMarginal,
     CopulaSpec,
     TransitionKernel,
-    Transitions,
     conditional_loglik,
     cross_moments,
     dar1_conditional_pmf,
@@ -222,18 +221,12 @@ class TestTransitionKernel:
         want = (dist.ravel() @ tensor.reshape(n_states, n_states)).reshape(p.d1, p.d2)
         assert np.max(np.abs(kernel.push(dist) - want)) <= 1e-14
 
-        counts = rng.integers(0, 3, size=(2, 2, p.d1, p.d2)).astype(float)
-        obs = Transitions.from_counts(counts)
-        r1, r2 = obs.keep1.astype(int), obs.keep2.astype(int)
-        assert np.array_equal(obs.weights, counts[r1, r2, obs.i, obs.j])
-        assert obs.weights.sum() == counts.sum()
-        assert np.array_equal(obs.both, obs.keep1 * obs.keep2)
-        # a previous pair with each cell's repeat pattern
-        s = np.where(r1 == 1, obs.i, (obs.i + 1) % p.d1)
-        l = np.where(r2 == 1, obs.j, (obs.j + 1) % p.d2)
-        with np.errstate(divide="ignore"):
-            want_log = np.log(tensor[s, l, obs.i, obs.j])
-        assert np.allclose(kernel.log_prob(obs), want_log, rtol=0.0, atol=1e-13)
+        # every cell (r1, r2, i, j) against a previous pair with its repeat
+        # pattern: s = i where r1 = 1 and s != i elsewhere, l likewise
+        r1, r2, i, j = np.indices((2, 2, p.d1, p.d2))
+        s = np.where(r1 == 1, i, (i + 1) % p.d1)
+        l = np.where(r2 == 1, j, (j + 1) % p.d2)
+        assert np.allclose(kernel.by_pattern(), tensor[s, l, i, j], rtol=1e-13, atol=0.0)
 
         series = simulate(p, 60, substream(seed, "kernel-oracle"))
         z1, z2 = series.z1, series.z2
@@ -280,10 +273,8 @@ class TestTransitionKernel:
         assert kernel.pe.min() >= 0.0 and kernel.pe.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_sample_follows_the_kernel(self, study_params):
-        kernel = TransitionKernel.from_params(study_params)
         n = 200_000
-        i, j = kernel.sample(np.full(n, 1), np.full(n, 2), substream(5, "kernel-sample"))
-        freq = np.bincount(i * 3 + j, minlength=9).reshape(3, 3) / n
+        freq = forecast(study_params, (2, 3), 1, n, substream(5, "kernel-sample")).joint[0]
         want = joint_conditional_pmf(study_params, 2, 3)
         assert np.all(np.abs(freq - want) <= 4.0 * np.sqrt(want * (1.0 - want) / n) + 1e-12)
 

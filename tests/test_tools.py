@@ -1,5 +1,6 @@
-"""Tests of the helpers in tools/bench_pairs.py and of the benchmark's hooks
-in perfbench/tracing.py, loaded by path (neither directory is a package)."""
+"""Tests of the helpers in tools/bench_pairs.py and tools/src_lines.py and of
+the benchmark's hooks in perfbench/tracing.py, loaded by path (neither
+directory is a package)."""
 
 import importlib.util
 from pathlib import Path
@@ -17,6 +18,7 @@ def _load(path: Path):
 
 
 bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
+src_lines = _load(_ROOT / "tools" / "src_lines.py")
 
 
 def _pair(parent, change):
@@ -51,6 +53,45 @@ def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
         "change_better_pairs": wins,
         "pairs": 4,
     }
+
+
+_MODULE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment counts as code
+
+
+# a comment-only line
+def area(r):
+    """One-line docstring."""
+
+    text = """a string that is no docstring
+    spans two lines"""
+    return (math.pi
+            * r ** 2), text
+
+
+class Shape:
+    """A class docstring."""
+    sides = 0
+'''
+
+
+def test_src_lines_counts_only_code():
+    # import, def, text (2 lines), return (2 lines), class, sides
+    assert src_lines.code_lines(_MODULE) == 8
+
+
+def test_src_lines_table_of_two_trees():
+    out = src_lines.table([{"a.py": 10, "b.py": 4}, {"a.py": 7, "c.py": 2}], ["old", "new"])
+    rows = [line.split() for line in out.splitlines()]
+    assert rows == [
+        ["module", "old", "new", "diff"],
+        ["a.py", "10", "7", "-3"],
+        ["b.py", "4", "0", "-4"],
+        ["c.py", "0", "2", "+2"],
+        ["total", "14", "9", "-5"],
+    ]
 
 
 def test_every_benchmark_hook_finds_its_target():
