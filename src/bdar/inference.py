@@ -309,7 +309,9 @@ def _pattern_codes(data: BivariateOrdinalSeries):
     """``(start, codes)`` per block of ``_BLOCK`` steps: for the steps from
     ``start`` to ``start + len(codes)`` (0-based), the row-major index of
     (first series repeated, second series repeated, current pair) in a
-    (2, 2, d1, d2) array."""
+    (2, 2, d1, d2) array, as int64: the states are stored as int16, and a
+    product such as ``z1 * d2`` in that dtype would wrap once d1 d2 passes
+    32,767."""
     d1, d2 = data.d1, data.d2
     for start in range(0, data.n - 1, _BLOCK):
         stop = min(start + _BLOCK, data.n - 1)
@@ -317,8 +319,10 @@ def _pattern_codes(data: BivariateOrdinalSeries):
         # the repeat pattern 2 r1 + r2 in one byte per step
         pattern = (z1[1:] == z1[:-1]).view(np.uint8) << 1
         pattern |= (z2[1:] == z2[:-1]).view(np.uint8)
-        codes = np.multiply(pattern, d1 * d2, dtype=np.int64)
-        codes += z1[1:] * d2
+        # (pattern d1 + z1 - 1) d2 + z2 - 1, every product taken in int64
+        codes = np.multiply(pattern, d1, dtype=np.int64)
+        codes += z1[1:]
+        codes *= d2
         codes += z2[1:]
         codes -= d2 + 1
         yield start, codes

@@ -167,9 +167,22 @@ class Bdar1Params:
         )
 
 
+def _state_dtype(d1: int, d2: int) -> type:
+    """int16 if it holds states 1..max(d1, d2), else int32."""
+    return np.int16 if max(d1, d2) <= np.iinfo(np.int16).max else np.int32
+
+
 @dataclass(frozen=True, eq=False)
 class BivariateOrdinalSeries:
-    """Two aligned sequences of state indices 1..d1 and 1..d2."""
+    """Two aligned sequences of state indices 1..d1 and 1..d2.
+
+    Both are stored as int16, or as int32 once d1 or d2 exceeds 32,767: 4
+    bytes per step of the pair, not 16. Arithmetic on the states in that
+    dtype wraps silently, so upcast first where a result can pass 32,767, as
+    in ``np.multiply(z1 - 1, d2, dtype=np.int64)`` for a
+    pair code. Input may be any integer array or sequence, or floats with
+    integral values such as 2.0.
+    """
 
     z1: np.ndarray
     z2: np.ndarray
@@ -177,23 +190,27 @@ class BivariateOrdinalSeries:
     d2: int
 
     def __post_init__(self):
-        z1 = np.asarray(self.z1, dtype=np.int64)
-        z2 = np.asarray(self.z2, dtype=np.int64)
+        z1, z2 = np.asarray(self.z1), np.asarray(self.z2)
         if z1.ndim != 1 or z2.ndim != 1 or len(z1) != len(z2):
             raise ValueError("the two series must be 1-d and equally long")
         if len(z1) < 2:
             raise ValueError("need at least 2 observations")
-        if z1.min() < 1 or z1.max() > self.d1:
-            raise ValueError(f"first series has states outside 1..{self.d1}")
-        if z2.min() < 1 or z2.max() > self.d2:
-            raise ValueError(f"second series has states outside 1..{self.d2}")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        dtype = _state_dtype(self.d1, self.d2)
+        for field, z, name, d in (("z1", z1, "first", self.d1), ("z2", z2, "second", self.d2)):
+            if z.dtype.kind not in "biu":
+                z = z.astype(float, copy=False)
+                fractional = np.flatnonzero(z != np.floor(z))
+                if len(fractional):
+                    k = int(fractional[0])
+                    raise ValueError(f"{name} series has a non-integral state {float(z[k])} at position {k}")
+            # checked before narrowing, so that an out-of-range value cannot wrap into range
+            if z.min() < 1 or z.max() > d:
+                raise ValueError(f"{name} series has states outside 1..{d}")
+            object.__setattr__(self, field, z.astype(dtype, copy=False))
 
     @classmethod
     def from_sequences(cls, z1, z2, d1=None, d2=None) -> "BivariateOrdinalSeries":
-        z1 = np.asarray(z1, dtype=np.int64)
-        z2 = np.asarray(z2, dtype=np.int64)
+        z1, z2 = np.asarray(z1), np.asarray(z2)
         return cls(z1, z2, int(d1 or z1.max()), int(d2 or z2.max()))
 
     @property
@@ -375,19 +392,19 @@ def cross_moments(
     return CrossMoments(mu1=mu1, mu2=mu2, gammas=gammas, rhos=rhos)
 
 
-def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int) -> np.ndarray:
+def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int, dtype) -> np.ndarray:
     """Resolve z_0 = init, z_t = keep_t * z_{t-1} + (1 - keep_t) * fresh_t
-    (t = 1..n) without a loop per step; returns z_0..z_n as int64.
+    (t = 1..n) without a loop per step; returns z_0..z_n in ``dtype``.
 
     Each position takes the fresh value at the most recent non-keep step, or
     the initial state if no such step has happened yet. ``keep`` (nonzero
     where the state is kept) and ``fresh`` may be any narrow integer arrays;
     the steps are resolved ``_BLOCK`` at a time, each block from the last
-    state of the one before, so the int64 states are the only full-length
-    array made.
+    state of the one before, so the returned states are the only
+    full-length array made.
     """
     n = len(keep)
-    z = np.empty(n + 1, dtype=np.int64)
+    z = np.empty(n + 1, dtype=dtype)
     z[0] = init
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -414,7 +431,8 @@ def simulate(
     defaults to 100. Draw order is fixed (initial pair, all mechanism pairs,
     all innovation pairs) so a seeded generator reproduces the path exactly.
     The pairs are drawn as narrow cell codes (``joint._draw_cells``) and the
-    kept states carried forward in blocks: besides the returned int64 states,
+    kept states carried forward in blocks, straight into the series' dtype:
+    besides the returned states (2 bytes per step each for d up to 32,767),
     a path holds two codes of 1 or 2 bytes per step and temporaries of one
     block.
     """
@@ -435,11 +453,12 @@ def simulate(
     n = length + burn - 1
     mech = _draw_cells(kernel.mech, rng, n)  # 2 * keep1 + keep2
     innov = _draw_cells(kernel.pe, rng, n)  # d2 * fresh1 + fresh2
-    z1 = _carry_forward(mech >> 1, innov // params.d2, init1)
+    dtype = _state_dtype(params.d1, params.d2)
+    z1 = _carry_forward(mech >> 1, innov // params.d2, init1, dtype)
     # the codes are not needed again: decode the second series in place
     mech &= 1
     innov %= params.d2
-    z2 = _carry_forward(mech, innov, init2)
+    z2 = _carry_forward(mech, innov, init2, dtype)
     z1 += 1
     z2 += 1
     return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
@@ -468,6 +487,6 @@ def dar1_simulate(
             raise ValueError(f"initial state {init} outside 1..{marginal.d}")
     n = length + burn - 1
     keep = _draw_cells(np.array([phi, 1.0 - phi]), rng, n) == 0  # u < phi
-    z = _carry_forward(keep, _draw_cells(probs, rng, n), init - 1)
+    z = _carry_forward(keep, _draw_cells(probs, rng, n), init - 1, np.int64)
     z += 1
     return z[burn:]

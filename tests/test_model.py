@@ -102,6 +102,40 @@ class TestSeries:
         s = BivariateOrdinalSeries.from_sequences([1, 2, 3], [1, 1, 2])
         assert (s.d1, s.d2) == (3, 2)
 
+    def test_fractional_states_rejected_with_their_position(self):
+        with pytest.raises(ValueError, match=r"^first series has a non-integral state 1\.5 at position 0$"):
+            BivariateOrdinalSeries.from_sequences([1.5, 2.9, 1.0], [1, 2, 2])
+        with pytest.raises(ValueError, match=r"^first series has a non-integral state 1\.7 at position 0$"):
+            BivariateOrdinalSeries(np.array([1.7, 2.2, 3.9]), np.array([1, 1, 2]), 3, 2)
+        with pytest.raises(ValueError, match=r"^second series has a non-integral state 2\.5 at position 2$"):
+            BivariateOrdinalSeries(np.array([1, 2, 3]), np.array([1.0, 2.0, 2.5]), 3, 3)
+        with pytest.raises(ValueError, match=r"^second series has a non-integral state nan at position 1$"):
+            BivariateOrdinalSeries(np.array([1, 2]), np.array([1.0, np.nan]), 2, 2)
+
+    def test_integral_floats_accepted(self):
+        s = BivariateOrdinalSeries.from_sequences([1.0, 3.0, 2.0], [2.0, 1.0, 1.0])
+        assert (s.d1, s.d2) == (3, 2)
+        assert s.z1.tolist() == [1, 3, 2] and s.z2.tolist() == [2, 1, 1]
+
+    @pytest.mark.parametrize("value", [70_000, 65_537, -65_535])
+    def test_out_of_range_state_is_checked_before_narrowing(self, value):
+        # as int16, 70,000 wraps to 4,464, and 65,537 and -65,535 wrap to 1
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            BivariateOrdinalSeries(np.array([1, value, 2]), np.array([1, 2, 3]), 3, 3)
+
+    def test_states_stored_as_int16_or_wider_when_needed(self):
+        s = BivariateOrdinalSeries(np.array([1, 2, 3]), [3, 1, 2], 3, 3)
+        assert s.z1.dtype == s.z2.dtype == np.int16
+        top = 32_767
+        s = BivariateOrdinalSeries(np.array([1, top]), np.array([top, 1]), top, top)
+        assert s.z1.dtype == np.int16 and s.z1.tolist() == [1, top]
+        s = BivariateOrdinalSeries(np.array([1, top + 1]), np.array([top + 1, 1]), top + 1, top + 1)
+        assert s.z1.dtype == s.z2.dtype == np.int32
+        assert s.z1.tolist() == [1, top + 1] and s.z2.tolist() == [top + 1, 1]
+        s = BivariateOrdinalSeries(np.array([1, 40_000]), np.array([2, 1]), 40_000, 2)
+        assert s.z1.dtype == s.z2.dtype == np.int32
+        assert s.z1.tolist() == [1, 40_000] and s.z2.tolist() == [2, 1]
+
 
 class TestDar1ConditionalPmf:
     def test_phi_zero_returns_marginal(self):
@@ -423,11 +457,12 @@ class TestSimulate:
         simulate(study_params, 50, substream(2, "one-kernel"))
         assert len(built) == 1
 
-    # sha256 of z1.tobytes() + z2.tobytes(), computed with the plain
-    # searchsorted inverse-CDF draw: any faster draw must give the same paths
+    # sha256 of the int64 bytes of z1 then z2, computed with the plain
+    # searchsorted inverse-CDF draw: any faster draw (or narrower storage)
+    # must give the same paths
     def test_study_path_is_frozen(self, study_params):
         s = simulate(study_params, 10_000, substream(6, "golden-path"))
-        digest = hashlib.sha256(s.z1.tobytes() + s.z2.tobytes()).hexdigest()
+        digest = hashlib.sha256(s.z1.astype(np.int64).tobytes() + s.z2.astype(np.int64).tobytes()).hexdigest()
         assert digest == "15d2689c591d1ac09327f0bbb48143389d6dc15a0ed7656fc451f2c614f0ed8b"
 
     def test_frank_8x8_path_from_fixed_init_is_frozen(self):
@@ -438,7 +473,7 @@ class TestSimulate:
             copula_alpha=CopulaSpec("frank", 4.0), copula_eps=CopulaSpec("frank", -3.0),
         )
         s = simulate(p, 10_000, substream(6, "golden-path"), init=(3, 5))
-        digest = hashlib.sha256(s.z1.tobytes() + s.z2.tobytes()).hexdigest()
+        digest = hashlib.sha256(s.z1.astype(np.int64).tobytes() + s.z2.astype(np.int64).tobytes()).hexdigest()
         assert digest == "2220e4ef7eafa1a390e3d3e23c62aed37b469952007c2ed4bc44cec67021f2f8"
 
 
@@ -534,7 +569,14 @@ class TestBlockEdges:
         want1, want2 = _reference_simulate(
             params, length, substream(95, *key), burn_in=burn_in, init=init
         )
-        assert got.z1.dtype == got.z2.dtype == np.int64
+        assert got.z1.dtype == got.z2.dtype == np.int16
+        assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
+
+    def test_simulate_200_states_matches_reference(self, random_params_factory):
+        params = random_params_factory(substream(94, "d200"), d1=200, d2=200, family="frank")
+        got = simulate(params, 3000, substream(94, "d200-path"))
+        want1, want2 = _reference_simulate(params, 3000, substream(94, "d200-path"))
+        assert got.z1.dtype == got.z2.dtype == np.int16
         assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
 
     @pytest.mark.parametrize("length", _EDGE_LENGTHS)
@@ -569,16 +611,19 @@ class TestBlockEdges:
 
 
 def test_simulate_peak_memory_is_near_its_output(study_params):
-    # the returned int64 states are 16 bytes per step; the draws and the
-    # carry-forward add about 2 bytes per step plus blocks of fixed size
+    # the returned int16 states are 4 bytes per step; the two draws' codes
+    # add 2 bytes per step, the carry-forward blocks of fixed size (7.3
+    # bytes per step in all, measured)
+    steps = 200_000
     simulate(study_params, 1000, substream(91, "warm"))
     tracemalloc.start()
     try:
-        s = simulate(study_params, 200_000, substream(91, "memory"))
+        s = simulate(study_params, steps, substream(91, "memory"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (s.z1.nbytes + s.z2.nbytes)
+    assert s.z1.nbytes + s.z2.nbytes == 4 * steps
+    assert peak <= 10 * steps
 
 
 _FRANK_M5 = Bdar1Params(

@@ -1,6 +1,6 @@
-"""Tests of the helpers in tools/bench_pairs.py and tools/src_lines.py and of
-the benchmark's hooks in perfbench/tracing.py, loaded by path (neither
-directory is a package)."""
+"""Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py and
+tools/peak_memory.py and of the benchmark's hooks in perfbench/tracing.py,
+loaded by path (neither directory is a package)."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +19,7 @@ def _load(path: Path):
 
 bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
+peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
 
 
 def _pair(parent, change):
@@ -92,6 +93,19 @@ def test_src_lines_table_of_two_trees():
         ["c.py", "0", "2", "+2"],
         ["total", "14", "9", "-5"],
     ]
+
+
+def test_peak_memory_reports_every_operation(capsys):
+    steps = 500
+    assert peak_memory.main(["--steps", str(steps)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["operation", "peak_bytes", "bytes_per_step"]
+    names = [row[0] for row in rows[1:]]
+    assert names == ["simulate", "transition_counts", "conditional_loglik", "forecast", "exact_forecast_pmf"]
+    peaks = {row[0]: int(row[1]) for row in rows[1:]}
+    # simulate's peak holds at least its output, two int16 states per step
+    assert peaks["simulate"] >= 4 * steps
+    assert all(float(row[2]) == pytest.approx(int(row[1]) / steps, abs=0.005) for row in rows[1:])
 
 
 def test_every_benchmark_hook_finds_its_target():
