@@ -451,9 +451,7 @@ def run_replicate_study(config: RunConfig) -> Path:
     alpha_family = (
         true_params.copula_alpha.family.value if true_params.copula_alpha else config.copula_alpha
     )
-    eps_family = (
-        true_params.copula_eps.family.value if true_params.copula_eps else config.copula_eps
-    )
+    eps_family = true_params.copula_eps.family.value
     truth = true_params.named_values()
     rows = []
     for t_len in config.sample_sizes:

@@ -511,7 +511,10 @@ def _default_starts(summaries: list, layout: _Layout) -> list:
     A recipe that gives the same vector as an earlier one is dropped: an
     equal start gives an identical run. M1 has no dependence parameter, so
     its ``mild``, ``adjacent`` and ``strong`` recipes coincide, and M2's
-    ``strong`` and ``corner`` recipes do.
+    ``strong`` and ``corner`` recipes do. Each recipe is the only one whose
+    run reaches the best optimum on some series
+    (test_each_start_recipe_is_needed); ``tools/start_study.py`` measures
+    what dropping any of them costs over many series.
     """
     (freq1, repeat1), (freq2, repeat2) = summaries
     p1_hat = _empirical_marginal(freq1)
@@ -600,13 +603,13 @@ def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
     )
 
 
-def _maximize_layout(layout: _Layout, counts: np.ndarray, summaries: list):
-    """Best L-BFGS-B optimum over the default restarts.
+def _maximize_layout(layout: _Layout, objective, summaries: list):
+    """Best L-BFGS-B optimum of ``objective`` (``_make_objective`` of
+    ``layout``) over the default restarts.
 
     Returns ``(best, n_iter)``: the run that reached the lowest objective (the
     first of equal ones) and the iterations of every run made here.
     """
-    objective = _make_objective(layout, counts)
     best, n_iter = None, 0
     for x0 in _default_starts(summaries, layout):
         res = _lbfgsb(objective, x0, layout)
@@ -625,16 +628,19 @@ def fit(
     """Conditional maximum-likelihood fit of one model variant.
 
     Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
-    objective) from up to five distinct starting points: method-of-moments
-    keep probabilities from the lag-1 repeat rate, empirical marginals, and a
-    spread of dependence levels from near-independence to strong. The best
-    optimum is kept; for M5 it is also compared with a refit from the
-    shared-mechanism corner, which wins ties. That refit starts from the M2
-    optimum embedded by name on the eta scale (``_Layout.embed``): M2's
-    ``phi`` as both keep rates, its ``delta_eps`` as is, and ``delta_alpha``
-    on its upper (comonotone) bound. The same data give an identical report.
-    Both copula family names must be valid, also where the variant frees
-    no delta of that copula.
+    objective) from up to five distinct starting points
+    (``_default_starts``): empirical marginals with method-of-moments keep
+    probabilities from the lag-1 repeat rate at three dependence levels from
+    near-independence to strong, uniform marginals with fixed keep
+    probabilities at a negative (Frank) or near-independent (Gumbel) level,
+    and equal keep probabilities with the mechanism copula at its comonotone
+    bound. The best optimum is kept; for M5 it is also compared with a refit
+    from the shared-mechanism corner, which wins ties. That refit starts
+    from the M2 optimum embedded by name on the eta scale
+    (``_Layout.embed``): M2's ``phi`` as both keep rates, its ``delta_eps``
+    as is, and ``delta_alpha`` on its upper (comonotone) bound. The same
+    data give an identical report. Both copula family names must be valid,
+    also where the variant frees no delta of that copula.
     """
     alpha_family, eps_family = CopulaFamily(copula_alpha_family), CopulaFamily(copula_eps_family)
     if data.n < MIN_SERIES_LENGTH:
@@ -649,7 +655,7 @@ def fit(
             )
     layout = _Layout.build(variant, data.d1, data.d2, alpha_family, eps_family)
     objective = _make_objective(layout, counts)
-    best, n_iter = _maximize_layout(layout, counts, summaries)
+    best, n_iter = _maximize_layout(layout, objective, summaries)
 
     # The shared-mechanism variant lives on the closure of the full model
     # (mechanism copula at its comonotone bound, equal keep rates). Plain
@@ -660,7 +666,7 @@ def fit(
     # for any data.
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, eps_family)
-        best2, nit2 = _maximize_layout(m2_layout, counts, summaries)
+        best2, nit2 = _maximize_layout(m2_layout, _make_objective(m2_layout, counts), summaries)
         corner = {"delta_alpha": _ETA_BOUNDS[layout.alpha_family][1]}
         res = _lbfgsb(objective, layout.embed(m2_layout, best2.x, corner), layout)
         n_iter += nit2 + int(res.nit)

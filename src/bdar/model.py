@@ -199,7 +199,8 @@ class BivariateOrdinalSeries:
         for field, z, name, d in (("z1", z1, "first", self.d1), ("z2", z2, "second", self.d2)):
             if z.dtype.kind not in "biu":
                 z = z.astype(float, copy=False)
-                fractional = np.flatnonzero(z != np.floor(z))
+                # NaN and infinities count as non-integral
+                fractional = np.flatnonzero(~np.isfinite(z) | (z != np.floor(z)))
                 if len(fractional):
                     k = int(fractional[0])
                     raise ValueError(f"{name} series has a non-integral state {float(z[k])} at position {k}")
@@ -211,7 +212,9 @@ class BivariateOrdinalSeries:
     @classmethod
     def from_sequences(cls, z1, z2, d1=None, d2=None) -> "BivariateOrdinalSeries":
         z1, z2 = np.asarray(z1), np.asarray(z2)
-        return cls(z1, z2, int(d1 or z1.max()), int(d2 or z2.max()))
+        # a NaN or infinite maximum gives no size; the constructor names its position
+        d1, d2 = (int(d or np.nan_to_num(z.max(), nan=1.0, posinf=1.0)) for d, z in ((d1, z1), (d2, z2)))
+        return cls(z1, z2, d1, d2)
 
     @property
     def n(self) -> int:

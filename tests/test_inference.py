@@ -783,6 +783,40 @@ class TestStartStatistics:
                         if series is fixture and variant in ("m1", "m2"):
                             assert len(starts) == {"m1": 3, "m2": 4}[variant]
 
+    # per recipe, in _default_starts order: (truth, length, seed, variant,
+    # family) of a series on which the runs from every other recipe end
+    # short of the run from this one. The variants are M3 and M4, which
+    # ``fit`` fits from these restarts alone, so its log-likelihood drops by
+    # the same amount without the recipe (tools/start_study.py measures the
+    # same over many series, M5's refit included)
+    NEEDED = {
+        "mild": ("m2", 1000, 6, "m4", "gumbel"),
+        "adjacent": ("m2", 1000, 23, "m4", "frank"),
+        "strong": ("bundled", 104, 19, "m3", "frank"),
+        "negative": ("m2", 1000, 12, "m4", "frank"),
+        "corner": ("m2", 1000, 28, "m4", "frank"),
+    }
+
+    @pytest.mark.parametrize("recipe", list(NEEDED))
+    def test_each_start_recipe_is_needed(self, recipe, fixture_params):
+        truth, length, seed, variant, family = self.NEEDED[recipe]
+        m1, m2 = CategoricalMarginal((0.3, 0.3, 0.4)), CategoricalMarginal((0.2, 0.5, 0.3))
+        params = {
+            "bundled": fixture_params,
+            "m1": Bdar1Params("m1", 0.4, 0.3, m1, m2),
+            "m2": Bdar1Params("m2", 0.5, 0.5, m1, m2, copula_eps=CopulaSpec("frank", 5.0)),
+        }[truth]
+        series = simulate(params, length, substream(seed, "recipe-needed"))
+        counts = transition_counts(series)
+        summaries = inference._series_summaries(counts, (series.z1[0], series.z2[0]))
+        layout = _Layout.build(variant, series.d1, series.d2, family, family)
+        starts = inference._default_starts(summaries, layout)
+        assert len(starts) == len(self.NEEDED)  # no two recipes coincide here
+        objective = _make_objective(layout, counts)
+        funs = [inference._lbfgsb(objective, x0, layout).fun for x0 in starts]
+        k = list(self.NEEDED).index(recipe)
+        assert min(funs[:k] + funs[k + 1:]) - funs[k] > 1e-8
+
 
 # sha256 of the objective's value and gradient per layout group, of every
 # _default_starts vector and of every L-BFGS-B start of a seeded M5 fit

@@ -112,6 +112,12 @@ class TestSeries:
         with pytest.raises(ValueError, match=r"^second series has a non-integral state nan at position 1$"):
             BivariateOrdinalSeries(np.array([1, 2]), np.array([1.0, np.nan]), 2, 2)
 
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_states_rejected_with_their_position(self, value, shown):
+        # from_sequences infers the sizes from the maxima: NaN and inf have no integer size
+        with pytest.raises(ValueError, match=rf"^first series has a non-integral state {shown} at position 1$"):
+            BivariateOrdinalSeries.from_sequences([1, value, 2], [1, 2, 2])
+
     def test_integral_floats_accepted(self):
         s = BivariateOrdinalSeries.from_sequences([1.0, 3.0, 2.0], [2.0, 1.0, 1.0])
         assert (s.d1, s.d2) == (3, 2)

@@ -1,8 +1,9 @@
-"""Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py and
-tools/peak_memory.py and of the benchmark's hooks in perfbench/tracing.py,
-loaded by path (neither directory is a package)."""
+"""Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py,
+tools/peak_memory.py and tools/start_study.py and of the benchmark's hooks in
+perfbench/tracing.py, loaded by path (neither directory is a package)."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ def _load(path: Path):
 bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
 peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
+start_study = _load(_ROOT / "tools" / "start_study.py")
 
 
 def _pair(parent, change):
@@ -106,6 +108,27 @@ def test_peak_memory_reports_every_operation(capsys):
     # simulate's peak holds at least its output, two int16 states per step
     assert peaks["simulate"] >= 4 * steps
     assert all(float(row[2]) == pytest.approx(int(row[1]) / steps, abs=0.005) for row in rows[1:])
+
+
+def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):
+    monkeypatch.setattr(start_study, "LENGTHS", {})  # the bundled series only
+    assert start_study.main([]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    recipes = start_study.RECIPES
+    assert rows[0] == ["datasets", "1", "fits", "10", "default", ",".join(recipes)]
+    assert rows[1] == ["recipes", "worst_loss", "worst_rel", "over_tol", "runs", "worst_fit"]
+    subsets = rows[2:2 + 2 ** len(recipes) - 1]
+    assert {frozenset(row[0].split(",")) for row in subsets} == {
+        frozenset(c) for k in range(1, len(recipes) + 1) for c in itertools.combinations(recipes, k)
+    }
+    # every recipe against itself loses nothing; a bundled compare makes 27
+    # L-BFGS-B runs per family
+    assert subsets[0] == [",".join(recipes), "0.00e+00", "0.00e+00", "0", "54", "-"]
+    assert all(float(row[1]) >= 0.0 and int(row[3]) <= 10 and len(row) == 6 for row in subsets)
+    variants = rows[2 + len(subsets):]
+    assert variants[0] == ["variant", "worst_loss", "over_tol"]
+    assert [row[0] for row in variants[1:-1]] == ["m1", "m2", "m3", "m4", "m5"]
+    assert variants[-1][0] == "nested_gap" and variants[-1][2].startswith("bundled/")
 
 
 def test_every_benchmark_hook_finds_its_target():
