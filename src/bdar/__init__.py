@@ -7,7 +7,7 @@ variants, simulation, moment formulas, and forecasting: Monte-Carlo
 trajectories and exact h-step pmfs.
 """
 
-from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf, rectangle_mass
+from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf
 from .forecast import ForecastResult, exact_forecast_pmf, forecast
 from .inference import (
     FitReport,
@@ -28,8 +28,6 @@ from .model import (
     TransitionKernel,
     Variant,
     cross_moments,
-    dar1_conditional_pmf,
-    dar1_simulate,
     joint_conditional_pmf,
     simulate,
     stationary_joint_pmf,
@@ -57,8 +55,6 @@ __all__ = [
     "conditional_loglik",
     "copula_cdf",
     "cross_moments",
-    "dar1_conditional_pmf",
-    "dar1_simulate",
     "exact_forecast_pmf",
     "fit",
     "forecast",
@@ -66,7 +62,6 @@ __all__ = [
     "joint_conditional_pmf",
     "kendall_tau",
     "likelihood_ratio_test",
-    "rectangle_mass",
     "sample_joint",
     "simulate",
     "stationary_joint_pmf",

@@ -141,6 +141,14 @@ def ingest(path, col1: str, col2: str):
 # Config
 # --------------------------------------------------------------------------
 
+# What the entries of a list field must be; JSON true and false are not ints.
+_LIST_ENTRIES = {
+    "breakpoints": ((int, float), "a list of numbers"),
+    "sample_sizes": (int, "a list of ints"),
+    "last_state": (int, "a list of two ints"),
+}
+
+
 @dataclass
 class RunConfig:
     input: str | None = None
@@ -205,6 +213,12 @@ class RunConfig:
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+            if isinstance(value, list) and key in _LIST_ENTRIES:
+                entry_types, shape = _LIST_ENTRIES[key]
+                if any(isinstance(v, bool) or not isinstance(v, entry_types) for v in value) or (
+                    key == "last_state" and len(value) != 2
+                ):
+                    raise ValueError(f"config key {key!r} must be {shape}, got {value!r}")
         return cls(**raw)
 
     def apply_overrides(self, args: argparse.Namespace) -> "RunConfig":

@@ -1,9 +1,9 @@
-"""Bivariate copula CDFs and rectangle masses on discrete margins.
+"""Bivariate copula CDFs and their partials.
 
 Three families are supported: the independence (product) copula, the Gumbel
 copula (delta >= 1, delta = 1 is independence) and the Frank copula (any
-nonzero delta, delta -> 0 is independence). Joint pmfs on discrete margins
-are obtained by inclusion-exclusion over CDF rectangles.
+nonzero delta, delta -> 0 is independence). ``joint`` obtains joint pmfs on
+discrete margins by inclusion-exclusion over CDF rectangles.
 
 All evaluators accept scalars or numpy arrays and broadcast.
 """
@@ -232,24 +232,3 @@ def copula_cdf(spec: CopulaSpec, u, v):
     out = np.clip(_cdf_core(spec, uu, vv), 0.0, 1.0)
     return float(out) if scalar else out
 
-
-def rectangle_mass(spec: CopulaSpec, u_lo, u_hi, v_lo, v_hi):
-    """Mass the copula assigns to the rectangle (u_lo, u_hi] x (v_lo, v_hi].
-
-    Computed by inclusion-exclusion over the four corners. Tiny negatives
-    from floating point cancellation are clamped to 0.
-    """
-    u_lo, u_hi = np.asarray(u_lo, float), np.asarray(u_hi, float)
-    v_lo, v_hi = np.asarray(v_lo, float), np.asarray(v_hi, float)
-    if np.any(u_lo > u_hi) or np.any(v_lo > v_hi):
-        raise ValueError("rectangle endpoints out of order")
-    mass = (
-        copula_cdf(spec, u_hi, v_hi)
-        - copula_cdf(spec, u_lo, v_hi)
-        - copula_cdf(spec, u_hi, v_lo)
-        + copula_cdf(spec, u_lo, v_lo)
-    )
-    clipped = np.maximum(mass, 0.0)
-    if np.ndim(mass) == 0:
-        return float(clipped)
-    return clipped

@@ -237,17 +237,6 @@ class CrossMoments:
         return self.rhos[lag]
 
 
-def dar1_conditional_pmf(phi: float, marginal: CategoricalMarginal, prev: int) -> np.ndarray:
-    """One-step conditional pmf of a DAR(1): (1-phi)*p plus phi on the previous state."""
-    if not 0.0 <= phi < 1.0:
-        raise ValueError(f"phi={phi} outside [0, 1)")
-    if not 1 <= prev <= marginal.d:
-        raise ValueError(f"state {prev} outside 1..{marginal.d}")
-    out = (1.0 - phi) * marginal.as_array()
-    out[prev - 1] += phi
-    return out
-
-
 class TransitionKernel(NamedTuple):
     """The one-step BDAR(1) transition as a four-term mixture.
 
@@ -331,7 +320,9 @@ def joint_conditional_pmf(params: Bdar1Params, prev1: int, prev2: int) -> np.nda
 def transition_tensor(params: Bdar1Params) -> np.ndarray:
     """All joint conditionals at once: tensor[s-1, l-1, i-1, j-1] = P(i, j | s, l).
 
-    A dense (d1 d2)^2 array, kept as the small-d oracle of ``TransitionKernel``.
+    A dense (d1 d2)^2 array built from the kernel's own cells. No src code
+    calls it; perfbench hooks it. The tests' independent dense oracle is
+    ``tests/oracles.py``.
     """
     mech, pe, p1, p2 = TransitionKernel.from_params(params)
     e1 = np.eye(params.d1)
@@ -466,30 +457,3 @@ def simulate(
     z2 += 1
     return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
 
-
-def dar1_simulate(
-    phi: float,
-    marginal: CategoricalMarginal,
-    length: int,
-    rng: np.random.Generator,
-    burn_in: int | None = None,
-    init: int | None = None,
-) -> np.ndarray:
-    """Simulate a univariate DAR(1) path; see ``simulate`` for conventions."""
-    if not 0.0 <= phi < 1.0:
-        raise ValueError(f"phi={phi} outside [0, 1)")
-    if length < 2:
-        raise ValueError("length must be >= 2")
-    probs = marginal.as_array()
-    if init is None:
-        burn = 0 if burn_in is None else burn_in
-        init = int(_draw_cells(probs, rng, 1)[0]) + 1
-    else:
-        burn = 100 if burn_in is None else burn_in
-        if not 1 <= init <= marginal.d:
-            raise ValueError(f"initial state {init} outside 1..{marginal.d}")
-    n = length + burn - 1
-    keep = _draw_cells(np.array([phi, 1.0 - phi]), rng, n) == 0  # u < phi
-    z = _carry_forward(keep, _draw_cells(probs, rng, n), init - 1, np.int64)
-    z += 1
-    return z[burn:]

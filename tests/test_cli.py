@@ -152,6 +152,15 @@ class TestRunConfig:
         ("seed = true", "'seed' must be int, got True"),
         pytest.param('{"output": 5}', "'output' must be str, got 5", id="json-output-5"),
         ("variants = m5", "'variants' must be list, got 'm5'"),
+        ("breakpoints = [[1], 5, 9]", "'breakpoints' must be a list of numbers, got [[1], 5, 9]"),
+        ("breakpoints = [1, true, 9]", "'breakpoints' must be a list of numbers, got [1, True, 9]"),
+        ("sample_sizes = [[100]]", "'sample_sizes' must be a list of ints, got [[100]]"),
+        ("sample_sizes = [100, 2.5]", "'sample_sizes' must be a list of ints, got [100, 2.5]"),
+        ("sample_sizes = [false]", "'sample_sizes' must be a list of ints, got [False]"),
+        ("last_state = [1]", "'last_state' must be a list of two ints, got [1]"),
+        ("last_state = [1, 2, 3]", "'last_state' must be a list of two ints, got [1, 2, 3]"),
+        ("last_state = [1, true]", "'last_state' must be a list of two ints, got [1, True]"),
+        ("last_state = [1, 2.0]", "'last_state' must be a list of two ints, got [1, 2.0]"),
     ])
     def test_value_of_wrong_type_rejected(self, tmp_path, line, message):
         path = tmp_path / "c.cfg"
@@ -493,6 +502,14 @@ class TestMainEntry:
         assert code == 1
         assert "error: config key 'horizon' must be int" in capsys.readouterr().err
 
+    def test_config_list_entry_of_wrong_type_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"last_state": [1, 2, 3]}))
+        code = main(["forecast", "--config", str(cfg), "--params", str(BUNDLED_PARAMS),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: config key 'last_state' must be a list of two ints" in capsys.readouterr().err
+
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
         assert code == 1
@@ -547,9 +564,11 @@ def test_replicate_study_emits_long_format(tmp_path):
     out_path = run_replicate_study(config)
     lines = out_path.read_text().splitlines()
     assert lines[0] == "sample_size,replicate,param,estimate,abs_error,error"
-    # 2 replicates x 11 parameters (p1_1..4, p2_1..3, phi1, phi2, two deltas)
-    data_lines = [l for l in lines[1:] if ",ERROR," not in l]
-    assert len(data_lines) in (11, 22)
+    # 2 replicates x 11 parameters (p1_1..4, p2_1..3, phi1, phi2, two deltas),
+    # and no fit fails
+    data_lines = lines[1:]
+    assert len(data_lines) == 22
+    assert not any(",ERROR," in line for line in data_lines)
     first = data_lines[0].split(",")
     assert first[0] == "120" and first[2] == "p1_1"
     assert 0.0 <= float(first[3]) <= 1.0

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdar import CopulaFamily, CopulaSpec, copula_cdf, rectangle_mass
+from bdar import CopulaSpec, copula_cdf
 from bdar.copulas import (
     _FRANK_SERIES_DELTA,
     FRANK_INDEPENDENCE_TOL,
     _cdf_core,
     _cdf_with_partials,
 )
+from oracles import rectangle_cells
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
 _spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
@@ -98,20 +99,22 @@ class TestCopulaCdf:
 
 
 class TestRectangleMass:
+    """Cell masses by inclusion-exclusion over ``copula_cdf``, the cells of
+    the dense oracle in tests/oracles.py."""
+
     def test_product_rectangle_is_area(self):
-        assert rectangle_mass(PRODUCT, 0.0, 0.4, 0.0, 0.25) == pytest.approx(0.10, abs=1e-15)
+        cells = rectangle_cells((0.4, 0.6), (0.25, 0.75), PRODUCT)
+        assert np.max(np.abs(cells - np.outer((0.4, 0.6), (0.25, 0.75)))) <= 1e-15
 
     def test_total_mass_is_one(self):
-        for spec in (PRODUCT, gumbel(3.0), frank(-7.0)):
-            assert rectangle_mass(spec, 0.0, 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        for spec in (PRODUCT, gumbel(3.0), frank(-7.0), None):
+            assert rectangle_cells((0.2, 0.5, 0.3), (0.7, 0.3), spec).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_gumbel_frozen_corner_rectangle(self):
-        got = rectangle_mass(gumbel(2.0), 0.0, 0.6, 0.0, 0.75)
+        # (0, 0.6] x (0, 0.75] has mass C(0.6, 0.75)
+        got = copula_cdf(gumbel(2.0), 0.6, 0.75)
         assert got == pytest.approx(GUMBEL2_RECT_06_075, abs=1e-9)
-
-    def test_rejects_unordered_endpoints(self):
-        with pytest.raises(ValueError, match="out of order"):
-            rectangle_mass(PRODUCT, 0.6, 0.4, 0.0, 1.0)
+        assert rectangle_cells((0.6, 0.4), (0.75, 0.25), gumbel(2.0))[0, 0] == pytest.approx(got, abs=1e-16)
 
 
 SPECS = st.one_of(
@@ -147,7 +150,6 @@ def test_two_increasing_property(spec, u, v):
         + copula_cdf(spec, u[0], v[0])
     )
     assert raw >= -1e-12
-    assert rectangle_mass(spec, u[0], u[1], v[0], v[1]) >= 0.0
 
 
 @given(spec=SPECS, u=UNIT, v=UNIT)

@@ -16,6 +16,7 @@ from bdar import (
     stationary_joint_pmf,
 )
 from bdar.rng import substream
+from oracles import dense_transition_matrix
 
 
 class TestExactForecastPmf:
@@ -26,6 +27,29 @@ class TestExactForecastPmf:
     def test_long_horizon_reaches_stationary(self, study_params):
         out = exact_forecast_pmf(study_params, (3, 2), 500)
         assert np.max(np.abs(out[-1] - stationary_joint_pmf(study_params))) <= 1e-8
+
+    @pytest.mark.parametrize("family", ["gumbel", "frank"])
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3", "m4", "m5"])
+    def test_matches_dense_transition_powers(self, variant, family):
+        # the anchor's row of the h-th power of the dense oracle matrix
+        rng = substream(61, variant, family)
+        for _ in range(3):
+            d1, d2 = (int(d) for d in rng.integers(2, 6, size=2))
+            m1, m2 = (CategoricalMarginal(tuple(rng.dirichlet(np.full(d, 2.0)))) for d in (d1, d2))
+            phi1, phi2 = rng.uniform(0.0, 0.9, size=2)
+            # Gumbel takes delta >= 1; Frank either sign
+            sign = 1.0 if family == "gumbel" else rng.choice((-1.0, 1.0))
+            delta_alpha, delta_eps = sign * rng.uniform(1.0, 8.0, size=2)
+            p = Bdar1Params(
+                variant, phi1, phi1 if variant == "m2" else phi2, m1, m2,
+                copula_alpha=CopulaSpec(family, delta_alpha) if variant in ("m4", "m5") else None,
+                copula_eps=CopulaSpec(family, delta_eps) if variant in ("m2", "m3", "m5") else None,
+            )
+            s, l = int(rng.integers(1, d1 + 1)), int(rng.integers(1, d2 + 1))
+            matrix = dense_transition_matrix(p)
+            for h, got in enumerate(exact_forecast_pmf(p, (s, l), 12), start=1):
+                want = np.linalg.matrix_power(matrix, h)[(s - 1) * d2 + l - 1].reshape(d1, d2)
+                assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_each_step_is_a_distribution(self, fixture_params):
         for step in exact_forecast_pmf(fixture_params, (2, 1), 12):

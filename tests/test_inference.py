@@ -26,7 +26,6 @@ from bdar import (
     kendall_tau,
     likelihood_ratio_test,
     simulate,
-    transition_tensor,
 )
 from bdar import cli, inference
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
@@ -53,6 +52,7 @@ from bdar.joint import (
     _mechanism_cells_vjp,
 )
 from bdar.rng import substream
+from oracles import dense_transition_tensor
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
 _spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
@@ -172,7 +172,7 @@ class TestConditionalLoglik:
         family = ("gumbel", "frank")[seed % 2]
         params = random_params_factory(rng, d1=d1, d2=d2, family=family)
         series = simulate(params, 400, rng)
-        tensor = transition_tensor(params)
+        tensor = dense_transition_tensor(params)
         z1, z2 = series.z1 - 1, series.z2 - 1
         want = math.fsum(np.log(tensor[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
         assert conditional_loglik(params, series) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -185,7 +185,7 @@ class TestConditionalLoglik:
             variant="m1", phi1=study_params.phi1, phi2=study_params.phi2,
             m1=study_params.m1, m2=study_params.m2,
         )
-        tensor = transition_tensor(params)
+        tensor = dense_transition_tensor(params)
         z1, z2 = data.z1 - 1, data.z2 - 1
         want = math.fsum(np.log(tensor[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
         assert conditional_loglik(params, data) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -710,7 +710,7 @@ class TestStartStatistics:
         # d1 d2 = 40,000 pair codes (160,000 pattern codes) do not fit the
         # states' int16; the oracles are a loop per step and, per step, the
         # kernel pushed from the previous pair, which is that pair's row of
-        # the dense transition_tensor (too large to build at this d)
+        # the dense transition tensor (too large to build at this d)
         d = 200
         params = random_params_factory(substream(87, "d200"), d1=d, d2=d, family="frank")
         rng = substream(87, "d200-series")

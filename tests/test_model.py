@@ -23,8 +23,6 @@ from bdar import (
     TransitionKernel,
     conditional_loglik,
     cross_moments,
-    dar1_conditional_pmf,
-    dar1_simulate,
     exact_forecast_pmf,
     forecast,
     joint_conditional_pmf,
@@ -34,6 +32,7 @@ from bdar import (
 )
 from bdar.joint import _BLOCK, _draw_cells, sample_joint
 from bdar.rng import substream
+from oracles import dense_transition_matrix, dense_transition_tensor
 
 
 def m2_params(phi, m1, m2, delta_eps=3.0):
@@ -144,23 +143,28 @@ class TestSeries:
 
 
 class TestDar1ConditionalPmf:
-    def test_phi_zero_returns_marginal(self):
-        m = CategoricalMarginal((0.2, 0.3, 0.5))
-        assert np.allclose(dar1_conditional_pmf(0.0, m, 2), m.as_array())
+    """Each series alone is a DAR(1): summed over the other series, the joint
+    conditional is phi 1[i = s] + (1 - phi) p (Jacobs & Lewis 1978)."""
+
+    def test_phi_zero_returns_marginal(self, study_params):
+        p = dataclasses.replace(study_params, phi1=0.0)
+        assert np.allclose(joint_conditional_pmf(p, 2, 1).sum(axis=1), p.m1.as_array())
 
     def test_half_and_half(self):
-        out = dar1_conditional_pmf(0.5, CategoricalMarginal((0.2, 0.8)), 1)
-        assert np.allclose(out, [0.6, 0.4])
+        p = m2_params(0.5, CategoricalMarginal((0.2, 0.8)), CategoricalMarginal((0.3, 0.7)))
+        assert np.allclose(joint_conditional_pmf(p, 1, 2).sum(axis=1), [0.6, 0.4])
 
-    def test_high_persistence_value(self):
+    def test_high_persistence_value(self, study_params):
         m = CategoricalMarginal((0.143, 0.164, 0.270, 0.423))
-        out = dar1_conditional_pmf(0.857, m, 3)
+        p = dataclasses.replace(study_params, phi2=0.857, m2=m)
+        out = joint_conditional_pmf(p, 1, 3).sum(axis=0)
         assert out[2] == pytest.approx(0.857 + 0.143 * 0.270, abs=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_state_out_of_range(self):
+        p = m2_params(0.5, CategoricalMarginal((0.5, 0.5)), CategoricalMarginal((0.5, 0.5)))
         with pytest.raises(ValueError, match="outside"):
-            dar1_conditional_pmf(0.5, CategoricalMarginal((0.5, 0.5)), 3)
+            joint_conditional_pmf(p, 3, 1)
 
 
 class TestJointConditionalPmf:
@@ -200,21 +204,19 @@ class TestJointConditionalPmf:
         rng = np.random.default_rng(13)
         for _ in range(100):
             p = random_params_factory(rng)
-            tensor = transition_tensor(p)
-            sums = tensor.sum(axis=(2, 3))
-            assert np.max(np.abs(sums - 1.0)) <= 1e-10
             # marginalizing the joint conditional over the second series
             # recovers the univariate keep-or-innovate conditional
             for s in range(1, p.d1 + 1):
                 for l in range(1, p.d2 + 1):
                     joint = joint_conditional_pmf(p, s, l)
-                    uni = dar1_conditional_pmf(p.phi1, p.m1, s)
+                    assert abs(joint.sum() - 1.0) <= 1e-10
+                    uni = p.phi1 * (np.arange(1, p.d1 + 1) == s) + (1.0 - p.phi1) * p.m1.as_array()
                     assert np.max(np.abs(joint.sum(axis=1) - uni)) <= 1e-10
-                    uni2 = dar1_conditional_pmf(p.phi2, p.m2, l)
+                    uni2 = p.phi2 * (np.arange(1, p.d2 + 1) == l) + (1.0 - p.phi2) * p.m2.as_array()
                     assert np.max(np.abs(joint.sum(axis=0) - uni2)) <= 1e-10
 
     def test_tensor_matches_single_conditionals(self, study_params):
-        tensor = transition_tensor(study_params)
+        tensor = dense_transition_tensor(study_params)
         for s in (1, 2, 3):
             for l in (1, 2, 3):
                 assert np.allclose(
@@ -245,36 +247,73 @@ def _kernel_cases(draw):
     ), draw(st.integers(0, 2**32 - 1))
 
 
+def _by_pattern(tensor):
+    """A dense tensor's cells indexed as ``TransitionKernel.by_pattern``:
+    cell (r1, r2, i, j) after a previous pair with that repeat pattern,
+    s = i where r1 = 1 and s != i elsewhere, l likewise."""
+    d1, d2 = tensor.shape[2:]
+    r1, r2, i, j = np.indices((2, 2, d1, d2))
+    return tensor[np.where(r1 == 1, i, (i + 1) % d1), np.where(r2 == 1, j, (j + 1) % d2), i, j]
+
+
+def _assert_kernel_matches_oracle(p, rng):
+    """``push``, ``by_pattern`` and ``stationary`` against the dense oracle
+    of tests/oracles.py, to 1e-14 per cell."""
+    kernel = TransitionKernel.from_params(p)
+    oracle = dense_transition_tensor(p)
+    matrix = dense_transition_matrix(p)
+
+    dist = rng.dirichlet(np.ones(p.d1 * p.d2)).reshape(p.d1, p.d2)
+    want = (dist.ravel() @ matrix).reshape(p.d1, p.d2)
+    assert np.max(np.abs(kernel.push(dist) - want)) <= 1e-14
+
+    assert np.max(np.abs(kernel.by_pattern() - _by_pattern(oracle))) <= 1e-14
+
+    # the stationary pmf is a distribution that the oracle leaves in place
+    stat = kernel.stationary()
+    assert abs(stat.sum() - 1.0) <= 1e-14
+    assert np.max(np.abs((stat.ravel() @ matrix).reshape(p.d1, p.d2) - stat)) <= 1e-14
+    return kernel, oracle
+
+
 class TestTransitionKernel:
-    """The O(d1 d2) kernel against the dense transition tensor."""
+    """The O(d1 d2) kernel against the dense oracle of tests/oracles.py."""
 
     @given(case=_kernel_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_oracles(self, case):
         p, seed = case
-        rng = np.random.default_rng(seed)
-        kernel = TransitionKernel.from_params(p)
-        n_states = p.d1 * p.d2
+        kernel, oracle = _assert_kernel_matches_oracle(p, np.random.default_rng(seed))
+
+        # the kernel's own dense form, the one test that reads it: the same
+        # cells as the oracle, and mixed as by_pattern mixes them to 1e-13
+        # relative, which an independent copula pass cannot promise on cells
+        # that cancel to ~1e-17
         tensor = transition_tensor(p)
-
-        dist = rng.dirichlet(np.ones(n_states)).reshape(p.d1, p.d2)
-        want = (dist.ravel() @ tensor.reshape(n_states, n_states)).reshape(p.d1, p.d2)
-        assert np.max(np.abs(kernel.push(dist) - want)) <= 1e-14
-
-        # every cell (r1, r2, i, j) against a previous pair with its repeat
-        # pattern: s = i where r1 = 1 and s != i elsewhere, l likewise
-        r1, r2, i, j = np.indices((2, 2, p.d1, p.d2))
-        s = np.where(r1 == 1, i, (i + 1) % p.d1)
-        l = np.where(r2 == 1, j, (j + 1) % p.d2)
-        assert np.allclose(kernel.by_pattern(), tensor[s, l, i, j], rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(tensor - oracle)) <= 1e-14
+        assert np.allclose(kernel.by_pattern(), _by_pattern(tensor), rtol=1e-13, atol=0.0)
 
         series = simulate(p, 60, substream(seed, "kernel-oracle"))
-        z1, z2 = series.z1, series.z2
-        want_ll = math.fsum(
-            math.log(joint_conditional_pmf(p, z1[t - 1], z2[t - 1])[z1[t] - 1, z2[t] - 1])
-            for t in range(1, series.n)
-        )
+        z1, z2 = series.z1 - 1, series.z2 - 1
+        want_ll = math.fsum(np.log(oracle[z1[:-1], z2[:-1], z1[1:], z2[1:]]).tolist())
         assert conditional_loglik(p, series) == pytest.approx(want_ll, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["gumbel", "frank"])
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3", "m4", "m5"])
+    def test_edge_marginal_matches_dense_oracle(self, variant, family):
+        # F(2) rounds to 1, so the innovation cells take their edge path;
+        # M2 has the shared indicator, and phi2 = 0 puts the mechanism
+        # corner on the edge C(u, 1) = u
+        m1 = CategoricalMarginal((0.6, 0.4, 1e-17))
+        assert np.cumsum(m1.probs)[1] == 1.0
+        m2 = CategoricalMarginal((0.1, 0.2, 0.3, 0.4))
+        delta = {"gumbel": 3.0, "frank": -5.0}[family]
+        p = Bdar1Params(
+            variant, 0.35, 0.35 if variant == "m2" else 0.0, m1, m2,
+            copula_alpha=CopulaSpec(family, delta) if variant in ("m4", "m5") else None,
+            copula_eps=CopulaSpec(family, delta) if variant in ("m2", "m3", "m5") else None,
+        )
+        _assert_kernel_matches_oracle(p, substream(41, variant, family))
 
     def test_stationary_is_fixed_point_of_push(self, random_params_factory):
         rng = np.random.default_rng(37)
@@ -347,7 +386,7 @@ class TestStationaryJointPmf:
         for _ in range(50):
             p = random_params_factory(rng)
             stat = stationary_joint_pmf(p)
-            tensor = transition_tensor(p)
+            tensor = dense_transition_tensor(p)
             pushed = np.einsum("sl,slij->ij", stat, tensor)
             assert np.max(np.abs(pushed - stat)) <= 1e-8
 
@@ -439,7 +478,7 @@ class TestSimulate:
 
     def test_transition_frequencies_shrink_with_length(self, study_params):
         # chi-square style distance to the exact conditional decreases in T
-        tensor = transition_tensor(study_params)
+        tensor = dense_transition_tensor(study_params)
 
         def distance(T, key):
             s = simulate(study_params, T, substream(31, key))
@@ -483,28 +522,35 @@ class TestSimulate:
         assert digest == "2220e4ef7eafa1a390e3d3e23c62aed37b469952007c2ed4bc44cec67021f2f8"
 
 
+def _dar1_path(phi, marginal, length, rng):
+    """A univariate DAR(1) path: the first series of an M1 path, whose two
+    series are independent DAR(1)s."""
+    params = Bdar1Params("m1", phi, 0.5, marginal, CategoricalMarginal((0.5, 0.5)))
+    return simulate(params, length, rng).z1
+
+
 class TestDar1Simulate:
     def test_phi_zero_iid(self):
         m = CategoricalMarginal((0.2, 0.3, 0.5))
-        z = dar1_simulate(0.0, m, 50_000, substream(2, "dar-iid"))
+        z = _dar1_path(0.0, m, 50_000, substream(2, "dar-iid"))
         assert abs(np.corrcoef(z[1:], z[:-1])[0, 1]) < 0.015
 
     def test_marginal_matches_innovation_distribution(self):
         m = CategoricalMarginal((0.2, 0.3, 0.5))
-        z = dar1_simulate(0.6, m, 100_000, substream(5, "dar-marg"))
+        z = _dar1_path(0.6, m, 100_000, substream(5, "dar-marg"))
         freq = np.bincount(z - 1, minlength=3) / len(z)
         assert np.max(np.abs(freq - m.as_array())) < 0.01
 
     def test_lag1_autocorrelation_near_phi(self):
         m = CategoricalMarginal((0.2, 0.3, 0.5))
-        z = dar1_simulate(0.6, m, 100_000, substream(6, "dar-acf"))
+        z = _dar1_path(0.6, m, 100_000, substream(6, "dar-acf"))
         rho1 = np.corrcoef(z[1:], z[:-1])[0, 1]
         assert rho1 == pytest.approx(0.6, abs=0.03)
 
     def test_deterministic(self):
         m = CategoricalMarginal((0.5, 0.5))
-        a = dar1_simulate(0.4, m, 200, substream(9, "dar-det"))
-        b = dar1_simulate(0.4, m, 200, substream(9, "dar-det"))
+        a = _dar1_path(0.4, m, 200, substream(9, "dar-det"))
+        b = _dar1_path(0.4, m, 200, substream(9, "dar-det"))
         assert np.array_equal(a, b)
 
 
@@ -538,19 +584,6 @@ def _reference_simulate(params, length, rng, burn_in=None, init=None):
     z1 = _carry_forward_loop(init1, a1.tolist(), e1.tolist()) + 1
     z2 = _carry_forward_loop(init2, a2.tolist(), e2.tolist()) + 1
     return z1[burn:], z2[burn:]
-
-
-def _reference_dar1_simulate(phi, marginal, length, rng, burn_in=None, init=None):
-    """``dar1_simulate`` by the plain search and a loop per step over the same stream."""
-    if init is None:
-        burn = 0 if burn_in is None else burn_in
-        init = int(_plain_draws(marginal.probs, rng, 1)[0]) + 1
-    else:
-        burn = 100 if burn_in is None else burn_in
-    n = length + burn - 1
-    keeps = (rng.random(n) < phi).tolist()
-    fresh = (_plain_draws(marginal.probs, rng, n) + 1).tolist()
-    return _carry_forward_loop(init, keeps, fresh)[burn:]
 
 
 # lengths around the block edges of the draws and of the carry-forward
@@ -588,11 +621,15 @@ class TestBlockEdges:
     @pytest.mark.parametrize("length", _EDGE_LENGTHS)
     @pytest.mark.parametrize("init, burn_in", [(None, None), (2, None), (None, 3), (1, 0)])
     def test_dar1_simulate_matches_reference(self, init, burn_in, length):
-        m = CategoricalMarginal((0.2, 0.3, 0.5))
+        # M1, whose series are independent DAR(1)s, from a fixed first state
+        params = Bdar1Params(
+            "m1", 0.45, 0.7, CategoricalMarginal((0.2, 0.3, 0.5)), CategoricalMarginal((0.6, 0.4))
+        )
+        start = None if init is None else (init, 2)
         key = (str(init), str(burn_in), length)
-        got = dar1_simulate(0.45, m, length, substream(96, *key), burn_in=burn_in, init=init)
-        want = _reference_dar1_simulate(0.45, m, length, substream(96, *key), burn_in=burn_in, init=init)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        got = simulate(params, length, substream(96, *key), burn_in=burn_in, init=start)
+        want1, want2 = _reference_simulate(params, length, substream(96, *key), burn_in=burn_in, init=start)
+        assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
 
     @pytest.mark.parametrize("shape, dtype", [((2, 2), np.uint8), ((16, 16), np.uint8),
                                               ((17, 16), np.uint16), ((30, 30), np.uint16)])
