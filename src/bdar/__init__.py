@@ -5,6 +5,11 @@ keep/innovate indicators and their innovations are coupled through copulas.
 The package provides exact conditional likelihood fitting of five nested
 variants, simulation, moment formulas, and forecasting: Monte-Carlo
 trajectories and exact h-step pmfs.
+
+Importing the package loads numpy only. SciPy loads at the first fit: the
+optimizer and the copula partials of the likelihood gradient need it, while
+simulation, scoring and forecasting do not. ``kendall_tau`` loads
+``scipy.stats``.
 """
 
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf

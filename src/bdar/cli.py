@@ -175,6 +175,12 @@ class RunConfig:
         # never reads that copula's family
         for family in (self.copula_alpha, self.copula_eps):
             CopulaFamily(family)
+        # an empty list or no replicates would run nothing and write empty tables
+        for key in ("variants", "sample_sizes"):
+            if not getattr(self, key):
+                raise ValueError(f"config key {key!r} must not be empty")
+        if self.replicates < 1:
+            raise ValueError(f"config key 'replicates' must be at least 1, got {self.replicates}")
 
     @classmethod
     def field_names(cls):

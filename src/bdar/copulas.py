@@ -15,7 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from ._deferred import DeferredModule
+
+# only the partials use it, and only fits take partials
+special = DeferredModule("scipy.special")
 
 # Coordinates may overshoot [0, 1] by at most this much (accumulated floating
 # point drift in cumulative sums) before they are rejected.
@@ -82,7 +86,7 @@ def _checked_unit(x, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _gumbel_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
+def _gumbel_with_partials(u: np.ndarray, v: np.ndarray, delta: float, values_only: bool):
     # With x = -log u, y = -log v and s = (x^d + y^d)^(1/d), C = exp(-s) has
     #   dC/du = C s w_u / (x u),  w_u = x^d / (x^d + y^d) = expit(d (la - lb)),
     #   dC/dd = C s (w_min |la - lb| + log1p(r) / d) / d,  r = e^(-d |la - lb|),
@@ -97,6 +101,8 @@ def _gumbel_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
     log_s = np.maximum(la, lb) + log1p_r / delta
     s = np.exp(log_s)
     cdf = u * v if delta == 1.0 else np.exp(-s)
+    if values_only:
+        return (cdf,)
     # log(C s) = -s + log s; dC/du = C s w_u / (x u) with log(x u) = la - x
     log_cs = log_s - s
     du = np.exp(log_cs + special.log_expit(t) - la + x)
@@ -132,7 +138,7 @@ def _frank_cdf(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     return np.logaddexp(0.0, s) / a
 
 
-def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
+def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float, values_only: bool):
     # delta > 0. With a = e^-du, b = e^-dv, c = e^-d the numerator of the
     # closed form C = -(log N - log(1 - c)) / d is N = a + b - ab - c,
     # factored into the positive terms a(1 - b) + b(1 - c/b), and
@@ -145,6 +151,8 @@ def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float):
     log_num = np.logaddexp(-delta * u + log_1mb, -delta * v + log_v_far)
     log_1mc = np.log(-np.expm1(-delta))
     cdf = -(log_num - log_1mc) / delta
+    if values_only:
+        return (cdf,)
     log_1ma = np.log(-np.expm1(-delta * u))
     log_u_far = np.log(-np.expm1(-delta * (1.0 - u)))
     # delta * (v - u), not delta * v - delta * u: near the comonotone corner
@@ -177,11 +185,16 @@ def _frank_delta_series(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarra
     )
 
 
-def _cdf_with_partials(family: CopulaFamily, delta: float, u: np.ndarray, v: np.ndarray):
-    """(C, dC/du, dC/dv, dC/ddelta) at points strictly inside the unit square.
+def _cdf_with_partials(
+    family: CopulaFamily, delta: float, u: np.ndarray, v: np.ndarray, values_only: bool = False
+):
+    """(C, dC/du, dC/dv, dC/ddelta) at points strictly inside the unit square,
+    or ``(C,)`` with ``values_only``, which returns before any partial is
+    formed and so needs no scipy.
 
     The one place that dispatches on the copula family: ``_cdf_core`` (and
-    so ``copula_cdf``) and both cell builders take their values from here.
+    so ``copula_cdf``) and both cell builders take their values from here,
+    and C is the same in both modes, bit for bit.
     The partials reuse the value's intermediates: all of the Gumbel closed
     form, and the log numerator of the Frank one for delta >= 1. Inside the
     Frank independence band the partials are those of the delta -> 0 limit,
@@ -194,20 +207,24 @@ def _cdf_with_partials(family: CopulaFamily, delta: float, u: np.ndarray, v: np.
     """
     if family is CopulaFamily.PRODUCT:
         cdf = u * v
-        return cdf, v, u, np.zeros_like(cdf)
+        return (cdf,) if values_only else (cdf, v, u, np.zeros_like(cdf))
     if family is CopulaFamily.GUMBEL:
-        return _gumbel_with_partials(u, v, delta)
+        return _gumbel_with_partials(u, v, delta, values_only)
     if abs(delta) < FRANK_INDEPENDENCE_TOL:
-        return u * v, v, u, _frank_delta_series(u, v, 0.0)
+        cdf = u * v
+        return (cdf,) if values_only else (cdf, v, u, _frank_delta_series(u, v, 0.0))
     if delta >= _FRANK_SMALL_DELTA:
-        return _frank_positive_with_partials(u, v, delta)
+        return _frank_positive_with_partials(u, v, delta, values_only)
+    cdf = _frank_cdf(u, v, delta)
+    if values_only:
+        return (cdf,)
     if delta > 0:
-        return (_frank_cdf(u, v, delta),) + _frank_positive_with_partials(u, v, delta)[1:]
+        return (cdf,) + _frank_positive_with_partials(u, v, delta, False)[1:]
     # C(u, v; delta) = u - C(u, 1 - v; -delta). Reflecting the value itself
     # would lose cells of ~1e-18 to cancellation, so only the partials are
     # taken from the reflection.
-    _, du, dv, dd = _frank_positive_with_partials(u, 1.0 - v, -delta)
-    return _frank_cdf(u, v, delta), 1.0 - du, dv, dd
+    _, du, dv, dd = _frank_positive_with_partials(u, 1.0 - v, -delta, False)
+    return cdf, 1.0 - du, dv, dd
 
 
 def _cdf_core(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
@@ -215,7 +232,7 @@ def _cdf_core(spec: CopulaSpec, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
     value inside the square, and the closed-form edges C(u, 0) = C(0, v) = 0,
     C(1, v) = v and C(u, 1) = u, where the closed forms pass through log(0)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _cdf_with_partials(spec.family, spec.delta, uu, vv)[0]
+        out = _cdf_with_partials(spec.family, spec.delta, uu, vv, values_only=True)[0]
     out = np.where(uu == 1.0, vv, out)
     out = np.where(vv == 1.0, uu, out)
     return np.where((uu == 0.0) | (vv == 0.0), 0.0, out)

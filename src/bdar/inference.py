@@ -33,8 +33,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
+from ._deferred import DeferredModule
 from .copulas import CopulaFamily, CopulaSpec
 from .joint import (
     _BLOCK,
@@ -53,6 +53,12 @@ from .model import (  # noqa: F401
     Variant,
     transition_tensor,
 )
+
+# scipy loads at the first fit, not with bdar; scipy.stats, which costs
+# about as much again, only at the first kendall_tau
+optimize = DeferredModule("scipy.optimize")
+special = DeferredModule("scipy.special")
+stats = DeferredModule("scipy.stats")
 
 # Keep probabilities are mapped onto [0, PHI_CAP] so the stationarity
 # inequality phi < 1 stays strict and the both-kept mechanism mass stays
@@ -99,11 +105,20 @@ class UnobservedStateError(ValueError):
 
 def phi_to_eta(phi: float) -> float:
     ratio = min(max(phi / PHI_CAP, 1e-12), 1.0 - 1e-12)
-    return float(special.logit(ratio))
+    # scipy.special.logit's formulas, so the result is its bit for bit: the
+    # log1p pair keeps full precision next to 1/2, where x/(1 - x) nears 1
+    if 0.3 <= ratio <= 0.65:
+        s = 2.0 * (ratio - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(ratio / (1.0 - ratio))
 
 
 def eta_to_phi(eta: float) -> float:
-    return float(PHI_CAP * special.expit(eta))
+    # scipy.special.expit's formula, so the result is its bit for bit
+    try:
+        return PHI_CAP * (1.0 / (1.0 + math.exp(-eta)))
+    except OverflowError:  # where scipy's exp gives inf and expit 0
+        return 0.0
 
 
 def simplex_to_eta(probs) -> np.ndarray:
@@ -749,7 +764,8 @@ def likelihood_ratio_test(full: FitReport, nested: FitReport) -> LrtResult:
     statistic = max(statistic, 0.0)
     df = full.n_params - nested.n_params
     # chdtrc is the chi-square survival function that scipy.stats.chi2.sf
-    # evaluates; importing scipy.stats would add ~0.5 s to every start of bdar
+    # evaluates, without scipy.stats' ~0.5 s import; scipy.special itself
+    # loaded at the first fit, which made these reports
     return LrtResult(statistic=statistic, df=df, p_value=float(special.chdtrc(df, statistic)))
 
 
@@ -761,6 +777,4 @@ def kendall_tau(x, y) -> float:
         raise ValueError("inputs must be equal-length 1-d sequences of length >= 2")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("Kendall tau is undefined for constant input")
-    from scipy import stats  # not at module level: see likelihood_ratio_test
-
     return float(stats.kendalltau(x, y, variant="b").statistic)

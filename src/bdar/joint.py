@@ -5,10 +5,12 @@ the keep/innovate Bernoulli indicators (``_mechanism_cells``) and the
 d1 x d2 joint pmf of the innovation pair (``_innovation_cells``). Both come
 from the same rectangle (inclusion-exclusion) construction over one copula
 pass, which also gives the copula's partials: each builder returns
-``(cells, partials)``, the kernel keeps the cells and the likelihood
-gradient pulls back through the partials (``*_vjp``). A mechanism copula
-family of ``None`` stands for one indicator shared by both series (the M2
-variant): its cells are comonotone, ``[[1 - phi, 0], [0, phi]]``.
+``(cells, partials)`` and the likelihood gradient pulls back through the
+partials (``*_vjp``). The kernel needs the cells alone, so it builds them
+``values_only``: the copula pass returns before any partial is formed, the
+cells are the same bit for bit, and the partials come back as ``()``. A
+mechanism copula family of ``None`` stands for one indicator shared by both
+series (the M2 variant): its cells are comonotone, ``[[1 - phi, 0], [0, phi]]``.
 """
 
 from __future__ import annotations
@@ -49,15 +51,18 @@ class CategoricalMarginal:
         return np.asarray(self.probs, dtype=float)
 
 
-def _mechanism_cells(phi1: float, phi2: float, family: CopulaFamily | None, delta: float):
+def _mechanism_cells(
+    phi1: float, phi2: float, family: CopulaFamily | None, delta: float, values_only: bool = False
+):
     """The 2x2 mechanism cells, with negative rounding clamped to 0, and the
     partials of their corner p00 = C(1 - phi1, 1 - phi2).
 
     ``cells[a1, a2]`` is the probability of the indicator pair (a1, a2), where
     1 means keep. Returns the cells and the partials that
-    ``_mechanism_cells_vjp`` takes. A ``family`` of ``None`` is one shared
-    indicator with keep rate ``phi1`` (``phi2`` must equal it): its cells
-    are ``[[1 - phi1, 0], [0, phi1]]``, with no copula and partials ``None``.
+    ``_mechanism_cells_vjp`` takes, ``()`` with ``values_only``. A ``family``
+    of ``None`` is one shared indicator with keep rate ``phi1`` (``phi2``
+    must equal it): its cells are ``[[1 - phi1, 0], [0, phi1]]``, with no
+    copula and partials ``None``.
     """
     if family is None:
         return np.array([[1.0 - phi1, 0.0], [0.0, phi1]]), None
@@ -65,13 +70,16 @@ def _mechanism_cells(phi1: float, phi2: float, family: CopulaFamily | None, delt
     # evaluated at most one ulp inside the square: 1 - phi rounds to 1 once
     # phi < 1e-16, where d(phi)/d(eta) makes the term vanish anyway and the
     # corner takes the edge value C(1, v) = v, C(u, 1) = u
-    p00, du, dv, dd = _cdf_with_partials(
-        family, delta, np.float64(min(u, _BELOW_ONE)), np.float64(min(v, _BELOW_ONE))
+    out = _cdf_with_partials(
+        family, delta, np.float64(min(u, _BELOW_ONE)), np.float64(min(v, _BELOW_ONE)), values_only
     )
+    p00 = out[0]
     if u == 1.0 or v == 1.0:
         p00 = v if u == 1.0 else u
-    cells = np.array([[p00, u - p00], [v - p00, phi1 + phi2 - 1.0 + p00]])
-    return np.maximum(cells, 0.0), (float(du), float(dv), float(dd))
+    cells = np.maximum(np.array([[p00, u - p00], [v - p00, phi1 + phi2 - 1.0 + p00]]), 0.0)
+    if values_only:
+        return cells, ()
+    return cells, (float(out[1]), float(out[2]), float(out[3]))
 
 
 def _mechanism_cells_vjp(partials, g00: float, g01: float, g10: float, g11: float):
@@ -106,7 +114,9 @@ def _rectangle_cells(grid: np.ndarray) -> np.ndarray:
     return np.maximum(grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1], 0.0)
 
 
-def _innovation_cells(p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delta: float):
+def _innovation_cells(
+    p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delta: float, values_only: bool = False
+):
     """The d1 x d2 innovation cells, rectangle masses over the marginal CDF
     grids with negative rounding clamped to 0, and the partials of the
     copula at the interior grid points.
@@ -115,16 +125,16 @@ def _innovation_cells(p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delt
     take their closed-form values: C(u, 0) = C(0, v) = 0, C(u, 1) = u and
     C(1, v) = v, and so do the interior points where F(k) is not below 1
     (through ``_cdf_core``). Returns the cells and the partials that
-    ``_innovation_cells_vjp`` takes.
+    ``_innovation_cells_vjp`` takes, ``()`` with ``values_only``.
     """
     f1, f2 = _cdf_edges(p1), _cdf_edges(p2)
     if f1[-2] < 1.0 and f2[-2] < 1.0:
-        cdf, du, dv, dd = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1])
+        out = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1], values_only)
         grid = np.zeros((len(f1), len(f2)))
-        grid[1:-1, 1:-1] = cdf
+        grid[1:-1, 1:-1] = out[0]
         grid[1:, -1] = f1[1:]
         grid[-1, 1:-1] = f2[1:-1]
-        return _rectangle_cells(grid), (du, dv, dd)
+        return _rectangle_cells(grid), out[1:]
     # F(d-1), the largest interior point, is not below 1: it rounds to 1
     # once the last probability is below ~1e-16, or lies above 1 by less
     # than PROB_SUM_TOL. Such points lie on the edge u = 1 (or v = 1). The
@@ -132,10 +142,11 @@ def _innovation_cells(p1: np.ndarray, p2: np.ndarray, family: CopulaFamily, delt
     # finite: a NaN there would poison the gradient even where its weight
     # is 0.
     f1, f2 = np.minimum(f1, 1.0), np.minimum(f2, 1.0)
-    grid = _cdf_core(CopulaSpec(family, delta), f1[:, None], f2[None, :])
+    cells = _rectangle_cells(_cdf_core(CopulaSpec(family, delta), f1[:, None], f2[None, :]))
+    if values_only:
+        return cells, ()
     u, v = np.minimum(f1[1:-1], _BELOW_ONE), np.minimum(f2[1:-1], _BELOW_ONE)
-    _, du, dv, dd = _cdf_with_partials(family, delta, u[:, None], v[None, :])
-    return _rectangle_cells(grid), (du, dv, dd)
+    return cells, _cdf_with_partials(family, delta, u[:, None], v[None, :])[1:]
 
 
 def _innovation_cells_vjp(partials, g_cells: np.ndarray):

@@ -261,8 +261,8 @@ class TransitionKernel(NamedTuple):
         alpha_family, delta_alpha = (None, 0.0) if alpha is None else (alpha.family, alpha.delta)
         # the copula pass may meet log(0) next to an edge (see _cdf_with_partials)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mech = _mechanism_cells(params.phi1, params.phi2, alpha_family, delta_alpha)[0]
-            pe = _innovation_cells(p1, p2, eps.family, eps.delta)[0]
+            mech = _mechanism_cells(params.phi1, params.phi2, alpha_family, delta_alpha, values_only=True)[0]
+            pe = _innovation_cells(p1, p2, eps.family, eps.delta, values_only=True)[0]
         return cls(mech, pe, p1, p2)
 
     def by_pattern(self) -> np.ndarray:

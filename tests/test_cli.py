@@ -510,6 +510,24 @@ class TestMainEntry:
         assert code == 1
         assert "error: config key 'last_state' must be a list of two ints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, flags, message", [
+        ("compare", {"variants": []}, [], "'variants' must not be empty"),
+        ("replicate-study", {"sample_sizes": []}, [], "'sample_sizes' must not be empty"),
+        ("replicate-study", {"replicates": 0}, [], "'replicates' must be at least 1, got 0"),
+        ("replicate-study", {}, ["--replicates", "0"], "'replicates' must be at least 1, got 0"),
+        ("replicate-study", {"replicates": -2}, [], "'replicates' must be at least 1, got -2"),
+    ])
+    def test_config_that_would_run_nothing_is_an_error(self, tmp_path, capsys, command, config, flags,
+                                                       message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--input", str(BUNDLED_SERIES),
+                     "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS), "--params", str(BUNDLED_PARAMS),
+                     *flags, "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: config key {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
         assert code == 1
@@ -574,17 +592,69 @@ def test_replicate_study_emits_long_format(tmp_path):
     assert 0.0 <= float(first[3]) <= 1.0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about as long to import as the rest of bdar, and only
-    # kendall_tau needs it, so it is imported there and not at start-up
+# Runs every entry point that needs no fit on each model passed on stdin,
+# records the scipy modules loaded, then fits once.
+_NO_FIT_SCRIPT = """
+import json, sys
+import numpy as np
+import bdar, bdar.cli
+from bdar import (Bdar1Params, conditional_loglik, copula_cdf, exact_forecast_pmf, fit, forecast,
+                  joint_conditional_pmf, simulate, substream)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+models = [Bdar1Params.from_json_dict(d) for d in json.loads(sys.stdin.read())]
+after_import = loaded()
+grid = np.linspace(0.0, 1.0, 7)
+for k, params in enumerate(models):
+    series = simulate(params, 300, substream(5, "no-scipy", k))
+    conditional_loglik(params, series)
+    forecast(params, (1, 1), 3, n_sims=50, rng=k)
+    exact_forecast_pmf(params, (1, 1), 3)
+    joint_conditional_pmf(params, 1, 1)
+    for spec in (params.copula_alpha, params.copula_eps):
+        copula_cdf(spec, grid[:, None], grid[None, :])
+before_fit = loaded()
+report = fit(simulate(models[0], 300, substream(5, "no-scipy", "fit")), "m3", "frank", "frank")
+print(json.dumps({"after_import": after_import, "before_fit": before_fit, "after_fit": loaded(),
+                  "loglik": report.loglik}))
+"""
+
+
+def test_paths_without_a_fit_load_no_scipy():
+    # scipy's import costs several times bdar's and numpy's together, and
+    # only fits need it; scipy.stats, which only kendall_tau needs, stays
+    # unloaded even after a fit
     import os
     import subprocess
     import sys
 
     import bdar
+    from bdar import CategoricalMarginal, CopulaSpec, fit
 
+    def params(variant, alpha=None, eps=None, p1=(0.3, 0.4, 0.3)):
+        return Bdar1Params(variant, 0.4, 0.3, CategoricalMarginal(p1), CategoricalMarginal((0.2, 0.3, 0.5)),
+                           alpha, eps)
+
+    models = [
+        *(params("m5", CopulaSpec("frank", d), CopulaSpec("frank", d)) for d in (4.0, -4.0, 0.5)),
+        params("m1"),
+        params("m5", CopulaSpec("gumbel", 2.0), CopulaSpec("gumbel", 1.5)),
+        # F(2) = 0.6 + 0.4 is 1: the innovation cells take the edge path
+        params("m5", CopulaSpec("gumbel", 2.0), CopulaSpec("frank", -4.0), p1=(0.6, 0.4, 1e-17)),
+    ]
     src = str(Path(bdar.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, bdar, bdar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _NO_FIT_SCRIPT], env=env, capture_output=True, text=True,
+                         check=True, input=json.dumps([m.to_json_dict() for m in models]))
+    result = json.loads(out.stdout)
+    assert result["after_import"] == result["before_fit"] == []
+    assert "scipy.optimize" in result["after_fit"]
+    assert not [m for m in result["after_fit"] if m.startswith("scipy.stats")]
+    report = fit(simulate(models[0], 300, substream(5, "no-scipy", "fit")), "m3", "frank", "frank")
+    assert result["loglik"] == report.loglik
+    # the deferred stand-in hands out scipy's own functions
+    from scipy import optimize
+
+    assert bdar.inference.optimize.minimize is optimize.minimize

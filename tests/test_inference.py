@@ -255,6 +255,32 @@ class TestTransforms:
     def test_phi_stays_strictly_below_one(self):
         assert eta_to_phi(1e9) < 1.0
 
+    def test_phi_transforms_equal_scipy_bit_for_bit(self):
+        from scipy import special
+
+        def around(x, ulps=4):
+            """x and its nearest neighbours, ``ulps`` on either side."""
+            below, above = [x], [x]
+            for _ in range(ulps):
+                below.append(np.nextafter(below[-1], -np.inf))
+                above.append(np.nextafter(above[-1], np.inf))
+            return below[1:] + above
+
+        cap = inference.PHI_CAP
+        # ratio phi / PHI_CAP across logit's branch edges 0.3 and 0.65 and
+        # both 1e-12 clamps
+        phis = np.concatenate([
+            np.linspace(0.0, cap, 20_001),
+            *(around(c * cap) for c in (0.3, 0.65, 1e-12, 1.0 - 1e-12)),
+            [1e-13, 0.5 * cap, np.nextafter(cap, 0.0)],
+        ])
+        for phi in map(float, phis):
+            ratio = min(max(phi / cap, 1e-12), 1.0 - 1e-12)
+            assert phi_to_eta(phi) == float(special.logit(ratio)), phi
+        etas = np.concatenate([np.linspace(-40.0, 40.0, 20_001), [-800.0, -745.0, -709.8, 0.0, 800.0]])
+        for eta in map(float, etas):
+            assert eta_to_phi(eta) == float(cap * special.expit(eta)), eta
+
 
 
 class TestLayout:

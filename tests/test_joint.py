@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdar import CategoricalMarginal, CopulaSpec, sample_joint
+from bdar import Bdar1Params, CategoricalMarginal, CopulaSpec, TransitionKernel, Variant, sample_joint
+from bdar.copulas import FRANK_INDEPENDENCE_TOL, _cdf_with_partials
 from bdar.joint import _innovation_cells, _innovation_cells_vjp, _mechanism_cells
+from bdar.model import _FREE_SCALARS
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
 _spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
@@ -157,6 +159,67 @@ class TestInnovationJoint:
             pe = _innovation(m1, m2, spec)
             assert pe.min() >= 0.0
             assert pe.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# Frank delta on each branch of _cdf_with_partials: the independence band,
+# (0, 1) and [1, 7e10] on the positive side, and the reflected negative
+# side, out to the optimizer's bound
+_FRANK_DELTAS = st.one_of(
+    st.floats(-FRANK_INDEPENDENCE_TOL, FRANK_INDEPENDENCE_TOL, exclude_min=True, exclude_max=True),
+    st.floats(FRANK_INDEPENDENCE_TOL, 1.0, exclude_max=True),
+    st.floats(1.0, 7e10),
+    st.floats(-7e10, -FRANK_INDEPENDENCE_TOL),
+)
+_COPULAS = st.one_of(
+    st.just(PRODUCT),
+    st.builds(CopulaSpec, st.just("gumbel"), st.floats(1.0, 7e10)),
+    st.builds(CopulaSpec, st.just("frank"), _FRANK_DELTAS),
+)
+
+
+@st.composite
+def _marginals(draw):
+    """Probabilities of 2 to 6 states; half of them have F(d - 1) exactly 1
+    (multiples of 1/64 and a last probability of 1e-17), which sends the
+    innovation cells down their edge path."""
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=d - 2, max_size=d - 2, unique=True)))
+        return np.append(np.diff([0, *cuts, 64]) / 64.0, 1e-17)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    return w / w.sum()
+
+
+class TestValuesOnlyCells:
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        alpha=_COPULAS,
+        eps=_COPULAS,
+        p1=_marginals(),
+        p2=_marginals(),
+        phi=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_cells_equal_the_partials_path_bit_for_bit(self, variant, alpha, eps, p1, p2, phi):
+        free = _FREE_SCALARS[variant]
+        phi1, phi2 = (phi[0], phi[0]) if "phi" in free else phi
+        params = Bdar1Params(
+            variant, phi1, phi2, CategoricalMarginal(p1), CategoricalMarginal(p2),
+            alpha if "delta_alpha" in free else None, eps if "delta_eps" in free else None,
+        )
+        kernel = TransitionKernel.from_params(params)
+        a, e = params.copula_alpha, params.copula_eps
+        u = np.array([1e-17, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-12])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mech = _mechanism_cells(phi1, phi2, *((None, 0.0) if a is None else (a.family, a.delta)))[0]
+            pe = _innovation_cells(kernel.p1, kernel.p2, e.family, e.delta)[0]
+            for spec in filter(None, (a, e)):
+                grid = (spec.family, spec.delta, u[:, None], u[None, :])
+                values_only = _cdf_with_partials(*grid, values_only=True)
+                assert len(values_only) == 1
+                assert values_only[0].tobytes() == _cdf_with_partials(*grid)[0].tobytes()
+        assert kernel.mech.tobytes() == mech.tobytes()
+        assert kernel.pe.tobytes() == pe.tobytes()
 
 
 def _concordance(p: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py,
-tools/peak_memory.py and tools/start_study.py and of the benchmark's hooks in
-perfbench/tracing.py, loaded by path (neither directory is a package)."""
+tools/peak_memory.py, tools/start_study.py and tools/import_cost.py and of
+the benchmark's hooks in perfbench/tracing.py, loaded by path (neither
+directory is a package)."""
 
 import importlib.util
 import itertools
@@ -22,6 +23,7 @@ bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
 peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
 start_study = _load(_ROOT / "tools" / "start_study.py")
+import_cost = _load(_ROOT / "tools" / "import_cost.py")
 
 
 def _pair(parent, change):
@@ -129,6 +131,16 @@ def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):
     assert variants[0] == ["variant", "worst_loss", "over_tol"]
     assert [row[0] for row in variants[1:-1]] == ["m1", "m2", "m3", "m4", "m5"]
     assert variants[-1][0] == "nested_gap" and variants[-1][2].startswith("bundled/")
+
+
+def test_import_cost_reports_every_stage_and_no_scipy_before_the_fit(capsys):
+    assert import_cost.main(["--repeats", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[:2] == [["repeats", "1"], ["stage", "wall_s", "maxrss_mb", "scipy_modules"]]
+    assert [row[0] for row in rows[2:]] == ["import", "evaluate", "fit"]
+    assert all(float(row[1]) > 0.0 and float(row[2]) > 0.0 for row in rows[2:])
+    scipy_modules = [int(row[3]) for row in rows[2:]]
+    assert scipy_modules[:2] == [0, 0] and scipy_modules[2] > 0
 
 
 def test_every_benchmark_hook_finds_its_target():
