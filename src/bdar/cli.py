@@ -166,7 +166,6 @@ class RunConfig:
     params: str | None = None
     last_state: list | None = None
     length: int = 104
-    burn_in: int | None = None
     replicates: int = 100
     sample_sizes: list = dataclasses.field(default_factory=lambda: [100, 500, 1000])
 
@@ -572,7 +571,7 @@ def _cmd_simulate(args):
     config = _config_from_args(args)
     params = _read_params(config, "no params file configured")
     rng = substream(config.seed, "simulate")
-    series = simulate(params, config.length, rng, burn_in=config.burn_in)
+    series = simulate(params, config.length, rng)
     out = Path(config.output) / "simulated.csv"
     _write_csv(out, ["t", "z1", "z2"],
                [[t + 1, int(a), int(b)] for t, (a, b) in enumerate(zip(series.z1, series.z2))])
@@ -607,7 +606,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--n-sims", dest="n_sims", type=int, help="simulated trajectories")
     parser.add_argument("--horizon", type=int, help="forecast horizon")
     parser.add_argument("--length", type=int, help="simulated path length")
-    parser.add_argument("--burn-in", dest="burn_in", type=int, help="simulation burn-in")
     parser.add_argument("--last-state", dest="last_state", type=int, nargs=2, help="forecast anchor pair")
     parser.add_argument("--replicates", type=int, help="replicates per sample size")
     parser.add_argument("--sample-sizes", dest="sample_sizes", type=int, nargs="+",
@@ -645,7 +643,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that is missing or the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -64,29 +64,24 @@ def forecast(
     params: Bdar1Params,
     last_state: tuple[int, int],
     horizon: int,
-    n_sims: int = 10_000,
-    rng: int | np.random.Generator = 0,
+    n_sims: int,
+    rng: np.random.Generator,
 ) -> ForecastResult:
-    """Monte Carlo forecast of the next ``horizon`` steps from ``last_state``.
+    """Monte Carlo forecast of the next ``horizon`` steps from ``last_state``
+    with ``n_sims`` trajectories drawn from ``rng``.
 
-    ``rng`` may be a seed (recorded in the result) or a prebuilt generator.
     Each step draws all mechanism pairs, then all innovation pairs, as cell
     codes (``joint._draw_cells``), and carries the kept states forward, as
     ``simulate`` does; trajectory i consumes element i of each step's
-    mechanism draws and element i of its innovation draws, and a fixed seed
-    reproduces the result exactly.
+    mechanism draws and element i of its innovation draws, and a generator
+    in the same state reproduces the result exactly. The result's ``seed``
+    is None: the caller that made the generator records its seed.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
     s, l = _validate_last_state(params, last_state)
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        gen = np.random.default_rng(seed)
-    else:
-        seed = None
-        gen = rng
 
     d1, d2 = params.d1, params.d2
     n_states = d1 * d2
@@ -95,8 +90,8 @@ def forecast(
     j = np.full(n_sims, l - 1, dtype=np.int64)
     joint_counts = np.empty((horizon, d1, d2), dtype=np.int64)
     for h in range(horizon):
-        mech = _draw_cells(kernel.mech, gen, n_sims)  # 2 * keep1 + keep2
-        innov = _draw_cells(kernel.pe, gen, n_sims)  # d2 * fresh1 + fresh2
+        mech = _draw_cells(kernel.mech, rng, n_sims)  # 2 * keep1 + keep2
+        innov = _draw_cells(kernel.pe, rng, n_sims)  # d2 * fresh1 + fresh2
         i = np.where(mech >> 1, i, innov // d2)
         j = np.where(mech & 1, j, innov % d2)
         joint_counts[h] = np.bincount(i * d2 + j, minlength=n_states).reshape(d1, d2)
@@ -117,7 +112,7 @@ def forecast(
         modal2=modal2,
         modal_joint=modal_joint,
         n_sims=n_sims,
-        seed=seed,
+        seed=None,
     )
 
 

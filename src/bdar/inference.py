@@ -224,10 +224,6 @@ class _Layout:
         return sum(s.family is None for s in self.scalars)
 
     @property
-    def n_delta(self) -> int:
-        return len(self.scalars) - self.n_phi
-
-    @property
     def size(self) -> int:
         return self.n_simplex + len(self.scalars)
 
@@ -236,9 +232,6 @@ class _Layout:
         scalars ``natural[name]``, named as in ``Bdar1Params.named_values``."""
         scalars = [s.to_eta(natural[s.name]) for s in self.scalars]
         return np.concatenate([simplex_to_eta(p1), simplex_to_eta(p2), scalars])
-
-    def pack(self, params: Bdar1Params) -> np.ndarray:
-        return self.encode(params.m1.probs, params.m2.probs, params.named_values())
 
     def raw_unpack(self, x: np.ndarray):
         """Decode to plain arrays and floats without parameter-object

@@ -213,16 +213,11 @@ def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int) -> np.nd
     return codes
 
 
-def sample_joint(cells: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """Draw cells of a 2-d joint pmf by inverse CDF, as 0-based (row, col) indices.
+def sample_joint(cells: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    """Draw one cell of a 2-d joint pmf by inverse CDF, as 0-based (row, col) ints.
 
-    The ``_draw_cells`` codes of the row-major cells, split into rows and
-    columns: one uniform per draw, so draws are reproducible given a seeded
-    generator. Returns a pair of ints, or a pair of intp arrays when ``size``
-    is set; a single draw uses one uniform, as ``size=1`` does.
+    The ``_draw_cells`` code of the row-major cells, split into row and
+    column: one uniform, so the draw is reproducible given a seeded
+    generator. Many draws go through ``_draw_cells`` directly.
     """
-    codes = _draw_cells(cells, rng, 1 if size is None else size)
-    rows, cols = np.divmod(codes.astype(np.intp), cells.shape[1])
-    if size is None:
-        return int(rows[0]), int(cols[0])
-    return rows, cols
+    return divmod(int(_draw_cells(cells, rng, 1)[0]), cells.shape[1])

@@ -176,12 +176,14 @@ def _state_dtype(d1: int, d2: int) -> type:
 class BivariateOrdinalSeries:
     """Two aligned sequences of state indices 1..d1 and 1..d2.
 
-    Both are stored as int16, or as int32 once d1 or d2 exceeds 32,767: 4
-    bytes per step of the pair, not 16. Arithmetic on the states in that
-    dtype wraps silently, so upcast first where a result can pass 32,767, as
-    in ``np.multiply(z1 - 1, d2, dtype=np.int64)`` for a
-    pair code. Input may be any integer array or sequence, or floats with
-    integral values such as 2.0.
+    The sizes ``d1`` and ``d2`` of the state spaces are always given: a
+    series need not visit its top states. Both sequences are stored as
+    int16, or as int32 once d1 or d2 exceeds 32,767: 4 bytes per step of
+    the pair, not 16. Arithmetic on the states in that dtype wraps silently,
+    so upcast first where a result can pass 32,767, as in
+    ``np.multiply(z1 - 1, d2, dtype=np.int64)`` for a pair code. Input may
+    be any integer array or sequence, or floats with integral values such
+    as 2.0.
     """
 
     z1: np.ndarray
@@ -208,13 +210,6 @@ class BivariateOrdinalSeries:
             if z.min() < 1 or z.max() > d:
                 raise ValueError(f"{name} series has states outside 1..{d}")
             object.__setattr__(self, field, z.astype(dtype, copy=False))
-
-    @classmethod
-    def from_sequences(cls, z1, z2, d1=None, d2=None) -> "BivariateOrdinalSeries":
-        z1, z2 = np.asarray(z1), np.asarray(z2)
-        # a NaN or infinite maximum gives no size; the constructor names its position
-        d1, d2 = (int(d or np.nan_to_num(z.max(), nan=1.0, posinf=1.0)) for d, z in ((d1, z1), (d2, z2)))
-        return cls(z1, z2, d1, d2)
 
     @property
     def n(self) -> int:
@@ -410,20 +405,13 @@ def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int, dtype) -> np.
     return z
 
 
-def simulate(
-    params: Bdar1Params,
-    length: int,
-    rng: np.random.Generator,
-    burn_in: int | None = None,
-    init: tuple[int, int] | None = None,
-) -> BivariateOrdinalSeries:
-    """Simulate a BDAR(1) path of the given length.
+def simulate(params: Bdar1Params, length: int, rng: np.random.Generator) -> BivariateOrdinalSeries:
+    """Simulate a stationary BDAR(1) path of the given length.
 
-    The path starts at the initial pair, drawn from the stationary joint pmf
-    (burn-in then defaults to 0 since the draw is already stationary). A
-    fixed ``init`` pair may be supplied instead, in which case burn-in
-    defaults to 100. Draw order is fixed (initial pair, all mechanism pairs,
-    all innovation pairs) so a seeded generator reproduces the path exactly.
+    The first pair is drawn from the stationary joint pmf, which is known in
+    closed form, so the path is stationary from its first step and needs no
+    burn-in. Draw order is fixed (first pair, all mechanism pairs, all
+    innovation pairs) so a seeded generator reproduces the path exactly.
     The pairs are drawn as narrow cell codes (``joint._draw_cells``) and the
     kept states carried forward in blocks, straight into the series' dtype:
     besides the returned states (2 bytes per step each for d up to 32,767),
@@ -432,21 +420,11 @@ def simulate(
     """
     if length < 2:
         raise ValueError("length must be >= 2")
-    if burn_in is not None and burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     kernel = TransitionKernel.from_params(params)
     # states are 0-based until the path is complete
-    if init is None:
-        burn = 0 if burn_in is None else burn_in
-        init1, init2 = sample_joint(kernel.stationary(), rng)
-    else:
-        burn = 100 if burn_in is None else burn_in
-        init1, init2 = int(init[0]) - 1, int(init[1]) - 1
-        if not (0 <= init1 < params.d1 and 0 <= init2 < params.d2):
-            raise ValueError(f"initial state {init} outside the state space")
-    n = length + burn - 1
-    mech = _draw_cells(kernel.mech, rng, n)  # 2 * keep1 + keep2
-    innov = _draw_cells(kernel.pe, rng, n)  # d2 * fresh1 + fresh2
+    init1, init2 = sample_joint(kernel.stationary(), rng)
+    mech = _draw_cells(kernel.mech, rng, length - 1)  # 2 * keep1 + keep2
+    innov = _draw_cells(kernel.pe, rng, length - 1)  # d2 * fresh1 + fresh2
     dtype = _state_dtype(params.d1, params.d2)
     z1 = _carry_forward(mech >> 1, innov // params.d2, init1, dtype)
     # the codes are not needed again: decode the second series in place
@@ -455,5 +433,4 @@ def simulate(
     z2 = _carry_forward(mech, innov, init2, dtype)
     z1 += 1
     z2 += 1
-    return BivariateOrdinalSeries(z1[burn:], z2[burn:], params.d1, params.d2)
-
+    return BivariateOrdinalSeries(z1, z2, params.d1, params.d2)

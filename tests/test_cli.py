@@ -147,7 +147,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("line, message", [
         ("horizon = abc", "'horizon' must be int, got 'abc'"),
-        ('burn_in = "x"', "'burn_in' must be int or null, got 'x'"),
+        ('quantiles = "x"', "'quantiles' must be int or null, got 'x'"),
         ("seed = 1.5", "'seed' must be int, got 1.5"),
         ("seed = true", "'seed' must be int, got True"),
         pytest.param('{"output": 5}', "'output' must be str, got 5", id="json-output-5"),
@@ -184,9 +184,9 @@ class TestRunConfig:
 
     def test_values_of_their_field_types_accepted(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"burn_in": None, "last_state": [2, 3], "quantiles": 4, "seed": 3}))
+        path.write_text(json.dumps({"params": None, "last_state": [2, 3], "quantiles": 4, "seed": 3}))
         config = RunConfig.from_file(path)
-        assert (config.burn_in, config.last_state, config.quantiles, config.seed) == (None, [2, 3], 4, 3)
+        assert (config.params, config.last_state, config.quantiles, config.seed) == (None, [2, 3], 4, 3)
 
 
 def _fixture_config(tmp_path, **overrides) -> RunConfig:
@@ -381,6 +381,8 @@ class TestForecastCommand:
         assert len(modes) == 13
         doc = json.loads((tmp_path / "out" / "forecast_joint.json").read_text())
         assert len(doc["joint"]) == 12
+        # forecast takes a generator; the run records the seed it was made from
+        assert doc["seed"] == result.seed == config.seed
 
     def test_anchor_defaults_to_last_observation(self, tmp_path):
         run_compare(_fixture_config(tmp_path, variants=["m2"]))
@@ -533,6 +535,35 @@ class TestMainEntry:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--params", "--input", "--config", "--output"])
+    def test_path_of_the_wrong_kind_is_an_error(self, tmp_path, capsys, flag):
+        # a directory where a file is read, or a file where the output directory goes
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = {
+            "--params": ["simulate", "--params", str(tmp_path)],
+            "--input": ["ingest", "--input", str(tmp_path)],
+            "--config": ["simulate", "--config", str(tmp_path)],
+            "--output": ["simulate", "--params", str(BUNDLED_PARAMS), "--output", str(a_file)],
+        }[flag]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_burn_in_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--params", str(BUNDLED_PARAMS), "--burn-in", "5",
+                  "--output", str(tmp_path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --burn-in 5" in capsys.readouterr().err
+
+    def test_burn_in_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("burn_in = 3\n")
+        code = main(["simulate", "--config", str(cfg), "--params", str(BUNDLED_PARAMS),
+                     "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['burn_in']\n"
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -610,7 +641,7 @@ grid = np.linspace(0.0, 1.0, 7)
 for k, params in enumerate(models):
     series = simulate(params, 300, substream(5, "no-scipy", k))
     conditional_loglik(params, series)
-    forecast(params, (1, 1), 3, n_sims=50, rng=k)
+    forecast(params, (1, 1), 3, n_sims=50, rng=np.random.default_rng(k))
     exact_forecast_pmf(params, (1, 1), 3)
     joint_conditional_pmf(params, 1, 1)
     for spec in (params.copula_alpha, params.copula_eps):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bdar import Bdar1Params, CategoricalMarginal, CopulaSpec, TransitionKernel, Variant, sample_joint
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, _cdf_with_partials
-from bdar.joint import _innovation_cells, _innovation_cells_vjp, _mechanism_cells
+from bdar.joint import _draw_cells, _innovation_cells, _innovation_cells_vjp, _mechanism_cells
 from bdar.model import _FREE_SCALARS
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
@@ -300,13 +300,10 @@ class TestSampling:
             np.random.default_rng(seed).random(500),
         ])
         u = u[(u >= 0.0) & (u < 1.0)]
-        rows, cols = sample_joint(cells, _ScriptedRng(u), size=len(u))
-        want_rows, want_cols = np.divmod(np.searchsorted(cum, u, side="right"), d2)
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        codes = _draw_cells(cells, _ScriptedRng(u), len(u))
+        assert np.array_equal(codes, np.searchsorted(cum, u, side="right"))
 
         single = sample_joint(cells, np.random.default_rng(seed))
-        first = sample_joint(cells, np.random.default_rng(seed), size=1)
-        assert single == (first[0][0], first[1][0])
         plain = np.divmod(np.searchsorted(cum, np.random.default_rng(seed).random(), side="right"), d2)
         assert single == tuple(int(x) for x in plain)
 
@@ -320,21 +317,21 @@ class TestSampling:
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
         pe = _innovation(m1, m2, GUMBEL2)
-        a = sample_joint(pe, np.random.default_rng(99), size=1000)
-        b = sample_joint(pe, np.random.default_rng(99), size=1000)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = _draw_cells(pe, np.random.default_rng(99), 1000)
+        b = _draw_cells(pe, np.random.default_rng(99), 1000)
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
         pe = _innovation(m1, m2, GUMBEL2)
         n = 10**6
-        i, j = sample_joint(pe, np.random.default_rng(123), size=n)
-        freq = np.bincount(i * 3 + j, minlength=9).reshape(3, 3) / n
+        codes = _draw_cells(pe, np.random.default_rng(123), n)  # 3 * i + j
+        freq = np.bincount(codes, minlength=9).reshape(3, 3) / n
         bound = 3.0 * np.sqrt(pe * (1.0 - pe) / n)
         assert np.all(np.abs(freq - pe) <= bound + 1e-12)
 
     def test_mechanism_states_are_binary(self):
         pi = _mechanism(0.4, 0.25, GUMBEL2)
-        i, j = sample_joint(pi, np.random.default_rng(4), size=500)
+        i, j = np.divmod(_draw_cells(pi, np.random.default_rng(4), 500), 2)
         assert set(np.unique(i)) <= {0, 1} and set(np.unique(j)) <= {0, 1}

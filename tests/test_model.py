@@ -97,13 +97,9 @@ class TestSeries:
         with pytest.raises(ValueError, match="at least 2"):
             BivariateOrdinalSeries(np.array([1]), np.array([1]), 2, 2)
 
-    def test_from_sequences_infers_sizes(self):
-        s = BivariateOrdinalSeries.from_sequences([1, 2, 3], [1, 1, 2])
-        assert (s.d1, s.d2) == (3, 2)
-
     def test_fractional_states_rejected_with_their_position(self):
         with pytest.raises(ValueError, match=r"^first series has a non-integral state 1\.5 at position 0$"):
-            BivariateOrdinalSeries.from_sequences([1.5, 2.9, 1.0], [1, 2, 2])
+            BivariateOrdinalSeries([1.5, 2.9, 1.0], [1, 2, 2], 3, 2)
         with pytest.raises(ValueError, match=r"^first series has a non-integral state 1\.7 at position 0$"):
             BivariateOrdinalSeries(np.array([1.7, 2.2, 3.9]), np.array([1, 1, 2]), 3, 2)
         with pytest.raises(ValueError, match=r"^second series has a non-integral state 2\.5 at position 2$"):
@@ -113,13 +109,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
     def test_non_finite_states_rejected_with_their_position(self, value, shown):
-        # from_sequences infers the sizes from the maxima: NaN and inf have no integer size
         with pytest.raises(ValueError, match=rf"^first series has a non-integral state {shown} at position 1$"):
-            BivariateOrdinalSeries.from_sequences([1, value, 2], [1, 2, 2])
+            BivariateOrdinalSeries([1, value, 2], [1, 2, 2], 2, 2)
 
     def test_integral_floats_accepted(self):
-        s = BivariateOrdinalSeries.from_sequences([1.0, 3.0, 2.0], [2.0, 1.0, 1.0])
-        assert (s.d1, s.d2) == (3, 2)
+        s = BivariateOrdinalSeries([1.0, 3.0, 2.0], [2.0, 1.0, 1.0], 3, 2)
         assert s.z1.tolist() == [1, 3, 2] and s.z2.tolist() == [2, 1, 1]
 
     @pytest.mark.parametrize("value", [70_000, 65_537, -65_535])
@@ -188,11 +182,9 @@ class TestJointConditionalPmf:
         # One-step transition frequencies from the defining recursion.
         n = 200_000
         rng = substream(77, "one-step")
-        from bdar.joint import sample_joint
-
         kernel = TransitionKernel.from_params(study_params)
-        a1, a2 = sample_joint(kernel.mech, rng, size=n)
-        e1, e2 = sample_joint(kernel.pe, rng, size=n)
+        a1, a2 = np.divmod(_draw_cells(kernel.mech, rng, n).astype(np.int64), 2)
+        e1, e2 = np.divmod(_draw_cells(kernel.pe, rng, n).astype(np.int64), 3)
         e1, e2 = e1 + 1, e2 + 1
         s, l = 1, 1
         z1 = a1 * s + (1 - a1) * e1
@@ -471,11 +463,6 @@ class TestSimulate:
         b = simulate(study_params, 500, substream(12, "det"))
         assert np.array_equal(a.z1, b.z1) and np.array_equal(a.z2, b.z2)
 
-    def test_fixed_init_and_burn_in(self, study_params):
-        s = simulate(study_params, 100, substream(1, "init"), burn_in=0, init=(2, 3))
-        assert (s.z1[0], s.z2[0]) == (2, 3)
-        assert s.n == 100
-
     def test_transition_frequencies_shrink_with_length(self, study_params):
         # chi-square style distance to the exact conditional decreases in T
         tensor = dense_transition_tensor(study_params)
@@ -510,16 +497,16 @@ class TestSimulate:
         digest = hashlib.sha256(s.z1.astype(np.int64).tobytes() + s.z2.astype(np.int64).tobytes()).hexdigest()
         assert digest == "15d2689c591d1ac09327f0bbb48143389d6dc15a0ed7656fc451f2c614f0ed8b"
 
-    def test_frank_8x8_path_from_fixed_init_is_frozen(self):
+    def test_frank_8x8_path_is_frozen(self):
         p = Bdar1Params(
             variant="m5", phi1=0.3, phi2=0.55,
             m1=CategoricalMarginal((0.05, 0.1, 0.2, 0.15, 0.1, 0.2, 0.12, 0.08)),
             m2=CategoricalMarginal((0.3, 0.1, 0.05, 0.05, 0.1, 0.15, 0.1, 0.15)),
             copula_alpha=CopulaSpec("frank", 4.0), copula_eps=CopulaSpec("frank", -3.0),
         )
-        s = simulate(p, 10_000, substream(6, "golden-path"), init=(3, 5))
+        s = simulate(p, 10_000, substream(6, "golden-path"))
         digest = hashlib.sha256(s.z1.astype(np.int64).tobytes() + s.z2.astype(np.int64).tobytes()).hexdigest()
-        assert digest == "2220e4ef7eafa1a390e3d3e23c62aed37b469952007c2ed4bc44cec67021f2f8"
+        assert digest == "edd0bd330a19abf9eb84e194b9a35ab14f9b253ef2d3a208a7b05a41bfc49e12"
 
 
 def _dar1_path(phi, marginal, length, rng):
@@ -569,21 +556,15 @@ def _carry_forward_loop(init, keeps, fresh):
     return np.array(path)
 
 
-def _reference_simulate(params, length, rng, burn_in=None, init=None):
+def _reference_simulate(params, length, rng):
     """``simulate`` by the plain search and a loop per step over the same stream."""
     kernel = TransitionKernel.from_params(params)
-    if init is None:
-        burn = 0 if burn_in is None else burn_in
-        init1, init2 = divmod(int(_plain_draws(kernel.stationary(), rng, 1)[0]), params.d2)
-    else:
-        burn = 100 if burn_in is None else burn_in
-        init1, init2 = init[0] - 1, init[1] - 1
-    n = length + burn - 1
-    a1, a2 = np.divmod(_plain_draws(kernel.mech, rng, n), 2)
-    e1, e2 = np.divmod(_plain_draws(kernel.pe, rng, n), params.d2)
+    init1, init2 = divmod(int(_plain_draws(kernel.stationary(), rng, 1)[0]), params.d2)
+    a1, a2 = np.divmod(_plain_draws(kernel.mech, rng, length - 1), 2)
+    e1, e2 = np.divmod(_plain_draws(kernel.pe, rng, length - 1), params.d2)
     z1 = _carry_forward_loop(init1, a1.tolist(), e1.tolist()) + 1
     z2 = _carry_forward_loop(init2, a2.tolist(), e2.tolist()) + 1
-    return z1[burn:], z2[burn:]
+    return z1, z2
 
 
 # lengths around the block edges of the draws and of the carry-forward
@@ -595,19 +576,12 @@ class TestBlockEdges:
     whole stream and a loop per step."""
 
     @pytest.mark.parametrize("length", _EDGE_LENGTHS)
-    @pytest.mark.parametrize("params_name, init, burn_in", [
-        ("study_params", None, None),
-        ("fixture_params", (2, 3), None),
-        ("study_params", None, 7),
-        ("fixture_params", (4, 1), 0),
-    ])
-    def test_simulate_matches_reference(self, request, params_name, init, burn_in, length):
+    @pytest.mark.parametrize("params_name", ["study_params", "fixture_params"])
+    def test_simulate_matches_reference(self, request, params_name, length):
         params = request.getfixturevalue(params_name)
-        key = (params_name, str(init), str(burn_in), length)
-        got = simulate(params, length, substream(95, *key), burn_in=burn_in, init=init)
-        want1, want2 = _reference_simulate(
-            params, length, substream(95, *key), burn_in=burn_in, init=init
-        )
+        key = (params_name, length)
+        got = simulate(params, length, substream(95, *key))
+        want1, want2 = _reference_simulate(params, length, substream(95, *key))
         assert got.z1.dtype == got.z2.dtype == np.int16
         assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
 
@@ -619,16 +593,13 @@ class TestBlockEdges:
         assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
 
     @pytest.mark.parametrize("length", _EDGE_LENGTHS)
-    @pytest.mark.parametrize("init, burn_in", [(None, None), (2, None), (None, 3), (1, 0)])
-    def test_dar1_simulate_matches_reference(self, init, burn_in, length):
-        # M1, whose series are independent DAR(1)s, from a fixed first state
+    def test_dar1_simulate_matches_reference(self, length):
+        # M1, whose series are independent DAR(1)s
         params = Bdar1Params(
             "m1", 0.45, 0.7, CategoricalMarginal((0.2, 0.3, 0.5)), CategoricalMarginal((0.6, 0.4))
         )
-        start = None if init is None else (init, 2)
-        key = (str(init), str(burn_in), length)
-        got = simulate(params, length, substream(96, *key), burn_in=burn_in, init=start)
-        want1, want2 = _reference_simulate(params, length, substream(96, *key), burn_in=burn_in, init=start)
+        got = simulate(params, length, substream(96, length))
+        want1, want2 = _reference_simulate(params, length, substream(96, length))
         assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
 
     @pytest.mark.parametrize("shape, dtype", [((2, 2), np.uint8), ((16, 16), np.uint8),
@@ -643,14 +614,11 @@ class TestBlockEdges:
         assert codes.dtype == dtype
         assert np.array_equal(codes, _plain_draws(cells, substream(98, *shape), n))
 
-    def test_sample_joint_returns_intp(self, study_params):
+    def test_sample_joint_returns_ints(self, study_params):
         cells = TransitionKernel.from_params(study_params).pe
-        rows, cols = sample_joint(cells, substream(99, "intp"), size=_BLOCK + 1)
-        assert rows.dtype == cols.dtype == np.intp
-        codes = _plain_draws(cells, substream(99, "intp"), _BLOCK + 1)
-        assert np.array_equal(rows * 3 + cols, codes)
-        row, col = sample_joint(cells, substream(99, "intp"))
-        assert type(row) is int and type(col) is int and row * 3 + col == codes[0]
+        code = _plain_draws(cells, substream(99, "one-draw"), 1)[0]
+        row, col = sample_joint(cells, substream(99, "one-draw"))
+        assert type(row) is int and type(col) is int and row * 3 + col == code
 
 
 def test_simulate_peak_memory_is_near_its_output(study_params):
