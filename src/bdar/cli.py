@@ -1,10 +1,13 @@
 """Command-line workflow for BDAR(1) analysis.
 
 Subcommands: ingest, discretize, diagnose, fit, compare, simulate, forecast,
-replicate-study. Options come from a config file (JSON or key=value lines)
-overridden by flags; all randomness flows from the single config seed through
-named substreams. Outputs are CSV tables and JSON documents written under the
-configured output directory.
+replicate-study. Each subcommand takes as flags only the options it reads
+(``_COMMANDS``), plus ``--config``, ``--output`` and, for ``fit``,
+``--variant``. A config file (JSON or key=value lines) may set any
+``RunConfig`` key, so one file can drive a whole workflow; flags override
+it. All randomness flows from the single config seed through named
+substreams. Outputs are CSV tables and JSON documents written under the
+configured output directory, which is checked before any work.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .copulas import CopulaFamily
+from .copulas import PRODUCT, CopulaFamily
 from .forecast import ForecastResult, forecast
 from .inference import (
     FitReport,
@@ -109,6 +112,8 @@ def ingest(path, col1: str, col2: str):
     non-finite (nan, inf) cells are rejected with their 1-based data row
     numbers.
     """
+    if path is None:
+        raise ValueError("no input file configured")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -226,20 +231,11 @@ class RunConfig:
                     raise ValueError(f"config key {key!r} must be {shape}, got {value!r}")
         return cls(**raw)
 
-    def apply_overrides(self, args: argparse.Namespace) -> "RunConfig":
-        updates = {}
-        for name in self.field_names():
-            value = getattr(args, name, None)
-            if value is not None:
-                updates[name] = value
-        return dataclasses.replace(self, **updates)
-
-    def discretization_rule(self, pooled=None) -> DiscretizationRule | None:
+    def discretization_rule(self, pooled) -> DiscretizationRule | None:
+        """The configured rule; quantile breakpoints are taken from ``pooled``."""
         if self.breakpoints is not None:
             return DiscretizationRule(tuple(self.breakpoints))
         if self.quantiles is not None:
-            if pooled is None:
-                raise ValueError("quantile breakpoints need raw data")
             return quantile_breakpoints(pooled, int(self.quantiles))
         return None
 
@@ -250,23 +246,19 @@ def load_ordinal(config: RunConfig) -> tuple[list, BivariateOrdinalSeries]:
     Raw values are discretized when a rule (breakpoints or quantiles) is
     configured; otherwise the columns must already hold integer states.
     """
-    if config.input is None:
-        raise ValueError("no input file configured")
     labels, y1, y2 = ingest(config.input, config.col1, config.col2)
     rule = config.discretization_rule(pooled=np.concatenate([y1, y2]))
     if rule is not None:
         z1, z2 = rule.apply(y1), rule.apply(y2)
-        # a shared rule can leave top bands a series never visits; its state
-        # space is the bands it actually reaches
-        d1, d2 = int(z1.max()), int(z2.max())
     else:
         z1, z2 = y1.astype(np.int64), y2.astype(np.int64)
         if np.any(z1 != y1) or np.any(z2 != y2):
             raise ValueError("input is not integer-coded; configure breakpoints or quantiles")
         if z1.min() < 1 or z2.min() < 1:
             raise ValueError("ordinal states must start at 1")
-        d1, d2 = int(z1.max()), int(z2.max())
-    return labels, BivariateOrdinalSeries(z1, z2, d1, d2)
+    # a shared rule can leave top bands a series never visits; its state
+    # space is the bands it actually reaches
+    return labels, BivariateOrdinalSeries(z1, z2, int(z1.max()), int(z2.max()))
 
 
 # --------------------------------------------------------------------------
@@ -401,9 +393,9 @@ def run_compare(config: RunConfig) -> dict:
     return selection
 
 
-def write_forecast_outputs(result: ForecastResult, out_dir: Path):
+def write_forecast_outputs(result: ForecastResult, out_dir: Path, seed: int):
     """Write the marginal-frequency table, the modal-forecast table, and the
-    per-step joint pmfs."""
+    per-step joint pmfs with the ``seed`` the run's generator came from."""
     d1 = result.marginal1.shape[1]
     d2 = result.marginal2.shape[1]
     rows = [
@@ -431,7 +423,7 @@ def write_forecast_outputs(result: ForecastResult, out_dir: Path):
         ["h", "z1_mode", "z2_mode", "joint_mode_z1", "joint_mode_z2"],
         mode_rows,
     )
-    _write_json(out_dir / "forecast_joint.json", result.to_json_dict())
+    _write_json(out_dir / "forecast_joint.json", {**result.to_json_dict(), "seed": seed})
 
 
 def run_forecast(config: RunConfig) -> ForecastResult:
@@ -452,8 +444,7 @@ def run_forecast(config: RunConfig) -> ForecastResult:
         raise ValueError("configure last_state or an input series to anchor the forecast")
     rng = substream(config.seed, "forecast")
     result = forecast(params, last_state, config.horizon, config.n_sims, rng)
-    result = dataclasses.replace(result, seed=config.seed)
-    write_forecast_outputs(result, Path(config.output))
+    write_forecast_outputs(result, Path(config.output), config.seed)
     return result
 
 
@@ -461,16 +452,14 @@ def run_replicate_study(config: RunConfig) -> Path:
     """Simulate-and-refit study around fixed generating parameters.
 
     For each configured sample size, simulates ``replicates`` independent
-    paths from the params JSON and refits the same variant, emitting one
-    long-format CSV row per (sample size, replicate, parameter) with the
-    estimate and its absolute error. That file is enough to rebuild
-    boxplot-style summaries in any plotting tool.
+    paths from the params JSON and refits the same variant with the same
+    copula families, emitting one long-format CSV row per (sample size,
+    replicate, parameter) with the estimate and its absolute error. That
+    file is enough to rebuild boxplot-style summaries in any plotting tool.
     """
     true_params = _read_params(config, "no params file configured (the generating parameters)")
-    alpha_family = (
-        true_params.copula_alpha.family.value if true_params.copula_alpha else config.copula_alpha
-    )
-    eps_family = true_params.copula_eps.family.value
+    alpha_family = (true_params.copula_alpha or PRODUCT).family  # M2 has no mechanism copula
+    eps_family = true_params.copula_eps.family
     truth = true_params.named_values()
     rows = []
     for t_len in config.sample_sizes:
@@ -503,13 +492,16 @@ def run_replicate_study(config: RunConfig) -> Path:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return config.apply_overrides(args)
+def _check_output(path: Path):
+    """Fail before any work where the output directory cannot be made:
+    where ``path``, or its nearest existing parent, is not a directory.
+    Creates nothing."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise ValueError(f"output directory {path}: {existing} is not a directory")
 
 
-def _cmd_ingest(args):
-    config = _config_from_args(args)
+def _cmd_ingest(config):
     labels, y1, y2 = ingest(config.input, config.col1, config.col2)
     out = Path(config.output) / "ingested.csv"
     _write_csv(out, ["t", config.col1, config.col2],
@@ -517,8 +509,7 @@ def _cmd_ingest(args):
     print(f"ingested {len(y1)} rows -> {out}")
 
 
-def _cmd_discretize(args):
-    config = _config_from_args(args)
+def _cmd_discretize(config):
     labels, y1, y2 = ingest(config.input, config.col1, config.col2)
     rule = config.discretization_rule(pooled=np.concatenate([y1, y2]))
     if rule is None:
@@ -531,8 +522,7 @@ def _cmd_discretize(args):
     print(f"breakpoints: {list(rule.breakpoints)}")
 
 
-def _cmd_diagnose(args):
-    config = _config_from_args(args)
+def _cmd_diagnose(config):
     _, series = load_ordinal(config)
     report = run_diagnostics(series)
     _write_json(Path(config.output) / "diagnostics.json", report)
@@ -541,10 +531,9 @@ def _cmd_diagnose(args):
     print(f"lag-1 tau series 2: {report['tau_serial_2']:.3f}")
 
 
-def _cmd_fit(args):
-    config = _config_from_args(args)
+def _cmd_fit(config, variant):
     _, series = load_ordinal(config)
-    variant = Variant.parse(args.variant)
+    variant = Variant.parse(variant)
     report = fit(
         series,
         variant,
@@ -562,13 +551,7 @@ def _cmd_fit(args):
         )
 
 
-def _cmd_compare(args):
-    config = _config_from_args(args)
-    run_compare(config)
-
-
-def _cmd_simulate(args):
-    config = _config_from_args(args)
+def _cmd_simulate(config):
     params = _read_params(config, "no params file configured")
     rng = substream(config.seed, "simulate")
     series = simulate(params, config.length, rng)
@@ -578,71 +561,82 @@ def _cmd_simulate(args):
     print(f"simulated {series.n} steps -> {out}")
 
 
-def _cmd_forecast(args):
-    config = _config_from_args(args)
+def _cmd_forecast(config):
     result = run_forecast(config)
     print(f"forecast horizon {result.horizon}, {result.n_sims} simulations "
           f"-> {Path(config.output) / 'forecast_marginals.csv'}")
 
 
-def _cmd_replicate_study(args):
-    config = _config_from_args(args)
+def _cmd_replicate_study(config):
     out = run_replicate_study(config)
     print(f"replicate study -> {out}")
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="config file (JSON or key=value lines)")
-    parser.add_argument("--input", help="input CSV")
-    parser.add_argument("--col1", help="first series column")
-    parser.add_argument("--col2", help="second series column")
-    parser.add_argument("--output", help="output directory")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--breakpoints", type=float, nargs="+", help="discretization breakpoints")
-    parser.add_argument("--quantiles", type=int, help="discretize by pooled quantiles into k states")
-    parser.add_argument("--copula-alpha", dest="copula_alpha", help="mechanism copula family")
-    parser.add_argument("--copula-eps", dest="copula_eps", help="innovation copula family")
-    parser.add_argument("--params", help="params JSON file")
-    parser.add_argument("--n-sims", dest="n_sims", type=int, help="simulated trajectories")
-    parser.add_argument("--horizon", type=int, help="forecast horizon")
-    parser.add_argument("--length", type=int, help="simulated path length")
-    parser.add_argument("--last-state", dest="last_state", type=int, nargs=2, help="forecast anchor pair")
-    parser.add_argument("--replicates", type=int, help="replicates per sample size")
-    parser.add_argument("--sample-sizes", dest="sample_sizes", type=int, nargs="+",
-                        help="sample sizes for the replicate study")
-    parser.add_argument("--variants", nargs="+", help="model variants (m1..m5)")
+# The flag of each RunConfig field a subcommand takes: ``--`` and the name
+# with ``-`` for ``_``.
+_FLAGS = {
+    "input": dict(help="input CSV"),
+    "col1": dict(help="first series column"),
+    "col2": dict(help="second series column"),
+    "breakpoints": dict(type=float, nargs="+", help="discretization breakpoints"),
+    "quantiles": dict(type=int, help="discretize by pooled quantiles into k states"),
+    "variants": dict(nargs="+", help="model variants (m1..m5)"),
+    "copula_alpha": dict(help="mechanism copula family"),
+    "copula_eps": dict(help="innovation copula family"),
+    "params": dict(help="params JSON file"),
+    "last_state": dict(type=int, nargs=2, help="forecast anchor pair"),
+    "seed": dict(type=int, help="master seed"),
+    "length": dict(type=int, help="simulated path length"),
+    "horizon": dict(type=int, help="forecast horizon"),
+    "n_sims": dict(type=int, help="simulated trajectories"),
+    "sample_sizes": dict(type=int, nargs="+", help="sample sizes for the replicate study"),
+    "replicates": dict(type=int, help="replicates per sample size"),
+    "output": dict(help="output directory"),
+}
+
+# what load_ordinal reads
+_SERIES = ("input", "col1", "col2", "breakpoints", "quantiles")
+
+# subcommand -> (handler, the RunConfig fields it reads besides output)
+_COMMANDS = {
+    "ingest": (_cmd_ingest, ("input", "col1", "col2")),
+    "discretize": (_cmd_discretize, _SERIES),
+    "diagnose": (_cmd_diagnose, _SERIES),
+    "fit": (_cmd_fit, (*_SERIES, "copula_alpha", "copula_eps")),
+    "compare": (run_compare, (*_SERIES, "variants", "copula_alpha", "copula_eps")),
+    "simulate": (_cmd_simulate, ("params", "seed", "length")),
+    "forecast": (_cmd_forecast, (*_SERIES, "params", "last_state", "seed", "horizon", "n_sims")),
+    "replicate-study": (_cmd_replicate_study, ("params", "seed", "sample_sizes", "replicates")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags left out of the command line are absent from the parsed
+    namespace, so only given flags override the config."""
     parser = argparse.ArgumentParser(
         prog="bdar",
         description="Bivariate discrete autoregressive modeling of ordinal time series.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "ingest": _cmd_ingest,
-        "discretize": _cmd_discretize,
-        "diagnose": _cmd_diagnose,
-        "compare": _cmd_compare,
-        "simulate": _cmd_simulate,
-        "forecast": _cmd_forecast,
-        "replicate-study": _cmd_replicate_study,
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name)
-        _add_common(p)
+    sub = parser.add_subparsers(required=True)
+    for name, (handler, fields) in _COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="config file (JSON or key=value lines); may set any option")
+        for field in (*fields, "output"):
+            p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
         p.set_defaults(handler=handler)
-    p_fit = sub.add_parser("fit")
-    _add_common(p_fit)
-    p_fit.add_argument("--variant", default="m5", help="model variant (m1..m5)")
-    p_fit.set_defaults(handler=_cmd_fit)
+    sub.choices["fit"].add_argument("--variant", default="m5", help="model variant (m1..m5)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    handler, config_file = args.pop("handler"), args.pop("config", None)
+    overrides = {name: args.pop(name) for name in RunConfig.field_names() & args.keys()}
     try:
-        args.handler(args)
+        config = RunConfig.from_file(config_file) if config_file else RunConfig()
+        config = dataclasses.replace(config, **overrides)
+        _check_output(Path(config.output))
+        handler(config, **args)  # args: fit's --variant
     except (ValueError, OSError) as exc:  # OSError: a path that is missing or the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 1

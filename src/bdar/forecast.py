@@ -37,13 +37,11 @@ class ForecastResult:
     modal2: np.ndarray
     modal_joint: np.ndarray  # (horizon, 2)
     n_sims: int
-    seed: int | None
 
     def to_json_dict(self) -> dict:
         return {
             "horizon": self.horizon,
             "n_sims": self.n_sims,
-            "seed": self.seed,
             "marginal1": self.marginal1.tolist(),
             "marginal2": self.marginal2.tolist(),
             "joint": self.joint.tolist(),
@@ -74,8 +72,7 @@ def forecast(
     codes (``joint._draw_cells``), and carries the kept states forward, as
     ``simulate`` does; trajectory i consumes element i of each step's
     mechanism draws and element i of its innovation draws, and a generator
-    in the same state reproduces the result exactly. The result's ``seed``
-    is None: the caller that made the generator records its seed.
+    in the same state reproduces the result exactly.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -112,7 +109,6 @@ def forecast(
         modal2=modal2,
         modal_joint=modal_joint,
         n_sims=n_sims,
-        seed=None,
     )
 
 

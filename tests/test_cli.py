@@ -1,5 +1,7 @@
 """CLI workflow tests: discretization, ingestion, config, commands, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdar import Bdar1Params, FitReport, cli, conditional_loglik
+from bdar import Bdar1Params, CopulaFamily, FitReport, Variant, cli, conditional_loglik
 from bdar.cli import (
     BUNDLED_PARAMS,
     BUNDLED_SERIES,
@@ -21,6 +23,7 @@ from bdar.cli import (
     run_compare,
     run_diagnostics,
     run_forecast,
+    run_replicate_study,
 )
 from bdar.model import BivariateOrdinalSeries, simulate
 from bdar.rng import substream
@@ -382,7 +385,7 @@ class TestForecastCommand:
         doc = json.loads((tmp_path / "out" / "forecast_joint.json").read_text())
         assert len(doc["joint"]) == 12
         # forecast takes a generator; the run records the seed it was made from
-        assert doc["seed"] == result.seed == config.seed
+        assert doc["seed"] == config.seed
 
     def test_anchor_defaults_to_last_observation(self, tmp_path):
         run_compare(_fixture_config(tmp_path, variants=["m2"]))
@@ -523,9 +526,11 @@ class TestMainEntry:
                                                        message):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
-        code = main([command, "--config", str(cfg), "--input", str(BUNDLED_SERIES),
-                     "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS), "--params", str(BUNDLED_PARAMS),
-                     *flags, "--output", str(tmp_path / "out")])
+        own_flags = {
+            "compare": ["--input", str(BUNDLED_SERIES), "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS)],
+            "replicate-study": ["--params", str(BUNDLED_PARAMS)],
+        }[command]
+        code = main([command, "--config", str(cfg), *own_flags, *flags, "--output", str(tmp_path / "out")])
         assert code == 1
         assert f"error: config key {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -534,6 +539,9 @@ class TestMainEntry:
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        for command in ("ingest", "discretize"):
+            assert main([command, "--output", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: no input file configured\n"
 
     @pytest.mark.parametrize("flag", ["--params", "--input", "--config", "--output"])
     def test_path_of_the_wrong_kind_is_an_error(self, tmp_path, capsys, flag):
@@ -583,6 +591,114 @@ class TestMainEntry:
         assert len(lines) == 41  # flag overrides config length
 
 
+M2_PARAMS = {
+    "variant": "m2", "phi1": 0.5, "phi2": 0.5, "p1": [0.3, 0.4, 0.3], "p2": [0.2, 0.3, 0.5],
+    "copula_eps": {"family": "frank", "delta": 3.0},
+}
+
+
+def _reads(handler, config: RunConfig, **options) -> set:
+    """The RunConfig fields ``handler`` reads while it runs on ``config``."""
+    fields, read = RunConfig.field_names(), set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in fields:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    recording = Recording(**dataclasses.asdict(config))
+    read.clear()  # construction reads every field
+    handler(recording, **options)
+    return read
+
+
+def _flags(command: str) -> set:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for a in sub.choices[command]._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
+class TestCommandTable:
+    def test_each_subcommand_takes_the_flags_its_handler_reads(self, tmp_path):
+        m2_path = tmp_path / "m2.json"
+        m2_path.write_text(json.dumps(M2_PARAMS))
+        series = dict(input=str(BUNDLED_SERIES))
+        # each branch: breakpoints or quantiles, and a forecast anchored by
+        # last_state or by the input's last row
+        rules = [dict(breakpoints=list(DEFAULT_RATE_BREAKPOINTS)), dict(quantiles=3)]
+        study = dict(sample_sizes=[60], replicates=1)
+        runs = {
+            "ingest": [series],
+            "discretize": [{**series, **rule} for rule in rules],
+            "diagnose": [{**series, **rule} for rule in rules],
+            "fit": [{**series, **rule} for rule in rules],
+            "compare": [{**series, **rule, "variants": ["m1"]} for rule in rules],
+            "simulate": [dict(params=str(BUNDLED_PARAMS), length=30)],
+            "forecast": [dict(params=str(BUNDLED_PARAMS), last_state=[1, 1], n_sims=100)]
+            + [{**series, **rule, "params": str(BUNDLED_PARAMS), "n_sims": 100} for rule in rules],
+            "replicate-study": [{**study, "params": str(BUNDLED_PARAMS)}, {**study, "params": str(m2_path)}],
+        }
+        assert runs.keys() == cli._COMMANDS.keys()
+        for command, configs in runs.items():
+            handler = cli.build_parser().parse_args([command]).handler
+            options = {"variant": "m1"} if command == "fit" else {}
+            read = set()
+            for k, config in enumerate(configs):
+                read |= _reads(handler, RunConfig(**config, output=str(tmp_path / command / str(k))), **options)
+            extra = {"--config", "--output"} | {f"--{name}" for name in options}
+            assert _flags(command) == extra | {"--" + name.replace("_", "-") for name in read}, command
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-sims", "5"],
+        ["compare", "--seed", "3"],
+        ["replicate-study", "--copula-alpha", "gumbel"],
+        ["ingest", "--quantiles", "3"],
+    ])
+    def test_flag_of_another_subcommand_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_output_that_is_not_a_directory_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: calls.append(args))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        for output in (a_file, a_file / "sub"):
+            code = main([
+                "compare", "--input", str(BUNDLED_SERIES),
+                "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS), "--output", str(output),
+            ])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: output directory {output}: {a_file} is not a directory\n"
+        assert not calls
+        assert a_file.read_text() == ""
+
+
+def test_replicate_study_fits_with_the_generating_families(tmp_path, monkeypatch):
+    # M2 has no mechanism copula; the configured families play no part
+    seen = []
+
+    def record(series, variant, copula_alpha_family, copula_eps_family):
+        seen.append((variant, copula_alpha_family, copula_eps_family))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli, "fit", record)
+    gumbel = {**M2_PARAMS, "variant": "m5", "phi2": 0.25, "copula_alpha": {"family": "gumbel", "delta": 2.0},
+              "copula_eps": {"family": "gumbel", "delta": 2.0}}
+    for name, params in (("m2", M2_PARAMS), ("m5", gumbel)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(params))
+        run_replicate_study(RunConfig(params=str(path), sample_sizes=[30], replicates=1, copula_alpha="gumbel",
+                                      copula_eps="gumbel", output=str(tmp_path / name)))
+    assert seen == [
+        (Variant.M2, CopulaFamily.PRODUCT, CopulaFamily.FRANK),
+        (Variant.M5, CopulaFamily.GUMBEL, CopulaFamily.GUMBEL),
+    ]
+
+
 def test_load_ordinal_accepts_integer_coded_input(tmp_path):
     path = tmp_path / "ordinal.csv"
     rows = ["t,a,b"] + [f"{t},{1 + t % 3},{1 + t % 2}" for t in range(30)]
@@ -601,8 +717,6 @@ def test_load_ordinal_rejects_uncoded_floats(tmp_path):
 
 
 def test_replicate_study_emits_long_format(tmp_path):
-    from bdar.cli import run_replicate_study
-
     config = RunConfig(
         params=str(BUNDLED_PARAMS),
         output=str(tmp_path / "out"),
