@@ -623,13 +623,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file (JSON or key=value lines); may set any option")
         for field in (*fields, "output"):
             p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     sub.choices["fit"].add_argument("--variant", default="m5", help="model variant (m1..m5)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    args, unknown = build_parser().parse_known_args(argv)
+    args = vars(args)
+    parser = args.pop("parser")
+    if unknown:
+        # the subcommand's usage lists the flags it does take
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     handler, config_file = args.pop("handler"), args.pop("config", None)
     overrides = {name: args.pop(name) for name in RunConfig.field_names() & args.keys()}
     try:

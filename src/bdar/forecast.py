@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joint import _draw_cells
+from .joint import _cell_table, _draw_cells
 # transition_tensor has no caller here; perfbench hooks bdar.forecast.transition_tensor
 from .model import Bdar1Params, TransitionKernel, transition_tensor  # noqa: F401
 
@@ -69,10 +69,14 @@ def forecast(
     with ``n_sims`` trajectories drawn from ``rng``.
 
     Each step draws all mechanism pairs, then all innovation pairs, as cell
-    codes (``joint._draw_cells``), and carries the kept states forward, as
-    ``simulate`` does; trajectory i consumes element i of each step's
-    mechanism draws and element i of its innovation draws, and a generator
-    in the same state reproduces the result exactly.
+    codes (``joint._draw_cells``, from tables built once), and carries the
+    kept states forward, as ``simulate`` does; trajectory i consumes element
+    i of each step's mechanism draws and element i of its innovation draws,
+    and a generator in the same state reproduces the result exactly. The
+    paths' states are held in the innovation codes' dtype (1 or 2 bytes per
+    path and series for d1 * d2 up to 65,536); besides them, a step holds its
+    two codes per path, a few narrow temporaries of the same length and one
+    8-byte index per path while it counts the states.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -83,14 +87,21 @@ def forecast(
     d1, d2 = params.d1, params.d2
     n_states = d1 * d2
     kernel = TransitionKernel.from_params(params)
-    i = np.full(n_sims, s - 1, dtype=np.int64)
-    j = np.full(n_sims, l - 1, dtype=np.int64)
+    mech_table, innov_table = _cell_table(kernel.mech), _cell_table(kernel.pe)
+    dtype = np.min_scalar_type(n_states - 1)  # the innovation codes' dtype
+    i = np.full(n_sims, s - 1, dtype=dtype)
+    j = np.full(n_sims, l - 1, dtype=dtype)
     joint_counts = np.empty((horizon, d1, d2), dtype=np.int64)
     for h in range(horizon):
-        mech = _draw_cells(kernel.mech, rng, n_sims)  # 2 * keep1 + keep2
-        innov = _draw_cells(kernel.pe, rng, n_sims)  # d2 * fresh1 + fresh2
-        i = np.where(mech >> 1, i, innov // d2)
-        j = np.where(mech & 1, j, innov % d2)
+        mech = _draw_cells(mech_table, rng, n_sims)  # 2 * keep1 + keep2
+        innov = _draw_cells(innov_table, rng, n_sims)  # d2 * fresh1 + fresh2
+        fresh1 = innov // d2
+        # innov % d2: numpy's % on narrow ints is not vectorised, its // is
+        fresh2 = innov - fresh1 * d2
+        # each series' kept or fresh state, fresh + keep * (state - fresh):
+        # the unsigned arithmetic wraps, and the result is in range
+        i = fresh1 + (mech >> 1) * (i - fresh1)
+        j = fresh2 + (mech & 1) * (j - fresh2)
         joint_counts[h] = np.bincount(i * d2 + j, minlength=n_states).reshape(d1, d2)
 
     joint = joint_counts / float(n_sims)

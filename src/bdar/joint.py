@@ -178,46 +178,86 @@ def _innovation_cells_vjp(partials, g_cells: np.ndarray):
 # the numbers of ``random(a)`` followed by ``random(b)``: blocking changes no draw.
 _BLOCK = 1 << 14
 
+# The most buckets a cell table has: the 2^19 entries that the guide table
+# of 8 per cell it replaced had at 200 x 200 states (40,000 cells); as 2-byte
+# codes, 1 MiB.
+_MAX_BUCKETS = 1 << 19
 
-def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` cells of a pmf by inverse CDF, as row-major cell codes in
-    the narrowest unsigned dtype that holds ``cells.size - 1``.
 
-    One uniform per draw indexes the cumulative sum ``cum`` of the flattened
-    cells (its last entry forced to 1), and the codes equal
-    ``np.searchsorted(cum, rng.random(size), side="right")`` exactly. The
-    uniforms are drawn and resolved ``_BLOCK`` at a time through one guide
-    table (Chen & Asau 1974; Devroye 1986, III.2.4), which finds each index
-    in O(1) expected work: with m the smallest power of two at least 8 times
-    ``len(cum)``, ``guide[k] = #{cum <= k/m}``. ``Generator.random`` returns
-    multiples of 2^-53 in [0, 1), so ``u * m`` and its floor k are exact and
-    k/m <= u; hence ``guide[k]`` is a lower bound of ``#{cum <= u}``, and it
-    is the answer when ``cum[guide[k]] > u``. The other uniforms (a few
-    percent) are finished by the full search. With ``cum[-1] = 1 > u`` every
-    index stays in range, and zero-mass cells are never drawn, as under the
-    plain search.
-    """
+def _cumulative(cells: np.ndarray) -> np.ndarray:
+    """Cumulative sum of the row-major cells, its last entry forced to 1."""
     cum = np.cumsum(cells.ravel())
     cum[-1] = 1.0
-    m = 1 << (8 * cum.size - 1).bit_length()
-    # cum <= k/m exactly when ceil(cum * m) <= k (cum * m is exact): counting
-    # those ceilings builds the table in O(m) instead of m binary searches
-    guide = np.cumsum(np.bincount(np.ceil(cum * m).astype(np.int64), minlength=m + 1)[:m])
-    codes = np.empty(size, dtype=np.min_scalar_type(cells.size - 1))
+    return cum
+
+
+def _cell_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table from which ``_draw_cells`` draws cells of a pmf by inverse
+    CDF, as row-major codes in the narrowest unsigned dtype that holds
+    ``cells.size - 1``: the cumulative sum scaled by the bucket count m, and
+    one entry per bucket, a code or the dtype's largest value.
+
+    The code of a uniform u is ``#{cum <= u}``, which is
+    ``np.searchsorted(cum, u, side="right")`` over ``cum =
+    _cumulative(cells)``; with ``cum[-1] = 1 > u`` every code is in range,
+    and zero-mass cells are never drawn. The table is a guide table (Chen &
+    Asau 1974; Devroye 1986, III.2.4) that needs no check of its guess: it
+    splits [0, 1) into m buckets, m the smallest power of two at least 64
+    times ``cum.size``, but at most ``_MAX_BUCKETS``. Scaling by a power of two is exact, so the code
+    is also ``#{cum * m <= u * m}``, and the bucket of u is k = floor(u * m).
+    Within bucket k, k <= u * m < k + 1, that count lies between
+    ``lo[k] = #{ceil(cum * m) <= k}`` and ``hi[k] = #{floor(cum * m) <= k}``.
+    Where the two agree, no step of ``cum`` lies strictly inside the bucket,
+    and ``lo[k]`` is the code of every uniform in it. Where they differ, a
+    step crosses the bucket; its entry is then the dtype's largest value,
+    which sends the uniforms that land there to the search. So does a code
+    equal to that value (in a table of exactly 256 or 65,536 cells): it costs
+    a search and changes no draw. A step crosses at most one bucket, so at
+    most 1 in 64 buckets is crossed below the cap; about 1% are in the
+    model's tables at d = 3 to 30. Building the table takes one temporary of
+    8 bytes per bucket.
+    """
+    scaled_cum = _cumulative(cells)
+    m = min(1 << (64 * scaled_cum.size - 1).bit_length(), _MAX_BUCKETS)
+    scaled_cum *= m
+    dtype = np.min_scalar_type(cells.size - 1)
+    # every count is below cells.size: the last step, m, is in no bucket
+    lo = np.bincount(np.ceil(scaled_cum).astype(np.intp), minlength=m + 1)[:m].cumsum(dtype=dtype)
+    hi = np.bincount(scaled_cum.astype(np.intp), minlength=m + 1)[:m].cumsum(dtype=dtype)
+    lo[lo != hi] = np.iinfo(dtype).max
+    return scaled_cum, lo
+
+
+def _draw_cells(table: tuple[np.ndarray, np.ndarray], rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` cells by inverse CDF from a ``_cell_table``, one uniform
+    per draw, as codes equal to ``np.searchsorted(cum, rng.random(size),
+    side="right")`` bit for bit.
+
+    The uniforms are drawn and resolved ``_BLOCK`` at a time: each is scaled
+    by m in place, its bucket's entry is the code, and the uniforms whose
+    entry is the sentinel are searched in the scaled cumulative sum. Besides
+    the returned codes, a block holds its uniforms and bucket indices, 16
+    bytes per draw.
+    """
+    scaled_cum, lookup = table
+    m, sentinel = len(lookup), np.iinfo(lookup.dtype).max
+    codes = np.empty(size, dtype=lookup.dtype)
     for start in range(0, size, _BLOCK):
-        u = rng.random(min(_BLOCK, size - start))
-        flat = guide[(u * m).astype(np.int64)]
-        unresolved = cum[flat] <= u
-        flat[unresolved] = np.searchsorted(cum, u[unresolved], side="right")
-        codes[start:start + len(u)] = flat
+        block = codes[start:start + _BLOCK]
+        u = rng.random(len(block))
+        u *= m
+        np.take(lookup, u.astype(np.intp), out=block)
+        crossed = np.flatnonzero(block == sentinel)
+        block[crossed] = np.searchsorted(scaled_cum, u[crossed], side="right")
     return codes
 
 
 def sample_joint(cells: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
     """Draw one cell of a 2-d joint pmf by inverse CDF, as 0-based (row, col) ints.
 
-    The ``_draw_cells`` code of the row-major cells, split into row and
-    column: one uniform, so the draw is reproducible given a seeded
-    generator. Many draws go through ``_draw_cells`` directly.
+    One uniform, searched in the cumulative sum of the row-major cells as
+    ``_draw_cells`` does, so the draw is reproducible given a seeded
+    generator. Many draws go through ``_draw_cells``.
     """
-    return divmod(int(_draw_cells(cells, rng, 1)[0]), cells.shape[1])
+    code = np.searchsorted(_cumulative(cells), rng.random(), side="right")
+    return divmod(int(code), cells.shape[1])

@@ -22,6 +22,7 @@ from .copulas import PRODUCT, CopulaFamily, CopulaSpec, _json_float
 from .joint import (
     _BLOCK,
     CategoricalMarginal,
+    _cell_table,
     _draw_cells,
     _innovation_cells,
     _mechanism_cells,
@@ -412,24 +413,32 @@ def simulate(params: Bdar1Params, length: int, rng: np.random.Generator) -> Biva
     closed form, so the path is stationary from its first step and needs no
     burn-in. Draw order is fixed (first pair, all mechanism pairs, all
     innovation pairs) so a seeded generator reproduces the path exactly.
-    The pairs are drawn as narrow cell codes (``joint._draw_cells``) and the
-    kept states carried forward in blocks, straight into the series' dtype:
-    besides the returned states (2 bytes per step each for d up to 32,767),
-    a path holds two codes of 1 or 2 bytes per step and temporaries of one
-    block.
+    The pairs are drawn as narrow cell codes (``joint._draw_cells``), from
+    one table per cell array, and the kept states carried forward in blocks,
+    straight into the series' dtype. Besides the returned states (2 bytes
+    per step each for d up to 32,767), a path holds two codes of 1 or 2
+    bytes per step, temporaries of one block, and the two tables
+    (``joint._cell_table``): 64 to 128 entries of 1 or 2 bytes per cell, at
+    most 2^19 entries (1 MiB at 200 x 200 states), with one 8-byte temporary
+    per entry while each is built.
     """
     if length < 2:
         raise ValueError("length must be >= 2")
     kernel = TransitionKernel.from_params(params)
     # states are 0-based until the path is complete
     init1, init2 = sample_joint(kernel.stationary(), rng)
-    mech = _draw_cells(kernel.mech, rng, length - 1)  # 2 * keep1 + keep2
-    innov = _draw_cells(kernel.pe, rng, length - 1)  # d2 * fresh1 + fresh2
+    mech = _draw_cells(_cell_table(kernel.mech), rng, length - 1)  # 2 * keep1 + keep2
+    innov = _draw_cells(_cell_table(kernel.pe), rng, length - 1)  # d2 * fresh1 + fresh2
     dtype = _state_dtype(params.d1, params.d2)
-    z1 = _carry_forward(mech >> 1, innov // params.d2, init1, dtype)
-    # the codes are not needed again: decode the second series in place
+    fresh1 = innov // params.d2
+    z1 = _carry_forward(mech >> 1, fresh1, init1, dtype)
+    # the codes are not needed again: decode the second series in place, as
+    # innov - d2 * fresh1 (numpy's % on narrow ints is not vectorised, its //
+    # is); reusing fresh1 adds no allocation, which would raise the peak RSS
     mech &= 1
-    innov %= params.d2
+    fresh1 *= params.d2
+    innov -= fresh1
+    del fresh1
     z2 = _carry_forward(mech, innov, init2, dtype)
     z1 += 1
     z2 += 1

@@ -659,7 +659,10 @@ class TestCommandTable:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # with the usage of the subcommand, which lists the flags it takes
+        assert err.startswith(f"usage: bdar {argv[0]} ")
+        assert err.endswith(f"bdar {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
     def test_output_that_is_not_a_directory_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from bdar import Bdar1Params, CategoricalMarginal, CopulaSpec, TransitionKernel, Variant, sample_joint
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, _cdf_with_partials
-from bdar.joint import _draw_cells, _innovation_cells, _innovation_cells_vjp, _mechanism_cells
+from bdar.joint import (
+    _MAX_BUCKETS,
+    PROB_SUM_TOL,
+    _cell_table,
+    _draw_cells,
+    _innovation_cells,
+    _innovation_cells_vjp,
+    _mechanism_cells,
+)
 from bdar.model import _FREE_SCALARS
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
@@ -272,14 +280,68 @@ def _pmf_cells(draw):
 
 
 class _ScriptedRng:
-    """Stands in for a Generator whose ``random(size)`` returns given uniforms."""
+    """Stands in for a Generator whose ``random(size)`` calls return given
+    uniforms in turn."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
+        self.used = 0
 
     def random(self, size):
-        assert size == len(self.u)
-        return self.u.copy()
+        out = self.u[self.used:self.used + size].copy()
+        assert len(out) == size
+        self.used += size
+        return out
+
+
+def _assert_draws_equal_the_plain_search(cells, seed):
+    """Codes of the table that ``_cell_table`` builds against the plain
+    search, on the first and last uniform of every bucket, on and beside
+    every step of the cumulative sum, inside every crossed bucket, and on
+    random uniforms. Returns the table's entries."""
+    table = _cell_table(cells)
+    lookup = table[1]
+    m = len(lookup)
+    assert m & (m - 1) == 0  # the exactness of u * m rests on it
+    cum = np.cumsum(cells.ravel())
+    cum[-1] = 1.0
+    crossed = np.flatnonzero(lookup == np.iinfo(lookup.dtype).max)
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([
+        np.arange(m) / m,
+        np.arange(1, m + 1) / m - 2.0**-53,
+        cum,
+        np.nextafter(cum, -np.inf),
+        np.nextafter(cum, np.inf),
+        (crossed + rng.random(len(crossed))) / m,
+        rng.random(500),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    scripted = _ScriptedRng(u)
+    codes = _draw_cells(table, scripted, len(u))
+    assert scripted.used == len(u)
+    assert codes.dtype == np.min_scalar_type(cells.size - 1)
+    assert np.array_equal(codes, np.searchsorted(cum, u, side="right"))
+    return lookup
+
+
+def _every_bucket_crossed():
+    # the largest table, with one step in the middle of each bucket
+    m = _MAX_BUCKETS
+    cells = np.full(m + 1, 1.0 / m)
+    cells[0] = cells[-1] = 0.5 / m
+    return cells.reshape(1, -1)
+
+
+_EDGE_CELLS = {
+    "zero-mass-cells": lambda: np.array([[0.0, 0.25, 0.0], [0.0, 0.75, 0.0]]),
+    "masses-near-1e-300": lambda: np.array([[1e-300, 3e-300, 0.5], [5e-324, 0.5, 1e-300]]),
+    # cum[-2] lies above 1 by less than PROB_SUM_TOL, and cum[-1] is forced to 1
+    "last-step-above-one": lambda: np.array([[0.25, 0.75 + 0.5 * PROB_SUM_TOL], [1e-3, 0.0]]),
+    # 256 cells: code 255 is the sentinel's value, and half the mass is on it
+    "code-equal-to-the-sentinel": lambda: np.concatenate([np.full(255, 0.5 / 255), [0.5]]).reshape(16, 16),
+    "every-bucket-crossed": _every_bucket_crossed,
+}
 
 
 class TestSampling:
@@ -288,24 +350,25 @@ class TestSampling:
     def test_draws_equal_the_plain_search(self, case):
         cells, seed = case
         d2 = cells.shape[1]
+        _assert_draws_equal_the_plain_search(cells, seed)
+
         cum = np.cumsum(cells.ravel())
         cum[-1] = 1.0
-        m = 1 << (8 * cum.size - 1).bit_length()
-        u = np.concatenate([
-            [0.0, 1.0 - 2.0**-53],
-            np.arange(m) / m,
-            cum,
-            np.nextafter(cum, -np.inf),
-            np.nextafter(cum, np.inf),
-            np.random.default_rng(seed).random(500),
-        ])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        codes = _draw_cells(cells, _ScriptedRng(u), len(u))
-        assert np.array_equal(codes, np.searchsorted(cum, u, side="right"))
-
         single = sample_joint(cells, np.random.default_rng(seed))
         plain = np.divmod(np.searchsorted(cum, np.random.default_rng(seed).random(), side="right"), d2)
         assert single == tuple(int(x) for x in plain)
+
+    @pytest.mark.parametrize("name", list(_EDGE_CELLS))
+    def test_edge_tables_draw_like_the_plain_search(self, name):
+        cells = _EDGE_CELLS[name]()
+        lookup = _assert_draws_equal_the_plain_search(cells, 7)
+        sentinel = np.iinfo(lookup.dtype).max
+        if name == "every-bucket-crossed":
+            assert np.all(lookup == sentinel)
+        elif name == "code-equal-to-the-sentinel":
+            assert np.mean(lookup == sentinel) >= 0.5
+        else:
+            assert len(lookup) == 1 << (64 * cells.size - 1).bit_length()
 
     def test_degenerate_table_always_same_cell(self):
         pi = _mechanism(0.0, 0.0, PRODUCT)  # all mass at (0, 0)
@@ -317,8 +380,8 @@ class TestSampling:
         m1 = CategoricalMarginal((0.15, 0.6, 0.25))
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
         pe = _innovation(m1, m2, GUMBEL2)
-        a = _draw_cells(pe, np.random.default_rng(99), 1000)
-        b = _draw_cells(pe, np.random.default_rng(99), 1000)
+        a = _draw_cells(_cell_table(pe), np.random.default_rng(99), 1000)
+        b = _draw_cells(_cell_table(pe), np.random.default_rng(99), 1000)
         assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
@@ -326,12 +389,12 @@ class TestSampling:
         m2 = CategoricalMarginal((0.2, 0.3, 0.5))
         pe = _innovation(m1, m2, GUMBEL2)
         n = 10**6
-        codes = _draw_cells(pe, np.random.default_rng(123), n)  # 3 * i + j
+        codes = _draw_cells(_cell_table(pe), np.random.default_rng(123), n)  # 3 * i + j
         freq = np.bincount(codes, minlength=9).reshape(3, 3) / n
         bound = 3.0 * np.sqrt(pe * (1.0 - pe) / n)
         assert np.all(np.abs(freq - pe) <= bound + 1e-12)
 
     def test_mechanism_states_are_binary(self):
         pi = _mechanism(0.4, 0.25, GUMBEL2)
-        i, j = np.divmod(_draw_cells(pi, np.random.default_rng(4), 500), 2)
+        i, j = np.divmod(_draw_cells(_cell_table(pi), np.random.default_rng(4), 500), 2)
         assert set(np.unique(i)) <= {0, 1} and set(np.unique(j)) <= {0, 1}

@@ -30,7 +30,7 @@ from bdar import (
     stationary_joint_pmf,
     transition_tensor,
 )
-from bdar.joint import _BLOCK, _draw_cells, sample_joint
+from bdar.joint import _BLOCK, _cell_table, _draw_cells, sample_joint
 from bdar.rng import substream
 from oracles import dense_transition_matrix, dense_transition_tensor
 
@@ -183,8 +183,8 @@ class TestJointConditionalPmf:
         n = 200_000
         rng = substream(77, "one-step")
         kernel = TransitionKernel.from_params(study_params)
-        a1, a2 = np.divmod(_draw_cells(kernel.mech, rng, n).astype(np.int64), 2)
-        e1, e2 = np.divmod(_draw_cells(kernel.pe, rng, n).astype(np.int64), 3)
+        a1, a2 = np.divmod(_draw_cells(_cell_table(kernel.mech), rng, n).astype(np.int64), 2)
+        e1, e2 = np.divmod(_draw_cells(_cell_table(kernel.pe), rng, n).astype(np.int64), 3)
         e1, e2 = e1 + 1, e2 + 1
         s, l = 1, 1
         z1 = a1 * s + (1 - a1) * e1
@@ -610,7 +610,7 @@ class TestBlockEdges:
         cells[rng.random(shape) < 0.2] = 0.0
         cells /= cells.sum()
         n = 3 * _BLOCK + 5
-        codes = _draw_cells(cells, substream(98, *shape), n)
+        codes = _draw_cells(_cell_table(cells), substream(98, *shape), n)
         assert codes.dtype == dtype
         assert np.array_equal(codes, _plain_draws(cells, substream(98, *shape), n))
 

@@ -1,7 +1,7 @@
 """Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py,
-tools/peak_memory.py, tools/start_study.py and tools/import_cost.py and of
-the benchmark's hooks in perfbench/tracing.py, loaded by path (neither
-directory is a package)."""
+tools/peak_memory.py, tools/draw_cost.py, tools/start_study.py and
+tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
+loaded by path (neither directory is a package)."""
 
 import importlib.util
 import itertools
@@ -22,6 +22,7 @@ def _load(path: Path):
 bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
 peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
+draw_cost = _load(_ROOT / "tools" / "draw_cost.py")
 start_study = _load(_ROOT / "tools" / "start_study.py")
 import_cost = _load(_ROOT / "tools" / "import_cost.py")
 
@@ -110,6 +111,20 @@ def test_peak_memory_reports_every_operation(capsys):
     # simulate's peak holds at least its output, two int16 states per step
     assert peaks["simulate"] >= 4 * steps
     assert all(float(row[2]) == pytest.approx(int(row[1]) / steps, abs=0.005) for row in rows[1:])
+
+
+def test_draw_cost_reports_every_figure_per_d(capsys):
+    argv = ["--d", "3", "10", "--draws", "2000", "--steps", "500", "--paths", "300", "--repeats", "2"]
+    assert draw_cost.main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["d", "random_ms", "innovation_ms", "mechanism_ms", "simulate_ms", "forecast_ms",
+                       "innovation_crossed", "mechanism_crossed"]
+    assert [row[0] for row in rows[1:]] == ["3", "10"]
+    for row in rows[1:]:
+        times, shares = [float(x) for x in row[1:6]], [float(x) for x in row[6:]]
+        assert all(t > 0.0 for t in times)
+        # each of the n cells' steps lies inside at most one of 64 n buckets
+        assert all(0.0 <= share <= 1 / 64 for share in shares)
 
 
 def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):

@@ -40,14 +40,14 @@ HORIZON = 12
 N_SIMS = 100_000  # Monte Carlo forecast paths
 
 
-def model(seed: int) -> Bdar1Params:
-    """An M5 Frank model on 30 x 30 states: Dirichlet(2) marginals floored
-    at 0.2 / 30 so that every transition is possible, keep rates in
-    [0.05, 0.3] and both deltas in [0.5, 12]."""
+def model(seed: int, d: int = D) -> Bdar1Params:
+    """An M5 Frank model on d x d states (30 by default): Dirichlet(2)
+    marginals floored at 0.2 / d so that every transition is possible, keep
+    rates in [0.05, 0.3] and both deltas in [0.5, 12]."""
     rng = substream(seed, "peak-memory", "params")
 
     def marginal():
-        w = np.maximum(rng.dirichlet(np.full(D, 2.0)), 0.2 / D)
+        w = np.maximum(rng.dirichlet(np.full(d, 2.0)), 0.2 / d)
         return CategoricalMarginal(tuple(w / w.sum()))
 
     return Bdar1Params(
