@@ -29,6 +29,7 @@ from .forecast import ForecastResult, forecast
 from .inference import (
     FitReport,
     LikelihoodError,
+    _Counts,
     conditional_loglik,
     fit,
     kendall_tau,
@@ -319,6 +320,8 @@ def run_compare(config: RunConfig) -> dict:
     written to compare_selection.json).
     """
     _, series = load_ordinal(config)
+    # counted once for every fit, which also share M2's optimum with M5
+    data = _Counts(series)
     out_dir = Path(config.output)
     reports: dict[Variant, FitReport] = {}
     failures: dict[str, str] = {}
@@ -326,7 +329,7 @@ def run_compare(config: RunConfig) -> dict:
         variant = Variant.parse(name)
         try:
             reports[variant] = fit(
-                series,
+                data,
                 variant,
                 copula_alpha_family=config.copula_alpha,
                 copula_eps_family=config.copula_eps,

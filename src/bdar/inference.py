@@ -415,9 +415,12 @@ class FitReport:
     ``n_iterations`` is the total number of L-BFGS-B iterations over every
     run of the fit, including the restarts that lost and, for M5, the
     shared-mechanism sub-fit; each distinct starting point is run, and
-    counted, once. ``max_gradient_norm`` is the largest absolute entry of the
-    objective's gradient at the estimate, on the unconstrained scale: the
-    gradient the returned run ended with. It is not the projected gradient,
+    counted, once. M5 counts the sub-fit's iterations also where it took
+    that optimum from an earlier M2 fit (``fit`` on shared ``_Counts``),
+    so the report does not depend on whether the sub-fit ran.
+    ``max_gradient_norm`` is the largest absolute entry of the objective's
+    gradient at the estimate, on the unconstrained scale: the gradient the
+    returned run ended with. It is not the projected gradient,
     so an estimate on a bound can report a large value. A converged M5 fit
     at the comonotone corner reads about 0.77, in phi1 and phi2: with the
     mechanism copula that close to comonotone the objective has a kink along
@@ -611,24 +614,44 @@ def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
     )
 
 
-def _maximize_layout(layout: _Layout, objective, summaries: list):
+class _Counts:
+    """A series as ``fit`` reads it: its ``transition_counts``, first pair,
+    length and state-space sizes, with the ``_series_summaries`` the starts
+    come from. ``optima`` keeps what ``_maximize_layout`` reached, by
+    ``_Layout``. ``run_compare`` builds one and passes it to every variant's
+    fit, so M5's shared-mechanism sub-fit and the M2 variant share one
+    optimum."""
+
+    def __init__(self, data: BivariateOrdinalSeries):
+        self.counts = transition_counts(data)
+        self.first = (data.z1[0], data.z2[0])
+        self.n, self.d1, self.d2 = data.n, data.d1, data.d2
+        self.summaries = _series_summaries(self.counts, self.first)
+        self.optima = {}
+
+
+def _maximize_layout(layout: _Layout, objective, data: _Counts):
     """Best L-BFGS-B optimum of ``objective`` (``_make_objective`` of
-    ``layout``) over the default restarts.
+    ``layout`` on ``data.counts``) over the default restarts.
 
     Returns ``(best, n_iter)``: the run that reached the lowest objective (the
-    first of equal ones) and the iterations of every run made here.
+    first of equal ones) and the iterations of every run made for it. The
+    pair is kept in ``data.optima``: an equal layout on the same counts has
+    the same starts and runs, so a later call returns it without running.
     """
-    best, n_iter = None, 0
-    for x0 in _default_starts(summaries, layout):
-        res = _lbfgsb(objective, x0, layout)
-        n_iter += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, n_iter
+    if layout not in data.optima:
+        best, n_iter = None, 0
+        for x0 in _default_starts(data.summaries, layout):
+            res = _lbfgsb(objective, x0, layout)
+            n_iter += int(res.nit)
+            if best is None or res.fun < best.fun:
+                best = res
+        data.optima[layout] = best, n_iter
+    return data.optima[layout]
 
 
 def fit(
-    data: BivariateOrdinalSeries,
+    data: BivariateOrdinalSeries | _Counts,
     variant,
     copula_alpha_family="frank",
     copula_eps_family="frank",
@@ -649,21 +672,26 @@ def fit(
     as is, and ``delta_alpha`` on its upper (comonotone) bound. The same
     data give an identical report. Both copula family names must be valid,
     also where the variant frees no delta of that copula.
+
+    ``data`` is a series, or the ``_Counts`` of one that fits of several
+    variants share. A shared M5 fit then takes the M2 optimum that an
+    earlier M2 fit with the same innovation family reached, and leaves its
+    own for a later one; the report is the same either way.
     """
     alpha_family, eps_family = CopulaFamily(copula_alpha_family), CopulaFamily(copula_eps_family)
+    if not isinstance(data, _Counts):
+        data = _Counts(data)
     if data.n < MIN_SERIES_LENGTH:
         raise ValueError(f"need at least {MIN_SERIES_LENGTH} observations, got {data.n}")
-    counts = transition_counts(data)
-    summaries = _series_summaries(counts, (data.z1[0], data.z2[0]))
-    for name, (freq, _) in zip(("series 1", "series 2"), summaries):
+    for name, (freq, _) in zip(("series 1", "series 2"), data.summaries):
         if np.any(freq == 0.0):
             missing = int(np.argmin(freq)) + 1
             raise UnobservedStateError(
                 f"state {missing} of {name} never occurs; collapse states before fitting"
             )
     layout = _Layout.build(variant, data.d1, data.d2, alpha_family, eps_family)
-    objective = _make_objective(layout, counts)
-    best, n_iter = _maximize_layout(layout, objective, summaries)
+    objective = _make_objective(layout, data.counts)
+    best, n_iter = _maximize_layout(layout, objective, data)
 
     # The shared-mechanism variant lives on the closure of the full model
     # (mechanism copula at its comonotone bound, equal keep rates). Plain
@@ -674,7 +702,7 @@ def fit(
     # for any data.
     if layout.variant is Variant.M5:
         m2_layout = _Layout.build(Variant.M2, data.d1, data.d2, None, eps_family)
-        best2, nit2 = _maximize_layout(m2_layout, _make_objective(m2_layout, counts), summaries)
+        best2, nit2 = _maximize_layout(m2_layout, _make_objective(m2_layout, data.counts), data)
         corner = {"delta_alpha": _ETA_BOUNDS[layout.alpha_family][1]}
         res = _lbfgsb(objective, layout.embed(m2_layout, best2.x, corner), layout)
         n_iter += nit2 + int(res.nit)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdar import Bdar1Params, CopulaFamily, FitReport, Variant, cli, conditional_loglik
+from bdar import Bdar1Params, CopulaFamily, FitReport, Variant, cli, conditional_loglik, inference
 from bdar.cli import (
     BUNDLED_PARAMS,
     BUNDLED_SERIES,
@@ -303,12 +303,26 @@ class TestCompare:
         assert selection["decision_trail"]
 
     def test_failure_recorded_without_aborting(self, tmp_path):
-        # drop state 1 from series 1 by clipping: m-fits then fail uniformly,
-        # so instead corrupt only the variant list with an invalid name
+        # an invalid variant name is an error of the config, not of a fit: it
+        # aborts the compare (test_failed_fits_recorded_and_compare_completes
+        # records failed fits)
         config = _fixture_config(tmp_path, variants=["m2", "zzz"])
         with pytest.raises(ValueError):
             run_compare(config)
 
+    def test_failed_fits_recorded_and_compare_completes(self, tmp_path, capsys):
+        # the bundled values are band midpoints: none lies in (7.7, 10.0], so
+        # state 3 of either series never occurs and every fit fails
+        breakpoints = [1.9, 5.9, 7.7, 10.0, 12.75, 19.9]
+        variants = ["m1", "m2", "m5"]
+        config = _fixture_config(tmp_path, breakpoints=breakpoints, variants=variants)
+        selection = run_compare(config)
+        message = "state 3 of series 1 never occurs; collapse states before fitting"
+        assert selection["failures"] == dict.fromkeys(variants, message)
+        written = json.loads((tmp_path / "out" / "compare_selection.json").read_text())
+        assert written == selection and "chosen" not in written
+        assert written["decision_trail"] == []
+        assert f"fit failed for m5: {message}" in capsys.readouterr().out
 
     def test_misspelled_copula_family_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -325,6 +339,54 @@ class TestCompare:
         assert code == 1
         assert "error: 'bogus' is not a valid CopulaFamily" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestSharedFit:
+    """``run_compare`` counts the series once for every fit, and M5's
+    shared-mechanism sub-fit and the M2 variant share one optimum."""
+
+    def test_compare_solves_m2_once_per_compare(self, tmp_path, monkeypatch):
+        # 22 restarts over the five variants and M5's corner refit; M5's M2
+        # sub-fit (4 runs) takes the M2 variant's optimum. Two compares in a
+        # row make as many runs: nothing is kept from one to the next.
+        runs = []
+        real = inference.optimize.minimize
+
+        def minimize(*args, **kwargs):
+            runs.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference.optimize, "minimize", minimize)
+        for k in range(2):
+            run_compare(_fixture_config(tmp_path / str(k)))
+            assert runs == ["L-BFGS-B"] * 23
+            runs.clear()
+
+    @pytest.mark.parametrize("variants", [["m2", "m5"], ["m5", "m2"]])
+    def test_compare_writes_each_fit_as_a_fit_alone(self, tmp_path, variants):
+        run_compare(_fixture_config(tmp_path, variants=variants))
+        for variant in variants:
+            code = main([
+                "fit", "--input", str(BUNDLED_SERIES), "--variant", variant,
+                "--breakpoints", *map(str, DEFAULT_RATE_BREAKPOINTS),
+                "--output", str(tmp_path / variant),
+            ])
+            assert code == 0
+            name = f"fit_{variant}.json"
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / variant / name).read_bytes()
+
+    @pytest.mark.parametrize("family", ["frank", "gumbel"])
+    def test_fit_on_shared_counts_equals_fit_on_the_series(self, tmp_path, family):
+        def fields(report):
+            # Bdar1Params compares by identity; its JSON form holds every value
+            values = {f.name: getattr(report, f.name) for f in dataclasses.fields(FitReport)}
+            return {**values, "params_hat": report.params_hat.to_json_dict()}
+
+        _, series = load_ordinal(_fixture_config(tmp_path))
+        data = inference._Counts(series)
+        for variant in ("m2", "m5"):
+            shared = inference.fit(data, variant, family, family)
+            assert fields(shared) == fields(inference.fit(series, variant, family, family)), variant
 
 
 class TestFitCommand:

@@ -1,6 +1,6 @@
 """Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py,
-tools/peak_memory.py, tools/draw_cost.py, tools/start_study.py and
-tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
+tools/peak_memory.py, tools/draw_cost.py, tools/compare_cost.py,
+tools/start_study.py and tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
 loaded by path (neither directory is a package)."""
 
 import importlib.util
@@ -23,6 +23,7 @@ bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
 peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
 draw_cost = _load(_ROOT / "tools" / "draw_cost.py")
+compare_cost = _load(_ROOT / "tools" / "compare_cost.py")
 start_study = _load(_ROOT / "tools" / "start_study.py")
 import_cost = _load(_ROOT / "tools" / "import_cost.py")
 
@@ -125,6 +126,23 @@ def test_draw_cost_reports_every_figure_per_d(capsys):
         assert all(t > 0.0 for t in times)
         # each of the n cells' steps lies inside at most one of 64 n buckets
         assert all(0.0 <= share <= 1 / 64 for share in shares)
+
+
+def test_compare_cost_reports_every_variant(capsys):
+    def wrapped():
+        inference, cli = compare_cost.inference, compare_cost.cli
+        return inference._make_objective, inference.optimize.minimize, cli.fit
+
+    originals = wrapped()
+    assert compare_cost.main(["--repeats", "1"]) == 0
+    assert wrapped() == originals
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["variant", "objective_calls", "lbfgsb_runs", "lbfgsb_iters", "best_ms"]
+    assert [row[0] for row in rows[1:]] == ["m1", "m2", "m3", "m4", "m5", "total"]
+    counts = {row[0]: [int(x) for x in row[1:4]] for row in rows[1:]}
+    assert [sum(col) for col in zip(*(counts[v] for v in ("m1", "m2", "m3", "m4", "m5")))] == counts["total"]
+    assert all(min(row) > 0 for row in counts.values())
+    assert all(float(row[4]) > 0.0 for row in rows[1:])
 
 
 def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):

@@ -36,6 +36,8 @@ TRACED = (
     "joint.sample_joint_s",
     "model.simulate_s",
     "forecast.mc_self_s",
+    "inference.fits",
+    "inference.objective_evals",
     "inference.objective_evals_per_fit",
     "inference.lbfgsb_iters_per_fit",
     "inference.lbfgsb_runs",
