@@ -516,16 +516,37 @@ def _start_deltas(family: CopulaFamily | None, level: str) -> float | None:
     return table[family][level]
 
 
+# The start recipes each variant's fit runs from, in run order: the smallest
+# sets whose fits stay within max(1e-8, 1e-12 |loglik|) of the fit from all
+# five on every dataset of ``tools/start_study.py`` seeds 3, 5, 7 and 9.
+_ALL_RECIPES = ("mild", "adjacent", "strong", "negative", "corner")
+_START_RECIPES = {
+    # M1 is two univariate DAR(1) fits; each log-likelihood is a sum of logs
+    # of affine functions of a = (1 - phi) p, so concave, and every
+    # stationary point is its maximum: one start suffices.
+    Variant.M1: ("mild",),
+    # ``strong`` alone stalls far from independence on some series, ``mild``
+    # alone short of strong dependence; M2's ``corner`` start is ``strong``
+    Variant.M2: ("mild", "strong"),
+    Variant.M3: _ALL_RECIPES,
+    Variant.M4: _ALL_RECIPES,
+    Variant.M5: _ALL_RECIPES,
+}
+
+
 def _default_starts(summaries: list, layout: _Layout) -> list:
-    """Up to five distinct L-BFGS-B starting points from ``_series_summaries``.
+    """The distinct L-BFGS-B starting points of ``layout``'s variant, from
+    ``_series_summaries``: one for M1, two for M2 and five for M3, M4 and M5
+    (``_START_RECIPES``).
 
     A recipe that gives the same vector as an earlier one is dropped: an
-    equal start gives an identical run. M1 has no dependence parameter, so
-    its ``mild``, ``adjacent`` and ``strong`` recipes coincide, and M2's
-    ``strong`` and ``corner`` recipes do. Each recipe is the only one whose
-    run reaches the best optimum on some series
-    (test_each_start_recipe_is_needed); ``tools/start_study.py`` measures
-    what dropping any of them costs over many series.
+    equal start gives an identical run (M3's ``strong`` and ``corner``
+    coincide when the two moment keep rates are equal). M3 and M4 need each
+    of the five recipes: each is the only one whose run reaches the best
+    optimum on some series (test_each_start_recipe_is_needed). So does M5,
+    its corner refit included, and M2 needs both of its two
+    (test_each_default_recipe_is_needed). M1, whose log-likelihood is
+    concave, needs one (TestPrunedStarts).
     """
     (freq1, repeat1), (freq2, repeat2) = summaries
     p1_hat = _empirical_marginal(freq1)
@@ -536,20 +557,21 @@ def _default_starts(summaries: list, layout: _Layout) -> list:
     uniform2 = np.full(layout.d2, 1.0 / layout.d2)
 
     phi_mid = 0.5 * (phi1_hat + phi2_hat)
-    recipes = [
-        (p1_hat, p2_hat, phi1_hat, phi2_hat, "mild", "mild"),
-        (p1_hat, p2_hat, phi1_hat, phi2_hat, "adjacent", "adjacent"),
-        (p1_hat, p2_hat, phi1_hat, phi2_hat, "strong", "strong"),
-        (uniform1, uniform2, 0.3, 0.3, "negative", "negative"),
+    recipes = {
+        "mild": (p1_hat, p2_hat, phi1_hat, phi2_hat, "mild", "mild"),
+        "adjacent": (p1_hat, p2_hat, phi1_hat, phi2_hat, "adjacent", "adjacent"),
+        "strong": (p1_hat, p2_hat, phi1_hat, phi2_hat, "strong", "strong"),
+        "negative": (uniform1, uniform2, 0.3, 0.3, "negative", "negative"),
         # shared-mechanism corner: equal keep rates, mechanism copula pinned
         # at its comonotone bound (only the mechanism; a pinned innovation
         # copula would start on a likelihood cliff). Restarts, this one
         # included, can stop short of the M2 fit; the corner refit in ``fit``
         # closes the gap (test_m5_reaches_shared_mechanism_fit).
-        (p1_hat, p2_hat, phi_mid, phi_mid, "corner", "strong"),
-    ]
+        "corner": (p1_hat, p2_hat, phi_mid, phi_mid, "corner", "strong"),
+    }
     starts = []
-    for m1, m2, phi1, phi2, level_alpha, level_eps in recipes:
+    for name in _START_RECIPES[layout.variant]:
+        m1, m2, phi1, phi2, level_alpha, level_eps = recipes[name]
         natural = {"phi": 0.5 * (phi1 + phi2), "phi1": phi1, "phi2": phi2}
         natural["delta_alpha"] = _start_deltas(layout.alpha_family, level_alpha)
         natural["delta_eps"] = _start_deltas(layout.eps_family, level_eps)
@@ -659,14 +681,18 @@ def fit(
     """Conditional maximum-likelihood fit of one model variant.
 
     Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
-    objective) from up to five distinct starting points
-    (``_default_starts``): empirical marginals with method-of-moments keep
+    objective) from the start recipes of the variant (``_default_starts``).
+    The five recipes are empirical marginals with method-of-moments keep
     probabilities from the lag-1 repeat rate at three dependence levels from
-    near-independence to strong, uniform marginals with fixed keep
-    probabilities at a negative (Frank) or near-independent (Gumbel) level,
-    and equal keep probabilities with the mechanism copula at its comonotone
-    bound. The best optimum is kept; for M5 it is also compared with a refit
-    from the shared-mechanism corner, which wins ties. That refit starts
+    near-independence to strong (``mild``, ``adjacent``, ``strong``),
+    uniform marginals with fixed keep probabilities at a negative (Frank) or
+    near-independent (Gumbel) level (``negative``), and equal keep
+    probabilities with the mechanism copula at its comonotone bound
+    (``corner``). M3, M4 and M5 start from all five. M1, whose
+    log-likelihood is concave, starts from ``mild`` alone and M2 from
+    ``mild`` and ``strong``. The best optimum is kept; for M5 it is also
+    compared with a refit from the shared-mechanism corner, which wins
+    ties. That refit starts
     from the M2 optimum embedded by name on the eta scale
     (``_Layout.embed``): M2's ``phi`` as both keep rates, its ``delta_eps``
     as is, and ``delta_alpha`` on its upper (comonotone) bound. The same

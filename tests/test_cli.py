@@ -302,10 +302,9 @@ class TestCompare:
         assert selection["best_bic"] == selection["best_aic"] == selection["chosen"] == "m5"
         assert selection["decision_trail"]
 
-    def test_failure_recorded_without_aborting(self, tmp_path):
-        # an invalid variant name is an error of the config, not of a fit: it
-        # aborts the compare (test_failed_fits_recorded_and_compare_completes
-        # records failed fits)
+    def test_invalid_variant_name_aborts_the_compare(self, tmp_path):
+        # an invalid variant name is an error of the config, not of a fit
+        # (test_failed_fits_recorded_and_compare_completes records failed fits)
         config = _fixture_config(tmp_path, variants=["m2", "zzz"])
         with pytest.raises(ValueError):
             run_compare(config)
@@ -346,9 +345,10 @@ class TestSharedFit:
     shared-mechanism sub-fit and the M2 variant share one optimum."""
 
     def test_compare_solves_m2_once_per_compare(self, tmp_path, monkeypatch):
-        # 22 restarts over the five variants and M5's corner refit; M5's M2
-        # sub-fit (4 runs) takes the M2 variant's optimum. Two compares in a
-        # row make as many runs: nothing is kept from one to the next.
+        # 18 restarts over the five variants (1 for M1, 2 for M2, 5 each for
+        # M3, M4 and M5) and M5's corner refit; M5's M2 sub-fit (2 runs)
+        # takes the M2 variant's optimum. Two compares in a row make as many
+        # runs: nothing is kept from one to the next.
         runs = []
         real = inference.optimize.minimize
 
@@ -359,7 +359,7 @@ class TestSharedFit:
         monkeypatch.setattr(inference.optimize, "minimize", minimize)
         for k in range(2):
             run_compare(_fixture_config(tmp_path / str(k)))
-            assert runs == ["L-BFGS-B"] * 23
+            assert runs == ["L-BFGS-B"] * 19
             runs.clear()
 
     @pytest.mark.parametrize("variants", [["m2", "m5"], ["m5", "m2"]])

@@ -1,6 +1,6 @@
 """Tests of the helpers in tools/bench_pairs.py, tools/src_lines.py,
-tools/peak_memory.py, tools/draw_cost.py, tools/compare_cost.py,
-tools/start_study.py and tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
+tools/peak_memory.py, tools/draw_cost.py, tools/start_study.py and
+tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
 loaded by path (neither directory is a package)."""
 
 import importlib.util
@@ -23,7 +23,6 @@ bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
 peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
 draw_cost = _load(_ROOT / "tools" / "draw_cost.py")
-compare_cost = _load(_ROOT / "tools" / "compare_cost.py")
 start_study = _load(_ROOT / "tools" / "start_study.py")
 import_cost = _load(_ROOT / "tools" / "import_cost.py")
 
@@ -128,41 +127,35 @@ def test_draw_cost_reports_every_figure_per_d(capsys):
         assert all(0.0 <= share <= 1 / 64 for share in shares)
 
 
-def test_compare_cost_reports_every_variant(capsys):
-    def wrapped():
-        inference, cli = compare_cost.inference, compare_cost.cli
-        return inference._make_objective, inference.optimize.minimize, cli.fit
-
-    originals = wrapped()
-    assert compare_cost.main(["--repeats", "1"]) == 0
-    assert wrapped() == originals
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[0] == ["variant", "objective_calls", "lbfgsb_runs", "lbfgsb_iters", "best_ms"]
-    assert [row[0] for row in rows[1:]] == ["m1", "m2", "m3", "m4", "m5", "total"]
-    counts = {row[0]: [int(x) for x in row[1:4]] for row in rows[1:]}
-    assert [sum(col) for col in zip(*(counts[v] for v in ("m1", "m2", "m3", "m4", "m5")))] == counts["total"]
-    assert all(min(row) > 0 for row in counts.values())
-    assert all(float(row[4]) > 0.0 for row in rows[1:])
-
-
 def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):
     monkeypatch.setattr(start_study, "LENGTHS", {})  # the bundled series only
     assert start_study.main([]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     recipes = start_study.RECIPES
-    assert rows[0] == ["datasets", "1", "fits", "10", "default", ",".join(recipes)]
-    assert rows[1] == ["recipes", "worst_loss", "worst_rel", "over_tol", "runs", "worst_fit"]
+    assert rows[0] == ["datasets", "1", "fits", "10", "m5_sub_fit", "mild,strong"]
+    assert rows[1] == ["recipes", "worst_loss", "worst_rel", "over_tol", "m1-m5", "runs", "worst_fit"]
     subsets = rows[2:2 + 2 ** len(recipes) - 1]
     assert {frozenset(row[0].split(",")) for row in subsets} == {
         frozenset(c) for k in range(1, len(recipes) + 1) for c in itertools.combinations(recipes, k)
     }
-    # every recipe against itself loses nothing; a bundled compare makes 27
-    # L-BFGS-B runs per family
-    assert subsets[0] == [",".join(recipes), "0.00e+00", "0.00e+00", "0", "54", "-"]
-    assert all(float(row[1]) >= 0.0 and int(row[3]) <= 10 and len(row) == 6 for row in subsets)
+    # every fit from all five recipes, M5's sub-fit from "mild" and
+    # "strong": 3, 4, 5, 5 and 5 + 2 + 1 L-BFGS-B runs per family
+    assert subsets[0][:6] == [",".join(recipes), "0.00e+00", "0.00e+00", "0", "0,0,0,0,0", "50"]
+    for row in subsets:
+        by_variant = [int(n) for n in row[4].split(",")]
+        assert float(row[1]) >= 0.0 and len(row) == 7
+        assert len(by_variant) == 5 and sum(by_variant) == int(row[3]) <= 10
     variants = rows[2 + len(subsets):]
-    assert variants[0] == ["variant", "worst_loss", "over_tol"]
-    assert [row[0] for row in variants[1:-1]] == ["m1", "m2", "m3", "m4", "m5"]
+    assert variants[0] == ["variant", "default", "worst_loss", "over_tol", "runs"]
+    # a bundled compare makes 19 L-BFGS-B runs per family; a fit of M5
+    # alone also makes its M2 sub-fit's two runs
+    assert [(row[0], row[1], row[3], row[4]) for row in variants[1:-1]] == [
+        ("m1", "mild", "0", "2"),
+        ("m2", "mild,strong", "0", "4"),
+        ("m3", ",".join(recipes), "0", "10"),
+        ("m4", ",".join(recipes), "0", "10"),
+        ("m5", ",".join(recipes), "0", "16"),
+    ]
     assert variants[-1][0] == "nested_gap" and variants[-1][2].startswith("bundled/")
 
 

@@ -39,6 +39,11 @@ TRACED = (
     "inference.fits",
     "inference.objective_evals",
     "inference.objective_evals_per_fit",
+    "inference.objective_evals.m1",
+    "inference.objective_evals.m2",
+    "inference.objective_evals.m3",
+    "inference.objective_evals.m4",
+    "inference.objective_evals.m5",
     "inference.lbfgsb_iters_per_fit",
     "inference.lbfgsb_runs",
     "inference.phase.restarts.lbfgsb_runs",

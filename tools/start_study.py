@@ -4,10 +4,12 @@ Fits every (dataset, variant, copula family) from the start of each candidate
 recipe separately, and for M5 also runs the shared-mechanism (M2) sub-fit
 from each recipe and the corner refit from each M2 optimum, as ``fit`` does.
 Both copulas of a fit take the same family. A recipe subset's fit is then
-the best of its runs, with M5's corner refit taken from the subset's best M2
-run, so the log-likelihood every subset of recipes would reach is known
-without refitting. The candidates are the five recipes fits have started
-from: ``mild``, ``adjacent``, ``strong``, ``negative`` and ``corner``.
+the best of its runs, with M5's corner refit taken from the best M2 run of a
+given recipe set, so the log-likelihood every subset of recipes would reach
+is known without refitting. The candidates are the five recipes fits have
+started from: ``mild``, ``adjacent``, ``strong``, ``negative`` and
+``corner``. The reference of every loss is the fit from all five, M5's
+sub-fit included.
 
 The datasets are the bundled quarterly series and five paths each of the
 Gumbel study design at T = 10^2, 10^3 and 10^4, of the bundled parameters
@@ -15,14 +17,16 @@ at T = 104 and 10^3, and of random M1, M2 and negative-Frank M5 truths at
 T = 200 and 10^3: 56 datasets, less any path that misses a state. Every
 path comes from ``--seed``.
 
-Prints one row per non-empty recipe subset: the worst log-likelihood loss
-of any fit against the fit from all five candidates, the worst loss relative
-to |loglik|, the number of fits that lose more than
-max(1e-8, 1e-12 |loglik|), the L-BFGS-B runs the subset makes over all fits
-(equal starts run once) and the fit with the worst loss. Then, for the
-subset that ``_default_starts`` uses now, the worst loss and the fits over
-tolerance per variant, and the largest amount by which a nested variant's
-fit beats a fuller one along ``NESTED_PAIRS`` (at most 1e-8 keeps
+Prints one row per non-empty recipe subset, every fit started from it and
+M5's sub-fit from M2's default recipes (as ``fit`` runs it): the worst
+log-likelihood loss of any fit against the fit from all five candidates, the
+worst loss relative to |loglik|, the number of fits that lose more than
+max(1e-8, 1e-12 |loglik|), that number per variant (M1 to M5), the
+L-BFGS-B runs the subset makes over all fits (equal starts run once) and the
+fit with the worst loss. Then, per variant, the recipes ``_default_starts``
+starts it from, the worst loss, the fits over tolerance and the runs of
+those defaults; and the largest amount by which a nested variant's fit on
+its defaults beats a fuller one along ``NESTED_PAIRS`` (at most 1e-8 keeps
 ``likelihood_ratio_test`` from warning). Uses numpy, the standard library
 and bdar only.
 
@@ -188,67 +192,70 @@ class Fit:
                 x0 = layout.embed(m2_layout, res.x, fill)
                 self.corner[id(res)] = inference._lbfgsb(self.runs.objective, x0, layout)
 
-    def loglik(self, subset) -> float:
+    def loglik(self, subset, sub_subset) -> float:
+        """From ``subset``'s recipes, M5's sub-fit from ``sub_subset``'s."""
         fun = self.runs.best(subset).fun
         if self.sub is not None:
-            fun = min(fun, self.corner[id(self.sub.best(subset))].fun)
+            fun = min(fun, self.corner[id(self.sub.best(sub_subset))].fun)
         return -float(fun)
 
-    def n_runs(self, subset) -> int:
+    def n_runs(self, subset, sub_subset) -> int:
         if self.sub is None:
             return self.runs.n_runs(subset)
-        return self.runs.n_runs(subset) + self.sub.n_runs(subset) + 1
+        return self.runs.n_runs(subset) + self.sub.n_runs(sub_subset) + 1
 
 
-def default_subset(fits: list) -> tuple:
-    """The recipes whose starts ``_default_starts`` gives, checked vector by
-    vector against every fit's layouts."""
-    layouts = [(fit.summaries, runs) for fit in fits for runs in (fit.runs, fit.sub) if runs is not None]
-    kept = tuple(
-        r for r in RECIPES
-        if all(any(np.array_equal(runs.starts[r], x) for x in inference._default_starts(s, runs.layout))
-               for s, runs in layouts)
-    )
-    for s, runs in layouts:
-        expected = []
-        for r in kept:
-            if not any(np.array_equal(runs.starts[r], x) for x in expected):
-                expected.append(runs.starts[r])
-        actual = inference._default_starts(s, runs.layout)
-        if len(actual) != len(expected) or not all(map(np.array_equal, actual, expected)):
-            raise SystemExit("_default_starts gives a start that no candidate recipe gives")
-    return kept
+def default_recipes(fits: list) -> dict:
+    """``_START_RECIPES``, the recipes ``_default_starts`` starts each variant
+    from, checked vector by vector against every fit's layouts."""
+    for fit in fits:
+        for runs in (fit.runs, fit.sub):
+            if runs is None:
+                continue
+            expected = []
+            for r in inference._START_RECIPES[runs.layout.variant]:
+                if not any(np.array_equal(runs.starts[r], x) for x in expected):
+                    expected.append(runs.starts[r])
+            actual = inference._default_starts(fit.summaries, runs.layout)
+            if len(actual) != len(expected) or not all(map(np.array_equal, actual, expected)):
+                raise SystemExit(f"_default_starts differs from its recipes on {fit.name}")
+    return inference._START_RECIPES
 
 
 def _tolerance(loglik: float) -> float:
     return max(1e-8, 1e-12 * abs(loglik))
 
 
-def study(fits: list) -> dict:
-    """Per non-empty recipe subset: worst loss, worst relative loss, fits
-    over tolerance, L-BFGS-B runs and the worst fit's name."""
-    reference = [fit.loglik(RECIPES) for fit in fits]
+def study(fits: list, sub_subset) -> dict:
+    """Per non-empty recipe subset, M5's sub-fit from ``sub_subset``: worst
+    loss, worst relative loss, fits over tolerance (in all and per variant),
+    L-BFGS-B runs and the worst fit's name."""
+    reference = [fit.loglik(RECIPES, RECIPES) for fit in fits]
     out = {}
     for size in range(len(RECIPES), 0, -1):
         for subset in itertools.combinations(RECIPES, size):
-            losses = [ref - fit.loglik(subset) for fit, ref in zip(fits, reference)]
+            losses = [ref - fit.loglik(subset, sub_subset) for fit, ref in zip(fits, reference)]
+            over = [loss > _tolerance(ref) for loss, ref in zip(losses, reference)]
             worst = int(np.argmax(losses))
             out[subset] = {
                 "worst_loss": max(losses[worst], 0.0),
                 "worst_rel_loss": max(max(loss / abs(ref) for loss, ref in zip(losses, reference)), 0.0),
-                "over_tol": sum(loss > _tolerance(ref) for loss, ref in zip(losses, reference)),
-                "runs": sum(fit.n_runs(subset) for fit in fits),
+                "over_tol": sum(over),
+                "by_variant": [sum(o for o, fit in zip(over, fits) if fit.variant is v) for v in Variant],
+                "runs": sum(fit.n_runs(subset, sub_subset) for fit in fits),
                 "worst_fit": fits[worst].name if losses[worst] > 0.0 else "-",
             }
     return out
 
 
-def nested_gap(fits: list, subset) -> tuple:
+def nested_gap(fits: list, defaults: dict) -> tuple:
     """The largest nested minus full log-likelihood along ``NESTED_PAIRS``,
-    and where it occurs as ``dataset/family/nested<full``."""
+    every fit from its variant's ``defaults``, and where it occurs as
+    ``dataset/family/nested<full``."""
     by_group = {}
     for fit in fits:
-        by_group.setdefault(fit.name.rsplit("/", 1)[0], {})[fit.variant] = fit.loglik(subset)
+        loglik = fit.loglik(defaults[fit.variant], defaults[Variant.M2])
+        by_group.setdefault(fit.name.rsplit("/", 1)[0], {})[fit.variant] = loglik
     return max(
         (group[nested] - group[full], f"{name}/{nested.value}<{full.value}")
         for name, group in by_group.items() for nested, full in NESTED_PAIRS
@@ -262,20 +269,26 @@ def main(argv=None) -> int:
     data = list(datasets(args.seed))
     fits = [Fit(name, series, variant, family)
             for name, series in data for family in FAMILIES for variant in Variant]
-    kept = default_subset(fits)
-    rows = study(fits)
-    print(f"datasets {len(data)} fits {len(fits)} default {','.join(kept)}")
-    print(f"{'recipes':<38} {'worst_loss':>10} {'worst_rel':>10} {'over_tol':>8} {'runs':>6}  worst_fit")
+    defaults = default_recipes(fits)
+    sub_default = defaults[Variant.M2]
+    rows = study(fits, sub_default)
+    print(f"datasets {len(data)} fits {len(fits)} m5_sub_fit {','.join(sub_default)}")
+    print(f"{'recipes':<38} {'worst_loss':>10} {'worst_rel':>10} {'over_tol':>8} {'m1-m5':>10} {'runs':>6}"
+          "  worst_fit")
     for subset, row in rows.items():
+        by_variant = ",".join(map(str, row["by_variant"]))
         print(f"{','.join(subset):<38} {row['worst_loss']:>10.2e} {row['worst_rel_loss']:>10.2e} "
-              f"{row['over_tol']:>8d} {row['runs']:>6d}  {row['worst_fit']}")
-    reference = {fit.name: fit.loglik(RECIPES) for fit in fits}
-    print(f"{'variant':<38} {'worst_loss':>10} {'over_tol':>8}")
+              f"{row['over_tol']:>8d} {by_variant:>10} {row['runs']:>6d}  {row['worst_fit']}")
+    print(f"{'variant':<8} {'default':<38} {'worst_loss':>10} {'over_tol':>8} {'runs':>6}")
     for variant in Variant:
-        losses = [(reference[f.name] - f.loglik(kept), reference[f.name]) for f in fits if f.variant is variant]
-        print(f"{variant.value:<38} {max(max(l for l, _ in losses), 0.0):>10.2e} "
-              f"{sum(l > _tolerance(ref) for l, ref in losses):>8d}")
-    gap, where = nested_gap(fits, kept)
+        group = [f for f in fits if f.variant is variant]
+        losses = [(f.loglik(RECIPES, RECIPES) - f.loglik(defaults[variant], sub_default),
+                   f.loglik(RECIPES, RECIPES)) for f in group]
+        runs = sum(f.n_runs(defaults[variant], sub_default) for f in group)
+        print(f"{variant.value:<8} {','.join(defaults[variant]):<38} "
+              f"{max(max(l for l, _ in losses), 0.0):>10.2e} "
+              f"{sum(l > _tolerance(ref) for l, ref in losses):>8d} {runs:>6d}")
+    gap, where = nested_gap(fits, defaults)
     print(f"{'nested_gap':<38} {gap:>10.2e}  {where}")
     return 0
 
