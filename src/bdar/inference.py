@@ -376,9 +376,10 @@ def conditional_loglik(params: Bdar1Params, data: BivariateOrdinalSeries) -> flo
     return float(np.vdot(counts, np.log(np.maximum(probs, MIN_TERM_PROB))))
 
 
-def _central_gradient(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function: the oracle the
-    analytic objective gradient is tested against."""
+def _central_gradient(fun, x: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function, step ``rel_step``
+    times max(1, |x_i|): the oracle the analytic objective gradient is
+    tested against."""
     g = np.empty_like(x)
     for i in range(len(x)):
         h = rel_step * max(1.0, abs(x[i]))
@@ -502,28 +503,39 @@ def _moment_phi(agree: float, p_hat: np.ndarray) -> float:
     return float(np.clip(phi, 0.02, 0.95))
 
 
-def _start_deltas(family: CopulaFamily | None, level: str) -> float | None:
-    if family is None:
-        return None
-    if level == "corner":
-        # Start on the upper eta bound: the (near-)comonotone limit where the
-        # shared-mechanism variant lives in the closure of the full model.
-        return eta_to_delta(_ETA_BOUNDS[family][1], family)
-    table = {
-        CopulaFamily.GUMBEL: {"adjacent": 1.05, "mild": 1.5, "strong": 4.0, "negative": 1.05},
-        CopulaFamily.FRANK: {"adjacent": 0.5, "mild": 2.0, "strong": 12.0, "negative": -2.0},
-    }
-    return table[family][level]
+# The start recipes, the only definition of the points ``fit`` runs
+# L-BFGS-B from. Per recipe: the marginals (the empirical frequencies, or
+# uniform), the keep rates ("moment": the method-of-moments rate of each
+# series from its lag-1 repeat rate; "mean": both at the mean of those two;
+# a number: both at it), and the start delta of the mechanism and of the
+# innovation copula by family, where None starts it on its upper eta bound.
+# ``mild``, ``adjacent`` and ``strong`` span near-independence to strong
+# dependence; ``negative`` is negative for Frank and near-independent for
+# Gumbel. ``corner`` is the shared-mechanism corner: equal keep rates and
+# the mechanism copula at its comonotone bound (only the mechanism; a pinned
+# innovation copula would start on a likelihood cliff). Restarts, this one
+# included, can stop short of the M2 fit; the corner refit in ``fit`` closes
+# the gap (test_m5_reaches_shared_mechanism_fit).
+_RECIPES = {
+    "mild": ("empirical", "moment", {"gumbel": 1.5, "frank": 2.0}, {"gumbel": 1.5, "frank": 2.0}),
+    "adjacent": ("empirical", "moment", {"gumbel": 1.05, "frank": 0.5}, {"gumbel": 1.05, "frank": 0.5}),
+    "strong": ("empirical", "moment", {"gumbel": 4.0, "frank": 12.0}, {"gumbel": 4.0, "frank": 12.0}),
+    "negative": ("uniform", 0.3, {"gumbel": 1.05, "frank": -2.0}, {"gumbel": 1.05, "frank": -2.0}),
+    "corner": ("empirical", "mean", None, {"gumbel": 4.0, "frank": 12.0}),
+}
+_ALL_RECIPES = tuple(_RECIPES)
 
-
-# The start recipes each variant's fit runs from, in run order: the smallest
-# sets whose fits stay within max(1e-8, 1e-12 |loglik|) of the fit from all
-# five on every dataset of ``tools/start_study.py`` seeds 3, 5, 7 and 9.
-_ALL_RECIPES = ("mild", "adjacent", "strong", "negative", "corner")
+# The recipes each variant's fit runs from, in run order: the smallest sets
+# whose fits stay within max(1e-8, 1e-12 |loglik|) of the fit from all five
+# on every dataset of ``tools/start_study.py`` seeds 3, 5, 7 and 9. M3 and M4
+# need each of the five: each is the only one whose run reaches the best
+# optimum on some series (test_each_start_recipe_is_needed). So does M5, its
+# corner refit included, and M2 needs both of its two
+# (test_each_default_recipe_is_needed).
 _START_RECIPES = {
     # M1 is two univariate DAR(1) fits; each log-likelihood is a sum of logs
     # of affine functions of a = (1 - phi) p, so concave, and every
-    # stationary point is its maximum: one start suffices.
+    # stationary point is its maximum: one start suffices (TestPrunedStarts).
     Variant.M1: ("mild",),
     # ``strong`` alone stalls far from independence on some series, ``mild``
     # alone short of strong dependence; M2's ``corner`` start is ``strong``
@@ -534,48 +546,37 @@ _START_RECIPES = {
 }
 
 
-def _default_starts(summaries: list, layout: _Layout) -> list:
-    """The distinct L-BFGS-B starting points of ``layout``'s variant, from
-    ``_series_summaries``: one for M1, two for M2 and five for M3, M4 and M5
-    (``_START_RECIPES``).
-
-    A recipe that gives the same vector as an earlier one is dropped: an
-    equal start gives an identical run (M3's ``strong`` and ``corner``
-    coincide when the two moment keep rates are equal). M3 and M4 need each
-    of the five recipes: each is the only one whose run reaches the best
-    optimum on some series (test_each_start_recipe_is_needed). So does M5,
-    its corner refit included, and M2 needs both of its two
-    (test_each_default_recipe_is_needed). M1, whose log-likelihood is
-    concave, needs one (TestPrunedStarts).
-    """
+def _recipe_starts(summaries: list, layout: _Layout, names) -> list:
+    """The start vector of each recipe in ``names`` (``_RECIPES``) on
+    ``layout``, from ``_series_summaries``."""
     (freq1, repeat1), (freq2, repeat2) = summaries
-    p1_hat = _empirical_marginal(freq1)
-    p2_hat = _empirical_marginal(freq2)
-    phi1_hat = _moment_phi(repeat1, p1_hat)
-    phi2_hat = _moment_phi(repeat2, p2_hat)
-    uniform1 = np.full(layout.d1, 1.0 / layout.d1)
-    uniform2 = np.full(layout.d2, 1.0 / layout.d2)
-
-    phi_mid = 0.5 * (phi1_hat + phi2_hat)
-    recipes = {
-        "mild": (p1_hat, p2_hat, phi1_hat, phi2_hat, "mild", "mild"),
-        "adjacent": (p1_hat, p2_hat, phi1_hat, phi2_hat, "adjacent", "adjacent"),
-        "strong": (p1_hat, p2_hat, phi1_hat, phi2_hat, "strong", "strong"),
-        "negative": (uniform1, uniform2, 0.3, 0.3, "negative", "negative"),
-        # shared-mechanism corner: equal keep rates, mechanism copula pinned
-        # at its comonotone bound (only the mechanism; a pinned innovation
-        # copula would start on a likelihood cliff). Restarts, this one
-        # included, can stop short of the M2 fit; the corner refit in ``fit``
-        # closes the gap (test_m5_reaches_shared_mechanism_fit).
-        "corner": (p1_hat, p2_hat, phi_mid, phi_mid, "corner", "strong"),
-    }
+    empirical = _empirical_marginal(freq1), _empirical_marginal(freq2)
+    uniform = np.full(layout.d1, 1.0 / layout.d1), np.full(layout.d2, 1.0 / layout.d2)
+    moment = _moment_phi(repeat1, empirical[0]), _moment_phi(repeat2, empirical[1])
+    mean = 0.5 * (moment[0] + moment[1])
     starts = []
-    for name in _START_RECIPES[layout.variant]:
-        m1, m2, phi1, phi2, level_alpha, level_eps = recipes[name]
+    for name in names:
+        marginals, keep, alpha, eps = _RECIPES[name]
+        phi1, phi2 = {"moment": moment, "mean": (mean, mean)}.get(keep, (keep, keep))
         natural = {"phi": 0.5 * (phi1 + phi2), "phi1": phi1, "phi2": phi2}
-        natural["delta_alpha"] = _start_deltas(layout.alpha_family, level_alpha)
-        natural["delta_eps"] = _start_deltas(layout.eps_family, level_eps)
-        x = layout.encode(m1, m2, natural)
+        deltas = {"delta_alpha": (layout.alpha_family, alpha), "delta_eps": (layout.eps_family, eps)}
+        for key, (family, levels) in deltas.items():
+            if family is not None and levels is None:
+                natural[key] = eta_to_delta(_ETA_BOUNDS[family][1], family)
+            elif family is not None:
+                natural[key] = levels[family.value]
+        m1, m2 = empirical if marginals == "empirical" else uniform
+        starts.append(layout.encode(m1, m2, natural))
+    return starts
+
+
+def _default_starts(summaries: list, layout: _Layout) -> list:
+    """The distinct starts of ``layout``'s variant: its ``_START_RECIPES``
+    less any that gives the same vector as an earlier one, since an equal
+    start gives an identical run (M3's ``strong`` and ``corner`` coincide
+    when the two moment keep rates are equal)."""
+    starts = []
+    for x in _recipe_starts(summaries, layout, _START_RECIPES[layout.variant]):
         if not any(np.array_equal(x, earlier) for earlier in starts):
             starts.append(x)
     return starts
@@ -681,22 +682,13 @@ def fit(
     """Conditional maximum-likelihood fit of one model variant.
 
     Runs a quasi-Newton search (L-BFGS-B with the exact gradient of the
-    objective) from the start recipes of the variant (``_default_starts``).
-    The five recipes are empirical marginals with method-of-moments keep
-    probabilities from the lag-1 repeat rate at three dependence levels from
-    near-independence to strong (``mild``, ``adjacent``, ``strong``),
-    uniform marginals with fixed keep probabilities at a negative (Frank) or
-    near-independent (Gumbel) level (``negative``), and equal keep
-    probabilities with the mechanism copula at its comonotone bound
-    (``corner``). M3, M4 and M5 start from all five. M1, whose
-    log-likelihood is concave, starts from ``mild`` alone and M2 from
-    ``mild`` and ``strong``. The best optimum is kept; for M5 it is also
-    compared with a refit from the shared-mechanism corner, which wins
-    ties. That refit starts
-    from the M2 optimum embedded by name on the eta scale
-    (``_Layout.embed``): M2's ``phi`` as both keep rates, its ``delta_eps``
-    as is, and ``delta_alpha`` on its upper (comonotone) bound. The same
-    data give an identical report. Both copula family names must be valid,
+    objective) from the variant's start recipes (``_START_RECIPES``, drawn
+    from the table ``_RECIPES``). The best optimum is kept; for M5 it is
+    also compared with a refit from the shared-mechanism corner, which wins
+    ties. That refit starts from the M2 optimum embedded by name on the eta
+    scale (``_Layout.embed``): M2's ``phi`` as both keep rates, its
+    ``delta_eps`` as is, and ``delta_alpha`` on its upper (comonotone)
+    bound. The same data give an identical report. Both copula family names must be valid,
     also where the variant frees no delta of that copula.
 
     ``data`` is a series, or the ``_Counts`` of one that fits of several

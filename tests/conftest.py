@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,7 +8,19 @@ import pytest
 
 from bdar import Bdar1Params, CategoricalMarginal, CopulaSpec
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "bdar" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "src" / "bdar" / "data"
+
+
+@functools.cache
+def load_script(relative: str):
+    """A module of ``tools/`` or ``perfbench/`` (neither is a package),
+    loaded by its path from the repo root, once per session."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

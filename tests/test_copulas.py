@@ -4,9 +4,6 @@ Frozen expected values were computed with a 50-digit mpmath evaluation of the
 closed forms (independent of the float implementation under test).
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +16,10 @@ from bdar.copulas import (
     _cdf_core,
     _cdf_with_partials,
 )
+from conftest import load_script
 from oracles import rectangle_cells
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
-_spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
-cells_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cells_digests)
+cells_digests = load_script("tools/make_cells_digests.py")
 
 GUMBEL2_AT_HALF = 0.37521422724648177
 FRANK5_AT_HALF = 0.37714851074652086

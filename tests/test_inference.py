@@ -1,9 +1,7 @@
 """Likelihood, fitting, and model-comparison tests."""
 
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +28,7 @@ from bdar import (
 from bdar import cli, inference
 from bdar.copulas import FRANK_INDEPENDENCE_TOL, CopulaFamily
 from bdar.inference import (
+    _ALL_RECIPES,
     _FRANK_ETA_BOUNDS,
     _GUMBEL_ETA_BOUNDS,
     _PHI_ETA_BOUNDS,
@@ -53,19 +52,13 @@ from bdar.joint import (
 )
 from bdar.model import Variant
 from bdar.rng import substream
+from conftest import load_script
 from oracles import dense_transition_tensor
 
 
-def _load_tool(name: str):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-cells_digests = _load_tool("make_cells_digests")
-start_study = _load_tool("start_study")
+cells_digests = load_script("tools/make_cells_digests.py")
+start_study = load_script("tools/start_study.py")
+_tolerance = start_study._tolerance
 
 
 def _delta_etas(family: CopulaFamily):
@@ -888,14 +881,10 @@ class TestStartStatistics:
         series = next(s for n, s in start_study.datasets(seed) if n == name)
         runs = start_study.Fit(name, series, Variant(variant), family)
         defaults, sub = inference._START_RECIPES[Variant(variant)], inference._START_RECIPES[Variant.M2]
-        five = runs.loglik(start_study.RECIPES, start_study.RECIPES)
+        five = runs.loglik(_ALL_RECIPES, _ALL_RECIPES)
         assert five - runs.loglik(defaults, sub) <= _tolerance(five)
         without = tuple(r for r in defaults if r != recipe)
         assert five - runs.loglik(without, sub) > _tolerance(five)
-
-
-def _tolerance(loglik: float) -> float:
-    return max(1e-8, 1e-12 * abs(loglik))
 
 
 class TestPrunedStarts:
@@ -920,8 +909,8 @@ class TestPrunedStarts:
         layout = _Layout.build("m1", series.d1, series.d2, "frank", "frank")
         objective = _make_objective(layout, counts)
         logliks = [
-            -inference._lbfgsb(objective, start_study.recipe_start(r, summaries, layout), layout).fun
-            for r in start_study.RECIPES
+            -inference._lbfgsb(objective, x0, layout).fun
+            for x0 in inference._recipe_starts(summaries, layout, _ALL_RECIPES)
         ]
         assert max(logliks) - min(logliks) <= _tolerance(max(logliks))
         assert fit(series, "m1").loglik == logliks[0]  # the "mild" start
@@ -943,8 +932,20 @@ class TestPrunedStarts:
     @pytest.mark.parametrize("seed, name, variant, family", CLOSEST)
     def test_pruned_starts_reach_the_five_recipe_fit(self, seed, name, variant, family):
         series = next(s for n, s in start_study.datasets(seed) if n == name)
-        five = start_study.Fit(name, series, variant, family).loglik(start_study.RECIPES, start_study.RECIPES)
+        five = start_study.Fit(name, series, variant, family).loglik(_ALL_RECIPES, _ALL_RECIPES)
         assert five - fit(series, variant, family, family).loglik <= _tolerance(five)
+
+    @pytest.mark.parametrize("family", ["frank", "gumbel"])
+    @pytest.mark.parametrize("name", ["bundled", "study-T1000-r0"])
+    def test_start_study_scores_the_fit_it_studies(self, name, family):
+        # the study builds its starts and runs as fit does, so its fit from
+        # each variant's defaults, M5's sub-fit and corner refit included,
+        # is fit's to the bit
+        series = next(s for n, s in start_study.datasets(3) if n == name)
+        defaults = inference._START_RECIPES
+        for variant in Variant:
+            study = start_study.Fit(name, series, variant, family).loglik(defaults[variant], defaults[Variant.M2])
+            assert study == fit(series, variant, family, family).loglik, variant
 
 
 # sha256 of the objective's value and gradient per layout group, of every

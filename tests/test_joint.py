@@ -1,8 +1,5 @@
 """Mechanism and innovation cell construction and sampling tests."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +17,9 @@ from bdar.joint import (
     _mechanism_cells,
 )
 from bdar.model import _FREE_SCALARS
+from conftest import load_script
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_cells_digests.py"
-_spec = importlib.util.spec_from_file_location("make_cells_digests", _TOOL)
-cells_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cells_digests)
+cells_digests = load_script("tools/make_cells_digests.py")
 
 PRODUCT = CopulaSpec("product")
 GUMBEL2 = CopulaSpec("gumbel", 2.0)

@@ -3,28 +3,19 @@ tools/peak_memory.py, tools/draw_cost.py, tools/start_study.py and
 tools/import_cost.py and of the benchmark's hooks in perfbench/tracing.py,
 loaded by path (neither directory is a package)."""
 
-import importlib.util
 import itertools
-from pathlib import Path
 
 import pytest
 
-_ROOT = Path(__file__).resolve().parent.parent
+from bdar import inference
+from conftest import load_script
 
-
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
-src_lines = _load(_ROOT / "tools" / "src_lines.py")
-peak_memory = _load(_ROOT / "tools" / "peak_memory.py")
-draw_cost = _load(_ROOT / "tools" / "draw_cost.py")
-start_study = _load(_ROOT / "tools" / "start_study.py")
-import_cost = _load(_ROOT / "tools" / "import_cost.py")
+bench_pairs = load_script("tools/bench_pairs.py")
+src_lines = load_script("tools/src_lines.py")
+peak_memory = load_script("tools/peak_memory.py")
+draw_cost = load_script("tools/draw_cost.py")
+start_study = load_script("tools/start_study.py")
+import_cost = load_script("tools/import_cost.py")
 
 
 def _pair(parent, change):
@@ -131,7 +122,7 @@ def test_start_study_reports_every_recipe_subset(capsys, monkeypatch):
     monkeypatch.setattr(start_study, "LENGTHS", {})  # the bundled series only
     assert start_study.main([]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    recipes = start_study.RECIPES
+    recipes = inference._ALL_RECIPES
     assert rows[0] == ["datasets", "1", "fits", "10", "m5_sub_fit", "mild,strong"]
     assert rows[1] == ["recipes", "worst_loss", "worst_rel", "over_tol", "m1-m5", "runs", "worst_fit"]
     subsets = rows[2:2 + 2 ** len(recipes) - 1]
@@ -172,7 +163,7 @@ def test_import_cost_reports_every_stage_and_no_scipy_before_the_fit(capsys):
 def test_every_benchmark_hook_finds_its_target():
     # a renamed or deleted name that perfbench/tracing.py hooks would make
     # its per-layer metrics absent from the benchmark
-    tracing = _load(_ROOT / "perfbench" / "tracing.py")
+    tracing = load_script("perfbench/tracing.py")
     tracer = tracing.Tracer()
     try:
         tracer.install()

@@ -8,10 +8,13 @@ in how many pairs the change was better; it also records every run's outcome
 and the ``attempted``/``failed`` counts. One ``--trace 1`` run per side (first seed) adds the per-layer
 metrics in ``TRACED``. Uses the standard library only.
 
-Run from anywhere, for example:
+Build both sides the same way, as fresh clones: commit the change, then
+clone it twice and check the parent out in one clone. Run from anywhere, for
+example:
 
+    git clone --quiet . ../change
     git clone --quiet . ../parent && git -C ../parent checkout --quiet HEAD~1
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workload evaluate-d30 --seeds 1-10 --seconds 30 --output BENCH_6.json
 
 An existing output file is updated: workloads not run this time are kept.
