@@ -688,8 +688,8 @@ def fit(
     ties. That refit starts from the M2 optimum embedded by name on the eta
     scale (``_Layout.embed``): M2's ``phi`` as both keep rates, its
     ``delta_eps`` as is, and ``delta_alpha`` on its upper (comonotone)
-    bound. The same data give an identical report. Both copula family names must be valid,
-    also where the variant frees no delta of that copula.
+    bound. The same data give an identical report. Both copula family names
+    must be valid, also where the variant frees no delta of that copula.
 
     ``data`` is a series, or the ``_Counts`` of one that fits of several
     variants share. A shared M5 fit then takes the M2 optimum that an
