@@ -3,13 +3,12 @@
 Each series keeps its previous state or draws a fresh one; the two series'
 keep/innovate indicators and their innovations are coupled through copulas.
 The package provides exact conditional likelihood fitting of five nested
-variants, simulation, moment formulas, and forecasting: Monte-Carlo
-trajectories and exact h-step pmfs.
+variants, simulation, and forecasting: Monte-Carlo trajectories and exact
+h-step pmfs.
 
 Importing the package loads numpy only. SciPy loads at the first fit: the
 optimizer and the copula partials of the likelihood gradient need it, while
-simulation, scoring and forecasting do not. ``kendall_tau`` loads
-``scipy.stats``.
+simulation, scoring, forecasting and ``bdar diagnose`` do not.
 """
 
 from .copulas import PRODUCT, CopulaFamily, CopulaSpec, copula_cdf
@@ -22,17 +21,14 @@ from .inference import (
     conditional_loglik,
     fit,
     information_criteria,
-    kendall_tau,
     likelihood_ratio_test,
 )
 from .joint import CategoricalMarginal, sample_joint
 from .model import (
     Bdar1Params,
     BivariateOrdinalSeries,
-    CrossMoments,
     TransitionKernel,
     Variant,
-    cross_moments,
     joint_conditional_pmf,
     simulate,
     stationary_joint_pmf,
@@ -49,7 +45,6 @@ __all__ = [
     "CategoricalMarginal",
     "CopulaFamily",
     "CopulaSpec",
-    "CrossMoments",
     "FitReport",
     "ForecastResult",
     "LikelihoodError",
@@ -59,13 +54,11 @@ __all__ = [
     "Variant",
     "conditional_loglik",
     "copula_cdf",
-    "cross_moments",
     "exact_forecast_pmf",
     "fit",
     "forecast",
     "information_criteria",
     "joint_conditional_pmf",
-    "kendall_tau",
     "likelihood_ratio_test",
     "sample_joint",
     "simulate",

@@ -1,8 +1,8 @@
 """Modules imported on first use, so that ``import bdar`` loads numpy only.
 
 SciPy's import costs several times that of numpy and the rest of ``bdar``
-together, yet only fits (the optimizer and the copula partials), the
-likelihood ratio test and Kendall's tau need it.
+together, yet only fits (the optimizer and the copula partials) and the
+likelihood ratio test need it.
 """
 
 from __future__ import annotations

@@ -54,11 +54,9 @@ from .model import (  # noqa: F401
     transition_tensor,
 )
 
-# scipy loads at the first fit, not with bdar; scipy.stats, which costs
-# about as much again, only at the first kendall_tau
+# scipy loads at the first fit, not with bdar
 optimize = DeferredModule("scipy.optimize")
 special = DeferredModule("scipy.special")
-stats = DeferredModule("scipy.stats")
 
 # Keep probabilities are mapped onto [0, PHI_CAP] so the stationarity
 # inequality phi < 1 stays strict and the both-kept mechanism mass stays
@@ -802,18 +800,7 @@ def likelihood_ratio_test(full: FitReport, nested: FitReport) -> LrtResult:
         )
     statistic = max(statistic, 0.0)
     df = full.n_params - nested.n_params
-    # chdtrc is the chi-square survival function that scipy.stats.chi2.sf
-    # evaluates, without scipy.stats' ~0.5 s import; scipy.special itself
-    # loaded at the first fit, which made these reports
+    # chdtrc is the chi-square survival function that scipy's chi2.sf
+    # evaluates, without the ~0.5 s import of its stats package;
+    # scipy.special itself loaded at the first fit, which made these reports
     return LrtResult(statistic=statistic, df=df, p_value=float(special.chdtrc(df, statistic)))
-
-
-def kendall_tau(x, y) -> float:
-    """Tie-adjusted Kendall rank correlation (the tau-b variant)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
-        raise ValueError("inputs must be equal-length 1-d sequences of length >= 2")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ValueError("Kendall tau is undefined for constant input")
-    return float(stats.kendalltau(x, y, variant="b").statistic)

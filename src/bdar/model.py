@@ -6,8 +6,7 @@ bivariate BDAR(1) couples two such series twice over: the two keep/innovate
 indicators are joined by one copula, the two innovations by another.
 
 This module holds the parameter container, the one-step transition kernel,
-the exact conditional and stationary pmfs, moment recursions, and path
-simulation.
+the exact conditional and stationary pmfs, and path simulation.
 """
 
 from __future__ import annotations
@@ -217,22 +216,6 @@ class BivariateOrdinalSeries:
         return len(self.z1)
 
 
-@dataclass(frozen=True, eq=False)
-class CrossMoments:
-    """Means plus lagged covariance/correlation matrices of the pair."""
-
-    mu1: float
-    mu2: float
-    gammas: np.ndarray  # (max_lag+1, 2, 2); [k, r, s] = cov(Z_r,t, Z_s,t-k)
-    rhos: np.ndarray
-
-    def gamma(self, lag: int) -> np.ndarray:
-        return self.gammas[lag]
-
-    def rho(self, lag: int) -> np.ndarray:
-        return self.rhos[lag]
-
-
 class TransitionKernel(NamedTuple):
     """The one-step BDAR(1) transition as a four-term mixture.
 
@@ -334,52 +317,6 @@ def transition_tensor(params: Bdar1Params) -> np.ndarray:
 def stationary_joint_pmf(params: Bdar1Params) -> np.ndarray:
     """Time-invariant joint pmf of the pair: ``TransitionKernel.stationary``."""
     return TransitionKernel.from_params(params).stationary()
-
-
-def cross_moments(
-    params: Bdar1Params,
-    max_lag: int,
-    values1=None,
-    values2=None,
-) -> CrossMoments:
-    """Exact means and lagged (cross-)covariances of the stationary pair.
-
-    States enter numerically as their indices 1..d unless explicit values are
-    supplied. The lag-0 cross covariance scales the innovation cross moment
-    by the mechanism cross moment; all lag-k entries decay geometrically in
-    the respective keep probabilities.
-    """
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
-    v1 = np.arange(1, params.d1 + 1, dtype=float) if values1 is None else np.asarray(values1, float)
-    v2 = np.arange(1, params.d2 + 1, dtype=float) if values2 is None else np.asarray(values2, float)
-    if len(v1) != params.d1 or len(v2) != params.d2:
-        raise ValueError("state value vectors must match the state space sizes")
-    mech, pe, p1, p2 = TransitionKernel.from_params(params)
-    mu1, mu2 = float(p1 @ v1), float(p2 @ v2)
-    var1 = float(p1 @ v1**2 - mu1**2)
-    var2 = float(p2 @ v2**2 - mu2**2)
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise ValueError("state values give a degenerate (zero-variance) marginal")
-    e12 = float(v1 @ pe @ v2)
-    phi12 = float(mech[1, 1])
-    g12_0 = (1.0 - params.phi1 - params.phi2 + phi12) * (e12 - mu1 * mu2) / (1.0 - phi12)
-
-    lags = np.arange(max_lag + 1)
-    pow1 = params.phi1**lags
-    pow2 = params.phi2**lags
-    gammas = np.empty((max_lag + 1, 2, 2))
-    gammas[:, 0, 0] = pow1 * var1
-    gammas[:, 1, 1] = pow2 * var2
-    gammas[:, 0, 1] = pow1 * g12_0
-    gammas[:, 1, 0] = pow2 * g12_0
-    cross_norm = np.sqrt(var1 * var2)
-    rhos = np.empty_like(gammas)
-    rhos[:, 0, 0] = gammas[:, 0, 0] / var1
-    rhos[:, 1, 1] = gammas[:, 1, 1] / var2
-    rhos[:, 0, 1] = gammas[:, 0, 1] / cross_norm
-    rhos[:, 1, 0] = gammas[:, 1, 0] / cross_norm
-    return CrossMoments(mu1=mu1, mu2=mu2, gammas=gammas, rhos=rhos)
 
 
 def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int, dtype) -> np.ndarray:

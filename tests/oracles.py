@@ -9,6 +9,9 @@ on state 0 and P(keep) = phi on state 1, and so are the innovations. M2's
 one shared indicator is the comonotone pair, whose copula is min(u, v).
 Given the indicators, a kept series repeats its state and an innovating
 one draws from its innovation marginal.
+
+``tau_b`` is Kendall's tau-b from its definition, a loop over all pairs of
+observations.
 """
 
 import numpy as np
@@ -53,3 +56,21 @@ def dense_transition_matrix(params: Bdar1Params) -> np.ndarray:
     """The tensor as a (d1 d2) x (d1 d2) row-stochastic matrix over row-major pair codes."""
     n = params.d1 * params.d2
     return dense_transition_tensor(params).reshape(n, n)
+
+
+def tau_b(x, y) -> float:
+    """Kendall's tau-b of two integer series: concordant minus discordant
+    pairs and the ties of each series, counted over all pairs in exact
+    integers, then SciPy's final expression in ``kendalltau(x, y)``."""
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    n = len(x)
+    net = ties_x = ties_y = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            dx, dy = x[b] - x[a], y[b] - y[a]
+            ties_x += dx == 0
+            ties_y += dy == 0
+            net += (dx * dy > 0) - (dx * dy < 0)
+    pairs = n * (n - 1) // 2
+    tau = net / np.sqrt(pairs - ties_x) / np.sqrt(pairs - ties_y)
+    return float(min(1.0, max(-1.0, tau)))

@@ -3,11 +3,12 @@
 import argparse
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdar import Bdar1Params, CopulaFamily, FitReport, Variant, cli, conditional_loglik, inference
 from bdar.cli import (
@@ -27,6 +28,7 @@ from bdar.cli import (
 )
 from bdar.model import BivariateOrdinalSeries, simulate
 from bdar.rng import substream
+from oracles import tau_b
 
 RULE = DiscretizationRule(DEFAULT_RATE_BREAKPOINTS)
 
@@ -205,6 +207,11 @@ def _fixture_config(tmp_path, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def _table(x, y) -> np.ndarray:
+    x, y = np.asarray(x), np.asarray(y)
+    return cli._pair_table(x, y, int(x.max()), int(y.max()))
+
+
 class TestDiagnostics:
     def test_identical_series_full_association(self):
         z = np.array([1, 2, 3, 1, 2, 3, 2, 2, 1, 3])
@@ -222,38 +229,75 @@ class TestDiagnostics:
     def test_fixture_golden_values_match_brute_force(self, tmp_path):
         _, series = load_ordinal(_fixture_config(tmp_path))
         report = run_diagnostics(series)
-
-        def brute_tau(x, y):
-            n = len(x)
-            conc = disc = tx = ty = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    dx = np.sign(x[j] - x[i])
-                    dy = np.sign(y[j] - y[i])
-                    if dx == 0:
-                        tx += 1
-                    if dy == 0:
-                        ty += 1
-                    if dx != 0 and dy != 0:
-                        if dx == dy:
-                            conc += 1
-                        else:
-                            disc += 1
-            n0 = n * (n - 1) // 2
-            return (conc - disc) / math.sqrt((n0 - tx) * (n0 - ty))
-
-        assert report["tau_cross"] == pytest.approx(
-            brute_tau(series.z1, series.z2), abs=1e-12
-        )
-        assert report["tau_serial_1"] == pytest.approx(
-            brute_tau(series.z1[1:], series.z1[:-1]), abs=1e-12
-        )
-        assert report["tau_serial_2"] == pytest.approx(
-            brute_tau(series.z2[1:], series.z2[:-1]), abs=1e-12
-        )
+        assert report["tau_cross"] == tau_b(series.z1, series.z2)
+        assert report["tau_serial_1"] == tau_b(series.z1[1:], series.z1[:-1])
+        assert report["tau_serial_2"] == tau_b(series.z2[1:], series.z2[:-1])
         # persistence-heavy generating process: strong serial association
         assert report["tau_serial_1"] > 0.5
         assert report["tau_serial_2"] > 0.5
+
+    def test_fixture_taus_equal_scipy_bit_for_bit(self, tmp_path):
+        from scipy import stats
+
+        _, series = load_ordinal(_fixture_config(tmp_path))
+        report = run_diagnostics(series)
+        z1, z2 = series.z1, series.z2
+        for key, x, y in (("tau_cross", z1, z2), ("tau_serial_1", z1[1:], z1[:-1]),
+                          ("tau_serial_2", z2[1:], z2[:-1])):
+            assert report[key] == stats.kendalltau(x, y, variant="b").statistic, key
+
+    def test_state_frequencies_are_the_cross_table_margins(self):
+        rng = substream(4, "diag-margins")
+        z1, z2 = rng.integers(1, 5, size=500), rng.integers(1, 3, size=500)
+        report = run_diagnostics(BivariateOrdinalSeries(z1, z2, 6, 2))
+        assert report["state_frequencies_1"] == (np.bincount(z1 - 1, minlength=6) / 500).tolist()
+        assert report["state_frequencies_2"] == (np.bincount(z2 - 1, minlength=2) / 500).tolist()
+        assert report["state_frequencies_1"][4:] == [0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tau_b_matches_oracle_with_ties(self, data):
+        dx, dy = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(0, 40))
+        x = data.draw(st.lists(st.integers(1, dx), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.integers(1, dy), min_size=n, max_size=n))
+        table = cli._pair_table(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), dx, dy)
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            with pytest.raises(ValueError, match="at least two pairs and a series that varies"):
+                cli._tau_b(table)
+        else:
+            assert cli._tau_b(table) == tau_b(x, y)
+
+    def test_tau_b_identity_is_one(self):
+        x = [3, 1, 4, 1, 5, 2, 6]
+        assert cli._tau_b(_table(x, x)) == pytest.approx(1.0)
+
+    def test_tau_b_reversal_is_minus_one(self):
+        # -0.9999999999999999 here, as from scipy: (C - D) / sqrt(10) / sqrt(10)
+        x = np.array([1, 2, 3, 4, 5])
+        assert cli._tau_b(_table(x, x[::-1])) == pytest.approx(-1.0)
+
+    def test_tau_b_frozen_small_example(self):
+        got = cli._tau_b(_table([1, 2, 3, 4], [1, 3, 2, 4]))
+        assert got == tau_b([1, 2, 3, 4], [1, 3, 2, 4])
+        assert got == pytest.approx(0.667, abs=0.001)
+
+    def test_tau_b_rejects_a_constant_series(self):
+        with pytest.raises(ValueError, match="a series that varies"):
+            cli._tau_b(_table([1, 1, 1], [1, 2, 3]))
+
+    def test_tau_b_rejects_fewer_than_two_pairs(self):
+        with pytest.raises(ValueError, match="at least two pairs"):
+            cli._tau_b(_table([2], [1]))
+
+    @pytest.mark.parametrize("rows", [[(1, 2), (2, 1)], [(1, 2), (1, 1), (1, 2)]], ids=["short", "constant"])
+    def test_diagnose_says_why_tau_is_undefined(self, tmp_path, capsys, rows):
+        path = tmp_path / "ordinal.csv"
+        path.write_text("quarter,y1,y2\n" + "".join(f"{t},{a},{b}\n" for t, (a, b) in enumerate(rows)))
+        code = main(["diagnose", "--input", str(path), "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: Kendall's tau needs at least two pairs and a series that varies\n"
 
 
 class TestCompare:
@@ -802,8 +846,8 @@ def test_replicate_study_emits_long_format(tmp_path):
     assert 0.0 <= float(first[3]) <= 1.0
 
 
-# Runs every entry point that needs no fit on each model passed on stdin,
-# records the scipy modules loaded, then fits once.
+# Runs every entry point that needs no fit, diagnose's report included, on
+# each model passed on stdin, records the scipy modules loaded, then fits once.
 _NO_FIT_SCRIPT = """
 import json, sys
 import numpy as np
@@ -823,6 +867,7 @@ for k, params in enumerate(models):
     forecast(params, (1, 1), 3, n_sims=50, rng=np.random.default_rng(k))
     exact_forecast_pmf(params, (1, 1), 3)
     joint_conditional_pmf(params, 1, 1)
+    bdar.cli.run_diagnostics(series)
     for spec in (params.copula_alpha, params.copula_eps):
         copula_cdf(spec, grid[:, None], grid[None, :])
 before_fit = loaded()
@@ -834,8 +879,8 @@ print(json.dumps({"after_import": after_import, "before_fit": before_fit, "after
 
 def test_paths_without_a_fit_load_no_scipy():
     # scipy's import costs several times bdar's and numpy's together, and
-    # only fits need it; scipy.stats, which only kendall_tau needs, stays
-    # unloaded even after a fit
+    # only fits need it: diagnose's Kendall taus come from count tables, and
+    # scipy.stats stays unloaded even after a fit
     import os
     import subprocess
     import sys

@@ -21,7 +21,6 @@ from bdar import (
     conditional_loglik,
     fit,
     information_criteria,
-    kendall_tau,
     likelihood_ratio_test,
     simulate,
 )
@@ -1060,60 +1059,6 @@ class TestLikelihoodRatioTest:
         with pytest.warns(UserWarning, match="out-scored"):
             out = likelihood_ratio_test(_report_stub(-50.1, 9), _report_stub(-50.0, 7))
         assert out.statistic == 0.0
-
-
-def _tau_b_brute(x, y):
-    n = len(x)
-    conc = disc = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = np.sign(x[j] - x[i])
-            dy = np.sign(y[j] - y[i])
-            if dx == 0 and dy == 0:
-                ties_x += 1
-                ties_y += 1
-            elif dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif dx == dy:
-                conc += 1
-            else:
-                disc += 1
-    n0 = n * (n - 1) // 2
-    return (conc - disc) / math.sqrt((n0 - ties_x) * (n0 - ties_y))
-
-
-class TestKendallTau:
-    def test_identity_is_one(self):
-        x = [3, 1, 4, 1.5, 9, 2.6]
-        assert kendall_tau(x, x) == pytest.approx(1.0)
-
-    def test_reversal_is_minus_one(self):
-        x = np.array([1, 2, 3, 4, 5])
-        assert kendall_tau(x, x[::-1]) == pytest.approx(-1.0)
-
-    def test_frozen_small_example(self):
-        got = kendall_tau((1, 2, 3, 4), (1, 3, 2, 4))
-        assert got == pytest.approx(_tau_b_brute([1, 2, 3, 4], [1, 3, 2, 4]), abs=1e-12)
-        assert got == pytest.approx(0.667, abs=0.001)
-
-    def test_matches_brute_force_with_ties(self):
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            x = rng.integers(1, 5, size=30)
-            y = rng.integers(1, 4, size=30)
-            if len(np.unique(x)) == 1 or len(np.unique(y)) == 1:
-                continue
-            assert kendall_tau(x, y) == pytest.approx(_tau_b_brute(x, y), abs=1e-12)
-
-    def test_constant_input_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            kendall_tau([1, 1, 1], [1, 2, 3])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            kendall_tau([1, 2], [1, 2, 3])
 
 
 def test_null_lrt_calibration():

@@ -1,4 +1,4 @@
-"""Process-level tests: conditional/stationary pmfs, moments, simulation.
+"""Process-level tests: conditional, stationary and lagged pmfs, simulation.
 
 Monte-Carlo oracles run at moderate sizes here with pinned seeds; the full
 criterion-sized versions live in test_acceptance.py.
@@ -22,7 +22,6 @@ from bdar import (
     CopulaSpec,
     TransitionKernel,
     conditional_loglik,
-    cross_moments,
     exact_forecast_pmf,
     forecast,
     joint_conditional_pmf,
@@ -388,52 +387,6 @@ class TestStationaryJointPmf:
         assert np.max(np.abs(freq - stationary_joint_pmf(study_params))) < 0.005
 
 
-class TestCrossMoments:
-    def test_m1_lag0_cross_covariance_is_zero(self):
-        p = Bdar1Params(
-            variant="m1", phi1=0.6, phi2=0.3,
-            m1=CategoricalMarginal((0.15, 0.6, 0.25)), m2=CategoricalMarginal((0.2, 0.3, 0.5)),
-        )
-        assert cross_moments(p, 3).gamma(0)[0, 1] == pytest.approx(0.0, abs=1e-14)
-
-    def test_geometric_decay_by_construction(self, study_params):
-        cm = cross_moments(study_params, 10)
-        for k in range(1, 11):
-            assert cm.gamma(k)[0, 0] == pytest.approx(
-                study_params.phi1**k * cm.gamma(0)[0, 0], abs=1e-12
-            )
-            assert cm.gamma(k)[0, 1] == pytest.approx(
-                study_params.phi1 * cm.gamma(k - 1)[0, 1], abs=1e-12
-            )
-            assert cm.gamma(k)[1, 0] == pytest.approx(
-                study_params.phi2 * cm.gamma(k - 1)[1, 0], abs=1e-12
-            )
-
-    def test_unit_diagonal_correlation_at_lag0(self, study_params):
-        rho0 = cross_moments(study_params, 1).rho(0)
-        assert rho0[0, 0] == 1.0 and rho0[1, 1] == 1.0
-
-    def test_against_sample_cross_correlations(self, study_params):
-        cm = cross_moments(study_params, 3)
-        s = simulate(study_params, 200_000, substream(23, "xcorr"))
-        z1 = s.z1.astype(float)
-        z2 = s.z2.astype(float)
-        for k in (0, 1, 2):
-            got = np.corrcoef(z1[k:], z2[: len(z2) - k])[0, 1]
-            assert got == pytest.approx(cm.rho(k)[0, 1], abs=0.02)
-
-    def test_custom_state_values(self, study_params):
-        cm = cross_moments(study_params, 1, values1=(10.0, 20.0, 30.0))
-        default = cross_moments(study_params, 1)
-        assert cm.mu1 == pytest.approx(10.0 * default.mu1)
-        # correlations are scale invariant
-        assert cm.rho(1)[0, 1] == pytest.approx(default.rho(1)[0, 1], abs=1e-12)
-
-    def test_rejects_negative_lag(self, study_params):
-        with pytest.raises(ValueError, match=">= 0"):
-            cross_moments(study_params, -1)
-
-
 class TestSimulate:
     def test_no_persistence_is_iid_innovations(self, study_params):
         p = Bdar1Params(
@@ -645,35 +598,31 @@ _FRANK_M5 = Bdar1Params(
 
 
 @pytest.mark.parametrize("params_name", ["study_params", "frank_m5"])
-def test_long_path_matches_stationary_pmf_and_cross_moments(request, params_name):
+def test_long_path_matches_stationary_and_lagged_pair_pmfs(request, params_name):
     """The paper's properties on one path of 10^6 steps: the stationary joint
-    pmf and the lag-0/1/2 (cross-)correlations of ``cross_moments``.
+    pmf pi of the pair, and the lag-1 and lag-2 joint pmfs of (pair at t,
+    pair at t + h), pi(s) P^h(s, s') with P from the dense oracle.
 
     The pair chain's transition operator has eigenvalues 1, phi1, phi2 and
     the both-keep mass, so the lag-h correlations of any function of the pair
     fall at least as fast as lam^h, lam = max(phi1, phi2). The bands are 4.5
-    standard errors of a binomial frequency (or of a correlation, 1/sqrt(n))
-    widened by the integrated autocorrelation (1 + lam) / (1 - lam), and by
-    a further 2 for a cross-correlation, whose variance sums the product of
-    both series' autocorrelations and that of both cross-correlations."""
+    standard errors of a binomial frequency widened by the integrated
+    autocorrelation (1 + lam) / (1 - lam)."""
     params = _FRANK_M5 if params_name == "frank_m5" else request.getfixturevalue(params_name)
     n = 10**6
     s = simulate(params, n, substream(92, params_name))
     lam = max(params.phi1, params.phi2)
     inflation = (1.0 + lam) / (1.0 - lam)
 
-    pmf = TransitionKernel.from_params(params).stationary()
-    freq = np.bincount((s.z1 - 1) * params.d2 + (s.z2 - 1), minlength=pmf.size) / n
-    band = 4.5 * np.sqrt(pmf.ravel() * (1.0 - pmf.ravel()) * inflation / n)
-    assert np.all(np.abs(freq - pmf.ravel()) <= band)
+    pmf = TransitionKernel.from_params(params).stationary().ravel()
+    pair = np.multiply(s.z1 - 1, params.d2, dtype=np.int64) + (s.z2 - 1)
+    freq = np.bincount(pair, minlength=pmf.size) / n
+    band = 4.5 * np.sqrt(pmf * (1.0 - pmf) * inflation / n)
+    assert np.all(np.abs(freq - pmf) <= band)
 
-    rho = cross_moments(params, 2).rhos
-    z = (s.z1.astype(float), s.z2.astype(float))
-    band = 4.5 * np.sqrt(2.0 * inflation / n)
-    for k in (0, 1, 2):
-        for r in (0, 1):
-            for c in (0, 1):
-                if k == 0 and r == c:
-                    continue
-                got = np.corrcoef(z[r][k:], z[c][:n - k])[0, 1]
-                assert abs(got - rho[k, r, c]) <= band, (k, r, c)
+    step = dense_transition_matrix(params)
+    for h in (1, 2):
+        joint = (pmf[:, None] * np.linalg.matrix_power(step, h)).ravel()
+        freq = np.bincount(pair[:-h] * pmf.size + pair[h:], minlength=joint.size) / (n - h)
+        band = 4.5 * np.sqrt(joint * (1.0 - joint) * inflation / (n - h))
+        assert np.all(np.abs(freq - joint) <= band), h

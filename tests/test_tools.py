@@ -18,11 +18,11 @@ start_study = load_script("tools/start_study.py")
 import_cost = load_script("tools/import_cost.py")
 
 
-def _pair(parent, change):
+def _pair(parent, change, first="parent"):
     def outcome(value):
         return {"metrics": {} if value is None else {"pass_s": {"value": value}}}
 
-    return {"parent": outcome(parent), "change": outcome(change)}
+    return {"first": first, "parent": outcome(parent), "change": outcome(change)}
 
 
 def test_parse_seeds_mixes_ranges_and_single_seeds():
@@ -36,11 +36,12 @@ def test_summary_of_one_and_of_four_values():
     assert bench_pairs.summary([]) == {"median": None, "q1": None, "q3": None}
 
 
-@pytest.mark.parametrize("better, wins", [("lower", 1), ("higher", 2)])
-def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
+@pytest.mark.parametrize("better, wins, by_first", [("lower", 1, (1, 0)), ("higher", 2, (1, 1))])
+def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins, by_first):
     # (parent, change): one lower and two higher changes, a tie, and two
-    # pairs with a side missing
-    pairs = [_pair(2.0, 1.0), _pair(1.0, 3.0), _pair(1.0, 4.0), _pair(2.0, 2.0),
+    # pairs with a side missing; the change runs first in the second pair
+    # and in the tie
+    pairs = [_pair(2.0, 1.0), _pair(1.0, 3.0, "change"), _pair(1.0, 4.0), _pair(2.0, 2.0, "change"),
              _pair(None, 1.0), _pair(1.0, None)]
     out = bench_pairs.compare(pairs, bench_pairs.metric("pass_s"), better)
     assert out == {
@@ -49,7 +50,18 @@ def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
         "change": bench_pairs.summary([1.0, 3.0, 4.0, 2.0]),
         "change_better_pairs": wins,
         "pairs": 4,
+        "by_first": {"parent": {"change_better_pairs": by_first[0], "pairs": 2},
+                     "change": {"change_better_pairs": by_first[1], "pairs": 2}},
     }
+
+
+@pytest.mark.parametrize("seeds, warned", [("1-3", True), ("1-4", False)])
+def test_bench_pairs_warns_of_an_odd_number_of_seeds(tmp_path, capsys, seeds, warned):
+    # the missing checkouts end the run after the warning, before any benchmark
+    code = bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+                             "--seeds", seeds, "--seconds", "1", "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert ("warning: 3 seeds" in capsys.readouterr().err) is warned
 
 
 _MODULE = '''"""A module docstring

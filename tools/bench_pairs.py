@@ -4,9 +4,13 @@ For each workload and seed, runs ``python3 perfbench/run.py ... --trace 0``
 once in the parent checkout and once in the change checkout, alternating which
 side goes first, and reads the JSON object on the last line of each run's
 output. Per end-to-end metric it records each side's median and quartiles and
-in how many pairs the change was better; it also records every run's outcome
-and the ``attempted``/``failed`` counts. One ``--trace 1`` run per side (first seed) adds the per-layer
-metrics in ``TRACED``. Uses the standard library only.
+in how many pairs the change was better, in all and split by the side that
+ran first in the pair, so that a run-order effect can be told from a
+difference between the sides. An odd number of seeds lets the parent run
+first once more than the change, and draws a warning. It also records every
+run's outcome and the ``attempted``/``failed`` counts. One ``--trace 1`` run
+per side (first seed) adds the per-layer metrics in ``TRACED``. Uses the
+standard library only.
 
 Build both sides the same way, as fresh clones: commit the change, then
 clone it twice and check the parent out in one clone. Run from anywhere, for
@@ -102,16 +106,20 @@ def summary(values: list) -> dict:
 
 
 def compare(pairs: list, read, better: str) -> dict:
-    """Both sides' summaries of one metric and the change's wins over the pairs."""
-    both = [(read(p["parent"]), read(p["change"])) for p in pairs]
-    both = [(a, b) for a, b in both if a is not None and b is not None]
-    wins = sum((b < a) if better == "lower" else (b > a) for a, b in both)
+    """Both sides' summaries of one metric and the change's wins over the
+    pairs, in all and by the side that ran first."""
+    both = [(p["first"], read(p["parent"]), read(p["change"])) for p in pairs]
+    both = [(first, a, b) for first, a, b in both if a is not None and b is not None]
+    won = [(first, (b < a) if better == "lower" else (b > a)) for first, a, b in both]
     return {
         "better": better,
-        "parent": summary([a for a, _ in both]),
-        "change": summary([b for _, b in both]),
-        "change_better_pairs": wins,
+        "parent": summary([a for _, a, _ in both]),
+        "change": summary([b for _, _, b in both]),
+        "change_better_pairs": sum(w for _, w in won),
         "pairs": len(both),
+        "by_first": {side: {"change_better_pairs": sum(w for first, w in won if first == side),
+                            "pairs": sum(first == side for first, _ in won)}
+                     for side in ("parent", "change")},
     }
 
 
@@ -164,6 +172,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) % 2:
+        print(f"warning: {len(args.seeds)} seeds: the parent runs first in one pair more than "
+              "the change; an even number balances the run order", file=sys.stderr)
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             print(f"error: {checkout} has no perfbench/run.py", file=sys.stderr)

@@ -8,7 +8,7 @@ modules loaded at its end:
 1. ``import``: ``import bdar, bdar.cli``;
 2. ``evaluate``: stage 1 plus one ``simulate`` (1,000 steps),
    ``conditional_loglik`` and ``exact_forecast_pmf`` (horizon 12) on the
-   bundled parameters;
+   bundled parameters, and ``bdar diagnose``'s report on the bundled series;
 3. ``fit``: stage 2 plus one M1 fit of the simulated path.
 
 Only fits need scipy, so the script exits 1 if stage 1 or 2 loads any scipy
@@ -42,6 +42,9 @@ STAGES = (
         "series = simulate(params, 1000, substream(0, 'import-cost'))",
         "conditional_loglik(params, series)",
         "exact_forecast_pmf(params, (1, 1), 12)",
+        "config = bdar.cli.RunConfig(input=str(bdar.cli.BUNDLED_SERIES),",
+        "                            breakpoints=list(bdar.cli.DEFAULT_RATE_BREAKPOINTS))",
+        "bdar.cli.run_diagnostics(bdar.cli.load_ordinal(config)[1])",
     ])),
     ("fit", "bdar.fit(series, 'm1', 'frank', 'frank')"),
 )
