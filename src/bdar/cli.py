@@ -295,13 +295,13 @@ def _read_params(config: RunConfig, missing: str) -> Bdar1Params:
 
 
 def _tau_b(table: np.ndarray) -> float:
-    """Kendall's tau-b of a pair from its contingency table (rows: x, columns: y).
+    """Kendall's tau-b of a pair (x, y) from its contingency table, x by rows.
 
     The concordant minus discordant pairs come from 2-D cumulative sums and
     the ties from the margins, all in exact integers, and the value is
     SciPy's own final expression in ``kendalltau(x, y)``, so the two agree
-    bit for bit. Costs O(r c): d1 d2 cells for the cross pair, d1^2 and d2^2 for the
-    serial pairs.
+    bit for bit. Costs O(r c): d1 d2 cells for the cross pair, d1^2 and
+    d2^2 for the serial pairs.
     """
     n = int(table.sum())
     pairs = n * (n - 1) // 2
