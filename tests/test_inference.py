@@ -977,6 +977,15 @@ OBJECTIVE_SHA256 = {
     "m5 gumbel frank": "eea94e59a0d57753edae537cece1da3fd9d2af6063b88018c2dc708e5e61e23c",
     "m5 gumbel gumbel": "c8b46a57fc19afdf074bc9f6b4a94dccd86e1011a9b3dab30dd4b3689ebe2fe4",
 }
+# The same digest of M5's objective at d1, d2 in [7, 12], where numpy's sums
+# of 8 or more entries regroup: a rewrite that reorders the simplex sums or
+# the row sums of the cells' gradient changes these and none above.
+OBJECTIVE_LARGE_D_SHA256 = {
+    "m5 frank frank": "fe85ae706db608b356637e87ca72cf8171e0472e610daa7642041c0006d66fb4",
+    "m5 frank gumbel": "f3d3ad28eaa7f34a43da30534898c3a7ee44145b5cf13444f83101d685f8aa64",
+    "m5 gumbel frank": "9b11049db1cc5730bf66475afdd87beafc19bae81823966923a0876dd697ed08",
+    "m5 gumbel gumbel": "fbd26441d8d2ce85e22e946cc85fea15dbf5be196307c13787f7c90305a4b825",
+}
 DEFAULT_STARTS_SHA256 = "67dbc046ba8b51184acafda4b716ac877c7b53c8e898da6e6510567b21afb708"
 FIT_STARTS_SHA256 = {
     "m5 frank": "d1d24c8ffd0d10e84f8644dec45ca0906e93249ddf76551efad51d653ffc9a52",
@@ -990,6 +999,12 @@ class TestFrozenDigests:
 
     def test_objective_value_and_gradient(self):
         assert cells_digests.objective_digests() == OBJECTIVE_SHA256
+
+    def test_objective_beyond_seven_states(self):
+        digests = cells_digests.objective_digests(
+            groups=cells_digests.LARGE_D_GROUPS, sizes=(7, 12), seed=2514
+        )
+        assert digests == OBJECTIVE_LARGE_D_SHA256
 
     def test_default_starts(self):
         assert cells_digests.default_starts_digest() == DEFAULT_STARTS_SHA256

@@ -4,9 +4,9 @@ Prints, as JSON, one digest per copula spec of ``copula_cdf`` over grids and
 scalar points that include the edges, and one per (variant, family) group of
 ``TransitionKernel.from_params`` cells over seeded random parameters. For the
 fit it adds one digest per (variant, mechanism family, innovation family) of
-the objective's value and gradient at seeded points, one of every
-``_default_starts`` vector, and one per copula family of every L-BFGS-B
-starting point of a seeded M5 fit. Run it on two checkouts and diff the
+the objective's value and gradient at seeded points, again per M5 group at
+d1, d2 of 7 to 12, one of every ``_default_starts`` vector, and one per
+copula family of every L-BFGS-B starting point of a seeded M5 fit. Run it on two checkouts and diff the
 outputs to see whether a change to the copula evaluator, the cell builders
 or the fit's parameter map keeps every value bit for bit. The tests pin the
 digests (tests/test_copulas.py, tests/test_joint.py, tests/test_inference.py).
@@ -138,17 +138,24 @@ def _counts(rng: np.random.Generator, d1: int, d2: int) -> np.ndarray:
     return out
 
 
-def objective_digests(n: int = 30) -> dict:
+# M5 under every pair of families at d1, d2 in [7, 12]: numpy regroups a
+# sum only from 8 entries on, so only these sizes pin the order of the
+# simplex sums and of the row sums of the cells' gradient
+LARGE_D_GROUPS = [(Variant.M5, alpha, eps) for alpha in FAMILIES for eps in FAMILIES]
+
+
+def objective_digests(n: int = 30, groups=LAYOUT_GROUPS, sizes=(2, 6), seed: int = 2511) -> dict:
     """Per layout group, the digest of the objective's value then gradient
-    at ``n`` seeded points on seeded counts. A coordinate is drawn within
-    its eta bounds, scaled by 1, 0.2 or 0.05 so that points near the middle
-    and near the bounds both occur."""
+    at ``n`` seeded points on seeded counts, with d1 and d2 drawn from the
+    closed range ``sizes``. A coordinate is drawn within its eta bounds,
+    scaled by 1, 0.2 or 0.05 so that points near the middle and near the
+    bounds both occur."""
     out = {}
-    for k, (variant, alpha, eps) in enumerate(LAYOUT_GROUPS):
-        rng = np.random.default_rng([2511, k])
+    for k, (variant, alpha, eps) in enumerate(groups):
+        rng = np.random.default_rng([seed, k])
         h = hashlib.sha256()
         for _ in range(n):
-            d1, d2 = (int(d) for d in rng.integers(2, 7, size=2))
+            d1, d2 = (int(d) for d in rng.integers(sizes[0], sizes[1] + 1, size=2))
             layout = _Layout.build(variant, d1, d2, alpha, eps)
             objective = inference._make_objective(layout, _counts(rng, d1, d2))
             lo, hi = np.asarray(layout.bounds()).T
@@ -214,6 +221,7 @@ def main() -> None:
         "copula_cdf": {label(spec): copula_cdf_digest(spec) for spec in COPULA_SPECS},
         "kernel_cells": kernel_cells_digests(),
         "objective": objective_digests(),
+        "objective_large_d": objective_digests(groups=LARGE_D_GROUPS, sizes=(7, 12), seed=2514),
         "default_starts": default_starts_digest(),
         "fit_starts": fit_starts_digests(),
     }
