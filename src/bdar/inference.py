@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +127,14 @@ def simplex_to_eta(probs) -> np.ndarray:
 
 
 def eta_to_simplex(eta) -> np.ndarray:
-    z = np.concatenate([np.asarray(eta, dtype=float), [0.0]])
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    """The softmax of (eta, 0), built in one array: shifted by its largest
+    entry, exponentiated, divided by its sum."""
+    z = np.zeros(len(eta) + 1)
+    z[:-1] = eta
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z)
+    return z
 
 
 def _phi_slope(eta: float) -> float:
@@ -155,34 +160,52 @@ def delta_to_eta(delta: float, family: CopulaFamily) -> float:
     return float(np.sign(delta) * np.log1p(abs(delta)))
 
 
+def _gumbel_from_eta(eta: float) -> float:
+    return float(1.0 + np.exp(eta))
+
+
+def _frank_from_eta(eta: float) -> float:
+    # sign(eta) expm1(|eta|); an eta of -0.0 gives +0.0, as np.sign's 0 does
+    e = float(np.expm1(abs(eta)))
+    return -e if eta < 0.0 else e
+
+
 def eta_to_delta(eta: float, family: CopulaFamily) -> float:
-    if family is CopulaFamily.GUMBEL:
-        return float(1.0 + np.exp(eta))
-    return float(np.sign(eta) * np.expm1(abs(eta)))
+    return _gumbel_from_eta(eta) if family is CopulaFamily.GUMBEL else _frank_from_eta(eta)
 
 
-def _delta_slope(eta: float, family: CopulaFamily) -> float:
-    """d(delta)/d(eta): delta - 1 for Gumbel, 1 + |delta| for Frank."""
-    return math.exp(eta if family is CopulaFamily.GUMBEL else abs(eta))
+def _frank_slope(eta: float) -> float:
+    return math.exp(abs(eta))
+
+
+# Per copula family (None for a keep rate): the map from eta to the natural
+# scale and its slope d(natural)/d(eta), which is delta - 1 for Gumbel and
+# 1 + |delta| for Frank.
+_FROM_ETA = {
+    None: (eta_to_phi, _phi_slope),
+    CopulaFamily.GUMBEL: (_gumbel_from_eta, math.exp),
+    CopulaFamily.FRANK: (_frank_from_eta, _frank_slope),
+}
+
+# The raw parameters a scalar coordinate sets, as ``_Layout.raw_unpack``
+# returns them after the simplexes.
+_RAW_SCALARS = ("phi1", "phi2", "delta_alpha", "delta_eps")
 
 
 @dataclass(frozen=True)
 class _Scalar:
-    """One keep-rate or dependence coordinate of the fit's vector."""
+    """One keep-rate or dependence coordinate of the fit's vector, with its
+    family's map from eta and slope resolved when the layout is built."""
 
     name: str  # from model._FREE_SCALARS
     family: CopulaFamily | None  # of the copula whose delta it is; None for a keep rate
     bounds: tuple[float, float]  # on the eta scale
-    targets: tuple  # the raw parameters it sets: M2's phi sets phi1 and phi2
+    slots: tuple  # the raw parameters it sets, by index into _RAW_SCALARS: M2's phi sets phi1 and phi2
+    from_eta: Callable[[float], float]  # eta -> natural value
+    slope: Callable[[float], float]  # eta -> d(natural)/d(eta)
 
     def to_eta(self, value: float) -> float:
         return phi_to_eta(value) if self.family is None else delta_to_eta(value, self.family)
-
-    def from_eta(self, eta: float) -> float:
-        return eta_to_phi(eta) if self.family is None else eta_to_delta(eta, self.family)
-
-    def slope(self, eta: float) -> float:
-        return _phi_slope(eta) if self.family is None else _delta_slope(eta, self.family)
 
 
 @dataclass(frozen=True)
@@ -208,8 +231,8 @@ class _Layout:
             family = CopulaFamily(families[name]) if name in families else None
             if family is CopulaFamily.PRODUCT:
                 raise ValueError("a free dependence parameter needs a parametric copula family")
-            targets = ("phi1", "phi2") if name == "phi" else (name,)
-            scalars.append(_Scalar(name, family, _ETA_BOUNDS[family], targets))
+            slots = (0, 1) if name == "phi" else (_RAW_SCALARS.index(name),)
+            scalars.append(_Scalar(name, family, _ETA_BOUNDS[family], slots, *_FROM_ETA[family]))
         free = {s.name: s.family for s in scalars}
         return cls(variant, d1, d2, free.get("delta_alpha"), free.get("delta_eps"), tuple(scalars))
 
@@ -236,13 +259,12 @@ class _Layout:
         validation: ``(p1, p2, phi1, phi2, delta_alpha, delta_eps)``, with a
         dependence of 0.0 where the variant has none free."""
         k1, k = self.d1 - 1, self.n_simplex
-        raw = {"delta_alpha": 0.0, "delta_eps": 0.0}
+        raw = [0.0, 0.0, 0.0, 0.0]  # every variant sets both keep rates
         for s, eta in zip(self.scalars, x[k:].tolist()):
             value = s.from_eta(eta)
-            for t in s.targets:
-                raw[t] = value
-        p1, p2 = eta_to_simplex(x[:k1]), eta_to_simplex(x[k1:k])
-        return p1, p2, raw["phi1"], raw["phi2"], raw["delta_alpha"], raw["delta_eps"]
+            for slot in s.slots:
+                raw[slot] = value
+        return eta_to_simplex(x[:k1]), eta_to_simplex(x[k1:k]), *raw
 
     def copula_families(self):
         """The (mechanism, innovation) copula families as ``Bdar1Params``
@@ -270,7 +292,7 @@ class _Layout:
         coordinate that sets the same raw parameter, the rest from ``fill``."""
         k = self.n_simplex
         etas = dict(fill)
-        etas.update((t, eta) for s, eta in zip(nested.scalars, x[k:]) for t in s.targets)
+        etas.update((_RAW_SCALARS[t], eta) for s, eta in zip(nested.scalars, x[k:]) for t in s.slots)
         return np.concatenate([x[:k], [etas[s.name] for s in self.scalars]])
 
     def bounds(self) -> list[tuple[float, float]]:
@@ -280,19 +302,21 @@ class _Layout:
         names = [f"p1_{i}" for i in range(1, self.d1)] + [f"p2_{i}" for i in range(1, self.d2)]
         return names + [s.name for s in self.scalars]
 
-    def _scalar_slopes(self, x: np.ndarray) -> np.ndarray:
-        """d(natural)/d(eta) of the keep-rate and dependence coordinates."""
-        return np.asarray([s.slope(eta) for s, eta in zip(self.scalars, x[self.n_simplex :].tolist())])
-
     def chain(self, x, p1, p2, g_p1, g_p2, g_phi1, g_phi2, g_alpha, g_eps) -> np.ndarray:
         """Gradient on the unconstrained vector from gradients on the raw
-        parameters; M2's shared ``phi`` takes the sum of both keep rates'."""
-        g_named = {
-            "phi": g_phi1 + g_phi2, "phi1": g_phi1, "phi2": g_phi2, "delta_alpha": g_alpha, "delta_eps": g_eps
-        }
-        g_scalar = [g_named[s.name] for s in self.scalars]
-        slopes = self._scalar_slopes(x)
-        return np.concatenate([_simplex_vjp(p1, g_p1), _simplex_vjp(p2, g_p2), slopes * g_scalar])
+        parameters; M2's shared ``phi`` takes the sum of both keep rates'.
+        Each scalar's slope times its gradient is a product of Python floats."""
+        k1, k = self.d1 - 1, self.n_simplex
+        grad = np.empty(self.size)
+        grad[:k1] = _simplex_vjp(p1, g_p1)
+        grad[k1:k] = _simplex_vjp(p2, g_p2)
+        g_raw = (g_phi1, g_phi2, g_alpha, g_eps)
+        for i, (s, eta) in enumerate(zip(self.scalars, x[k:].tolist()), k):
+            g = g_raw[s.slots[0]]
+            for slot in s.slots[1:]:
+                g = g + g_raw[slot]
+            grad[i] = s.slope(eta) * g
+        return grad
 
     def report_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d(report values)/dx: simplexes without their last entry, then keep
@@ -303,7 +327,7 @@ class _Layout:
         jac[:k1, :k1] = _simplex_jacobian(p1)[:-1]
         jac[k1:k, k1:k] = _simplex_jacobian(p2)[:-1]
         rest = np.arange(k, self.size)
-        jac[rest, rest] = self._scalar_slopes(x)
+        jac[rest, rest] = [s.slope(eta) for s, eta in zip(self.scalars, x[k:].tolist())]
         return jac
 
 
@@ -595,8 +619,19 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
     repeat patterns each term enters), the mechanism and innovation cells
     (copula partials) and the transforms.
     Terms floored at ``MIN_TERM_PROB`` and clamped cells carry no gradient.
+
+    On a few dozen cells a call is a chain of small numpy calls, and their
+    fixed cost, not the arithmetic, sets its time. So each scalar's map from
+    eta and its slope are resolved when the layout is built, arrays are
+    written in place with ``out=`` where that saves a temporary, and sums
+    are taken by ``np.add.reduce``. The floating-point operations and their
+    order stay those of the direct formulas, bit for bit: numpy regroups
+    sums of 8 or more entries, so a reordered sum would change the digests
+    of ``TestFrozenDigests``. The cell builders are looked up in this
+    module's globals at each call, where the benchmark's tracer hooks them.
     """
     alpha_family, eps_family = layout.copula_families()
+    neg_counts = -counts
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p1, p2, phi1, phi2, delta_alpha, delta_eps = layout.raw_unpack(x)
@@ -605,13 +640,14 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
             mech, alpha_partials = _mechanism_cells(phi1, phi2, alpha_family, delta_alpha)
         probs = TransitionKernel(mech, pe, p1, p2).by_pattern()
         floored = np.maximum(probs, MIN_TERM_PROB)
-        value = -float(np.vdot(counts, np.log(floored)))
+        # -counts / floored, and 0 where the term is floored
+        g_probs = np.divide(neg_counts, floored, out=np.zeros(probs.shape), where=probs >= MIN_TERM_PROB)
+        value = -float(np.vdot(counts, np.log(floored, out=floored)))
 
-        g_probs = np.where(probs >= MIN_TERM_PROB, -counts / floored, 0.0)
-        g_pe = g_probs.sum(axis=(0, 1))
-        g_keep2 = g_probs[:, 1].sum(axis=(0, 2))  # the m01 p1[i] term, by i
-        g_keep1 = g_probs[1].sum(axis=(0, 1))  # the m10 p2[j] term, by j
-        g_terms = (np.vdot(g_pe, pe), g_keep2 @ p1, g_keep1 @ p2, g_probs[1, 1].sum())
+        g_pe = np.add.reduce(g_probs, axis=(0, 1))
+        g_keep2 = np.add.reduce(g_probs[:, 1], axis=(0, 2))  # the m01 p1[i] term, by i
+        g_keep1 = np.add.reduce(g_probs[1], axis=(0, 1))  # the m10 p2[j] term, by j
+        g_terms = (np.vdot(g_pe, pe), g_keep2 @ p1, g_keep1 @ p2, np.add.reduce(g_probs[1, 1], axis=None))
         m00, m01, m10, m11 = mech.ravel().tolist()
         g_mech = [float(g) if m > 0.0 else 0.0 for m, g in zip((m00, m01, m10, m11), g_terms)]
         g_p1, g_p2, g_eps = _innovation_cells_vjp(eps_partials, m00 * g_pe * (pe > 0.0))
@@ -625,10 +661,26 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
 
 
 def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
+    """One L-BFGS-B run of ``objective`` from ``x0`` within the layout's bounds.
+
+    scipy asks for the value and then the gradient at each point. Both come
+    from one objective call, kept for the last point by the bytes of ``x``:
+    scipy passes each point as a fresh copy, so a byte compare is the exact
+    one and costs less than ``jac=True``'s numeric compare, which it makes
+    twice per point."""
+    last_key, last = None, None  # x.tobytes() and (value, gradient) of the latest call
+
+    def value_and_gradient(x):
+        nonlocal last_key, last
+        key = x.tobytes()
+        if key != last_key:
+            last_key, last = key, objective(x)
+        return last
+
     return optimize.minimize(
-        objective,
+        lambda x: value_and_gradient(x)[0],
         x0,
-        jac=True,
+        jac=lambda x: value_and_gradient(x)[1],
         method="L-BFGS-B",
         bounds=layout.bounds(),
         options={"maxiter": LBFGSB_MAX_ITER, "ftol": 1e-12, "gtol": LBFGSB_GTOL},

@@ -129,7 +129,12 @@ def _innovation_cells(
     """
     f1, f2 = _cdf_edges(p1), _cdf_edges(p2)
     if f1[-2] < 1.0 and f2[-2] < 1.0:
-        out = _cdf_with_partials(family, delta, f1[1:-1, None], f2[None, 1:-1], values_only)
+        # the interior points as two contiguous (d1 - 1, d2 - 1) arrays: the
+        # copula pass costs less per call than on a broadcast column and row
+        uv = np.empty((2, len(p1) - 1, len(p2) - 1))
+        uv[0] = f1[1:-1, None]
+        uv[1] = f2[1:-1]
+        out = _cdf_with_partials(family, delta, uv[0], uv[1], values_only)
         grid = np.zeros((len(f1), len(f2)))
         grid[1:-1, 1:-1] = out[0]
         grid[1:, -1] = f1[1:]
@@ -162,14 +167,14 @@ def _innovation_cells_vjp(partials, g_cells: np.ndarray):
     du, dv, dd = partials
     g = g_cells
     inner = g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:] + g[1:, 1:]
-    g_f1 = (inner * du).sum(axis=1) + g[:-1, -1] - g[1:, -1]
-    g_f2 = (inner * dv).sum(axis=0) + g[-1, :-1] - g[-1, 1:]
+    g_f1 = np.add.reduce(inner * du, axis=1) + g[:-1, -1] - g[1:, -1]
+    g_f2 = np.add.reduce(inner * dv, axis=0) + g[-1, :-1] - g[-1, 1:]
     # F(k) is the sum of the first k probabilities; the last one enters no
-    # grid point
+    # grid point. The suffix sums are written in place, into reversed views.
     g_p1 = np.zeros(len(g_f1) + 1)
-    g_p1[:-1] = np.add.accumulate(g_f1[::-1])[::-1]
+    np.add.accumulate(g_f1[::-1], out=g_p1[-2::-1])
     g_p2 = np.zeros(len(g_f2) + 1)
-    g_p2[:-1] = np.add.accumulate(g_f2[::-1])[::-1]
+    np.add.accumulate(g_f2[::-1], out=g_p2[-2::-1])
     return g_p1, g_p2, float(np.vdot(inner, dd))
 
 

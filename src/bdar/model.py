@@ -253,10 +253,14 @@ class TransitionKernel(NamedTuple):
         added in that order. It is indexed like ``transition_counts``.
         """
         m00, m01, m10, m11 = self.mech.ravel().tolist()
-        neither = m00 * self.pe
-        second = neither + m01 * self.p1[:, None]
-        first_term = m10 * self.p2
-        return np.array([[neither, second], [neither + first_term, second + first_term + m11]])
+        out = np.empty((2, 2) + self.pe.shape)
+        innovated = out[0]  # the first series innovated: r1 = 0
+        np.multiply(m00, self.pe, out=innovated[0])
+        np.add(innovated[0], (m01 * self.p1)[:, None], out=innovated[1])
+        # r1 = 1 adds m10 p2[j] to both r2 blocks, and r2 = 1 then m11
+        np.add(innovated, m10 * self.p2, out=out[1])
+        out[1, 1] += m11
+        return out
 
     def push(self, dist: np.ndarray) -> np.ndarray:
         """The pmf of the next pair given the pmf ``dist`` of the current one,

@@ -1,5 +1,6 @@
 """Likelihood, fitting, and model-comparison tests."""
 
+import collections
 import math
 import tracemalloc
 
@@ -575,6 +576,29 @@ class TestFitBookkeeping:
         assert report.converged is bool(capped.results[-1].success) is True
         assert report.loglik == -capped.results[-1].fun
         assert report.n_iterations == sum(r.nit for r in capped.results)
+
+    def test_each_objective_call_builds_both_cells_through_inference(self, monkeypatch, study_params):
+        # perfbench counts the cell builds by hooking bdar.inference's names:
+        # the objective must look both up there at call time, once per call.
+        # L-BFGS-B gets one objective call per point it evaluates, and the
+        # standard errors two per coordinate.
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("_innovation_cells", "_mechanism_cells"):
+            monkeypatch.setattr(inference, name, counting(name, getattr(inference, name)))
+        make_objective = inference._make_objective
+        monkeypatch.setattr(inference, "_make_objective", lambda *args: counting("objective", make_objective(*args)))
+        recorded = _CappedOptimize(lambda x0: None)
+        monkeypatch.setattr(inference, "optimize", recorded)
+        report = fit(simulate(study_params, 300, substream(80, "cell-builds")), "m5", "frank", "frank")
+        assert calls["objective"] == sum(r.nfev for r in recorded.results) + 2 * report.n_params
+        assert calls["_innovation_cells"] == calls["_mechanism_cells"] == calls["objective"]
 
     def test_m5_reaches_shared_mechanism_fit(self):
         # M2 lies on the comonotone boundary of M5; restarts alone stop
