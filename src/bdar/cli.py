@@ -185,6 +185,15 @@ class RunConfig:
                 raise ValueError(f"config key {key!r} must not be empty")
         if self.replicates < 1:
             raise ValueError(f"config key 'replicates' must be at least 1, got {self.replicates}")
+        # a path of fewer than 2 steps cannot be simulated; a longer one too
+        # short to fit is simulated and written as ERROR rows
+        if min(self.sample_sizes) < 2:
+            raise ValueError(
+                f"config key 'sample_sizes' entries must be at least 2, got {min(self.sample_sizes)}"
+            )
+        # substream keeps the seed's low 64 bits: -1 and 2**64 - 1 would alias
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"config key 'seed' must lie in [0, 2**64), got {self.seed}")
 
     @classmethod
     def field_names(cls):

@@ -627,6 +627,10 @@ class TestMainEntry:
         ("replicate-study", {"replicates": 0}, [], "'replicates' must be at least 1, got 0"),
         ("replicate-study", {}, ["--replicates", "0"], "'replicates' must be at least 1, got 0"),
         ("replicate-study", {"replicates": -2}, [], "'replicates' must be at least 1, got -2"),
+        # no fit of the T = 200 replicates runs before the refusal
+        ("replicate-study", {}, ["--sample-sizes", "200", "1", "--replicates", "2"],
+         "'sample_sizes' entries must be at least 2, got 1"),
+        ("replicate-study", {"sample_sizes": [0, 50]}, [], "'sample_sizes' entries must be at least 2, got 0"),
     ])
     def test_config_that_would_run_nothing_is_an_error(self, tmp_path, capsys, command, config, flags,
                                                        message):
@@ -640,6 +644,20 @@ class TestMainEntry:
         assert code == 1
         assert f"error: config key {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_an_error(self, tmp_path, capsys, seed):
+        # substream keeps a seed's low 64 bits, so -1 would give the streams of 2**64 - 1
+        code = main(["simulate", "--params", str(BUNDLED_PARAMS), "--seed", seed, "--length", "50",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: config key 'seed' must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        code = main(["simulate", "--params", str(BUNDLED_PARAMS), "--seed", str(2**64 - 1), "--length", "50",
+                     "--output", str(tmp_path / "out")])
+        assert code == 0
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
