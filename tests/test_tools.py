@@ -57,6 +57,19 @@ def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
     }
 
 
+def test_count_mismatches_names_counts_that_differ_or_are_missing():
+    def outcome(**values):
+        units = {"evals": "count", "cells": "count", "spans": "count", "self_s": "s", "calls": "count"}
+        return {"metrics": {name: {"value": value, "unit": units[name]} for name, value in values.items()}}
+
+    parent = outcome(evals=781.0, cells=0.0, spans=2405.0, self_s=0.5, calls=3.0)
+    # a time that moved is no count; a count one side lacks is a mismatch
+    change = outcome(evals=780.0, cells=0.0, spans=2405.0, self_s=0.4)
+    assert bench_pairs.count_mismatches(parent, change) == ["calls", "evals"]
+    assert bench_pairs.count_mismatches(parent, parent) == []
+    assert bench_pairs.count_mismatches(parent, {"error": "exit code 1"}) is None
+
+
 @pytest.mark.parametrize("seeds, warned", [("1-3", True), ("1-4", False)])
 def test_bench_pairs_warns_of_an_odd_number_of_seeds(tmp_path, capsys, seeds, warned):
     # the missing checkouts end the run after the warning, before any benchmark

@@ -9,8 +9,10 @@ ran first in the pair, so that a run-order effect can be told from a
 difference between the sides. An odd number of seeds lets the parent run
 first once more than the change, and draws a warning. It also records every
 run's outcome and the ``attempted``/``failed`` counts. One ``--trace 1`` run
-per side (first seed) adds the per-layer metrics in ``TRACED``. Uses the
-standard library only.
+per side (first seed) adds the per-layer metrics in ``TRACED``, and
+``count_mismatches``: the traced metrics of unit ``count`` whose two sides
+differ, which a change that keeps every value bit for bit leaves empty.
+Uses the standard library only.
 
 Build both sides the same way, as fresh clones: commit the change, then
 clone it twice and check the parent out in one clone. Run from anywhere, for
@@ -129,6 +131,17 @@ def metric(name):
     return read
 
 
+def count_mismatches(parent: dict, change: dict):
+    """Sorted names of the traced metrics of unit ``count`` whose parent and
+    change values differ, a metric that one side lacks included; None if
+    either traced run failed."""
+    if "error" in parent or "error" in change:
+        return None
+    sides = (parent["metrics"], change["metrics"])
+    names = {name for layers in sides for name, m in layers.items() if m.get("unit") == "count"}
+    return sorted(name for name in names if sides[0].get(name) != sides[1].get(name))
+
+
 def bench_workload(parent: Path, change: Path, workload: str, seeds: list, seconds: float,
                    end_to_end: list) -> dict:
     sides = {"parent": parent, "change": change}
@@ -142,14 +155,16 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list, secon
             f"{side} pass_s {metric('pass_s')(pair[side])}" for side in ("parent", "change")),
             file=sys.stderr)
         pairs.append(pair)
-    traced = {}
+    traced, outcomes = {}, {}
     for side in ("parent", "change"):
-        outcome = run_once(sides[side], workload, seeds[0], seconds, trace=1)
+        outcome = outcomes[side] = run_once(sides[side], workload, seeds[0], seconds, trace=1)
         if "error" in outcome:
             traced[side] = {"error": outcome["error"]}
         else:
             layers = outcome["metrics"]
             traced[side] = {name: layers[name]["value"] if name in layers else "absent" for name in TRACED}
+    mismatches = count_mismatches(outcomes["parent"], outcomes["change"])
+    print(f"{workload} traced counts that differ: {mismatches}", file=sys.stderr)
     return {
         "revisions": {side: revision(path) for side, path in sides.items()},
         "seeds": seeds,
@@ -159,6 +174,7 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list, secon
         "failed": {side: sum(p[side].get("failed", 0) for p in pairs) for side in sides},
         "runs_not_correct": {side: sum(not p[side].get("correct") for p in pairs) for side in sides},
         "traced": {"seed": seeds[0], **traced},
+        "count_mismatches": mismatches,
         "pairs": pairs,
     }
 
