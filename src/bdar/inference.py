@@ -663,11 +663,10 @@ def _make_objective(layout: _Layout, counts: np.ndarray):
 def _lbfgsb(objective, x0: np.ndarray, layout: _Layout):
     """One L-BFGS-B run of ``objective`` from ``x0`` within the layout's bounds.
 
-    scipy asks for the value and then the gradient at each point. Both come
-    from one objective call, kept for the last point by the bytes of ``x``:
-    scipy passes each point as a fresh copy, so a byte compare is the exact
-    one and costs less than ``jac=True``'s numeric compare, which it makes
-    twice per point."""
+    scipy asks for the value and then the gradient at each point, each time
+    with a fresh copy of it. Both come from one objective call, kept for the
+    latest point and found again by the bytes of ``x``: one compare per
+    point, cheaper than the two numeric compares of ``jac=True``."""
     last_key, last = None, None  # x.tobytes() and (value, gradient) of the latest call
 
     def value_and_gradient(x):
