@@ -274,7 +274,7 @@ def load_ordinal(config: RunConfig) -> tuple[list, BivariateOrdinalSeries]:
 # Reports and file emission
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list, rows: list):
+def _write_csv(path: Path, header: list, rows: typing.Iterable):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -595,8 +595,8 @@ def _cmd_simulate(config):
     rng = substream(config.seed, "simulate")
     series = simulate(params, config.length, rng)
     out = Path(config.output) / "simulated.csv"
-    _write_csv(out, ["t", "z1", "z2"],
-               [[t + 1, int(a), int(b)] for t, (a, b) in enumerate(zip(series.z1, series.z2))])
+    # Python ints from tolist(): iterating the arrays makes a numpy scalar per state
+    _write_csv(out, ["t", "z1", "z2"], zip(range(1, series.n + 1), series.z1.tolist(), series.z2.tolist()))
     print(f"simulated {series.n} steps -> {out}")
 
 

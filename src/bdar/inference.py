@@ -339,9 +339,9 @@ def _pattern_codes(data: BivariateOrdinalSeries):
     """``(start, codes)`` per block of ``_BLOCK`` steps: for the steps from
     ``start`` to ``start + len(codes)`` (0-based), the row-major index of
     (first series repeated, second series repeated, current pair) in a
-    (2, 2, d1, d2) array, as int64: the states are stored as int16, and a
-    product such as ``z1 * d2`` in that dtype would wrap once d1 d2 passes
-    32,767."""
+    (2, 2, d1, d2) array, as int64: the states are stored as int8 up to 127
+    states and int16 up to 32,767, and a product such as ``z1 * d2`` in that
+    dtype would wrap once d1 d2 passes 127 or 32,767."""
     d1, d2 = data.d1, data.d2
     for start in range(0, data.n - 1, _BLOCK):
         stop = min(start + _BLOCK, data.n - 1)

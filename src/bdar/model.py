@@ -168,8 +168,11 @@ class Bdar1Params:
 
 
 def _state_dtype(d1: int, d2: int) -> type:
-    """int16 if it holds states 1..max(d1, d2), else int32."""
-    return np.int16 if max(d1, d2) <= np.iinfo(np.int16).max else np.int32
+    """The narrowest of int8, int16 and int32 that holds states 1..max(d1, d2)."""
+    for dtype in (np.int8, np.int16):
+        if max(d1, d2) <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +180,14 @@ class BivariateOrdinalSeries:
     """Two aligned sequences of state indices 1..d1 and 1..d2.
 
     The sizes ``d1`` and ``d2`` of the state spaces are always given: a
-    series need not visit its top states. Both sequences are stored as
-    int16, or as int32 once d1 or d2 exceeds 32,767: 4 bytes per step of
-    the pair, not 16. Arithmetic on the states in that dtype wraps silently,
-    so upcast first where a result can pass 32,767, as in
-    ``np.multiply(z1 - 1, d2, dtype=np.int64)`` for a pair code. Input may
-    be any integer array or sequence, or floats with integral values such
-    as 2.0.
+    series need not visit its top states. Both sequences are stored in the
+    narrowest signed dtype that holds the larger state space
+    (``_state_dtype``): int8 up to 127 states, so 2 bytes per step of the
+    pair, not 16; int16 up to 32,767; int32 beyond. Arithmetic on the states
+    in that dtype wraps silently, so upcast first where a result can pass
+    the dtype's top, as in ``np.multiply(z1 - 1, d2, dtype=np.int64)`` for a
+    pair code. Input may be any integer array or sequence, or floats with
+    integral values such as 2.0.
     """
 
     z1: np.ndarray
@@ -323,28 +327,22 @@ def stationary_joint_pmf(params: Bdar1Params) -> np.ndarray:
     return TransitionKernel.from_params(params).stationary()
 
 
-def _carry_forward(keep: np.ndarray, fresh: np.ndarray, init: int, dtype) -> np.ndarray:
-    """Resolve z_0 = init, z_t = keep_t * z_{t-1} + (1 - keep_t) * fresh_t
-    (t = 1..n) without a loop per step; returns z_0..z_n in ``dtype``.
+def _carry_forward(innovated: np.ndarray, z: np.ndarray) -> None:
+    """Resolve z_t = z_{t-1} wherever ``innovated[t - 1]`` is False, for
+    t = 1..len(innovated), in place and without a loop per step.
 
-    Each position takes the fresh value at the most recent non-keep step, or
-    the initial state if no such step has happened yet. ``keep`` (nonzero
-    where the state is kept) and ``fresh`` may be any narrow integer arrays;
-    the steps are resolved ``_BLOCK`` at a time, each block from the last
-    state of the one before, so the returned states are the only
-    full-length array made.
+    On entry ``z[0]`` holds the state before the steps and ``z[t]`` the
+    fresh value of step t. Each position then takes the fresh value of the
+    most recent innovating step, or ``z[0]`` if there is none yet. The
+    source index is int32 (its running maximum costs less than in int64),
+    so the steps must number fewer than 2^31: ``simulate`` passes one
+    ``_BLOCK``.
     """
-    n = len(keep)
-    z = np.empty(n + 1, dtype=dtype)
-    z[0] = init
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        # source 0 is the state before the block, source k its k-th fresh value
-        source = np.arange(stop - start + 1)
-        source[1:] *= keep[start:stop] == 0
-        np.maximum.accumulate(source, out=source)
-        z[start + 1:stop + 1] = np.concatenate(([z[start]], fresh[start:stop]))[source[1:]]
-    return z
+    # source 0 is the state before the steps, source t the fresh value of step t
+    source = np.arange(len(z), dtype=np.int32)
+    source[1:] *= innovated
+    np.maximum.accumulate(source, out=source)
+    z[1:] = z[source[1:]]
 
 
 def simulate(params: Bdar1Params, length: int, rng: np.random.Generator) -> BivariateOrdinalSeries:
@@ -355,32 +353,40 @@ def simulate(params: Bdar1Params, length: int, rng: np.random.Generator) -> Biva
     burn-in. Draw order is fixed (first pair, all mechanism pairs, all
     innovation pairs) so a seeded generator reproduces the path exactly.
     The pairs are drawn as narrow cell codes (``joint._draw_cells``), from
-    one table per cell array, and the kept states carried forward in blocks,
-    straight into the series' dtype. Besides the returned states (2 bytes
-    per step each for d up to 32,767), a path holds two codes of 1 or 2
-    bytes per step, temporaries of one block, and the two tables
-    (``joint._cell_table``): 64 to 128 entries of 1 or 2 bytes per cell, at
-    most 2^19 entries (1 MiB at 200 x 200 states), with one 8-byte temporary
-    per entry while each is built.
+    one table per cell array. The mechanism codes are drawn for the whole
+    path first (1 byte per step); then, ``_BLOCK`` steps at a time, the
+    block's innovation codes are drawn, split into the two fresh states and
+    carried forward straight into the returned states. A path thus holds
+    its states (1 byte per step each up to 127 states, 2 up to 32,767), the
+    mechanism codes, temporaries of one block (about 20 bytes per step of
+    the block, 0.33 MB), and the two tables (``joint._cell_table``): 64 to
+    128 entries of 1 or 2 bytes per cell, at most 2^19 entries (1 MiB at
+    200 x 200 states), with one 8-byte temporary per entry while each is
+    built. Up to 127 states that is 3 bytes per step and a fixed part
+    (3.5 MB at 10^6 steps and 30 x 30 states).
     """
     if length < 2:
         raise ValueError("length must be >= 2")
     kernel = TransitionKernel.from_params(params)
+    d2 = params.d2
     # states are 0-based until the path is complete
     init1, init2 = sample_joint(kernel.stationary(), rng)
     mech = _draw_cells(_cell_table(kernel.mech), rng, length - 1)  # 2 * keep1 + keep2
-    innov = _draw_cells(_cell_table(kernel.pe), rng, length - 1)  # d2 * fresh1 + fresh2
-    dtype = _state_dtype(params.d1, params.d2)
-    fresh1 = innov // params.d2
-    z1 = _carry_forward(mech >> 1, fresh1, init1, dtype)
-    # the codes are not needed again: decode the second series in place, as
-    # innov - d2 * fresh1 (numpy's % on narrow ints is not vectorised, its //
-    # is); reusing fresh1 adds no allocation, which would raise the peak RSS
-    mech &= 1
-    fresh1 *= params.d2
-    innov -= fresh1
-    del fresh1
-    z2 = _carry_forward(mech, innov, init2, dtype)
+    innov_table = _cell_table(kernel.pe)
+    dtype = _state_dtype(params.d1, d2)
+    z1, z2 = np.empty(length, dtype=dtype), np.empty(length, dtype=dtype)
+    z1[0], z2[0] = init1, init2
+    for start in range(0, length - 1, _BLOCK):
+        codes = _draw_cells(innov_table, rng, min(_BLOCK, length - 1 - start))  # d2 * fresh1 + fresh2
+        stop = start + len(codes)
+        # numpy's % on narrow ints is not vectorised, its // is
+        fresh1 = codes // d2
+        z1[start + 1:stop + 1] = fresh1
+        fresh1 *= d2
+        z2[start + 1:stop + 1] = codes - fresh1
+        block = mech[start:stop]  # 2 * keep1 + keep2
+        _carry_forward(block < 2, z1[start:stop + 1])
+        _carry_forward((block & 1) == 0, z2[start:stop + 1])
     z1 += 1
     z2 += 1
-    return BivariateOrdinalSeries(z1, z2, params.d1, params.d2)
+    return BivariateOrdinalSeries(z1, z2, params.d1, d2)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -573,6 +574,13 @@ class TestMainEntry:
         assert code == 0
         lines = (tmp_path / "out" / "simulated.csv").read_text().splitlines()
         assert len(lines) == 51
+        # the file's bytes, frozen from the rows built one numpy scalar at a
+        # time, on a path longer than one block of the simulation
+        code = main(["simulate", "--params", str(BUNDLED_PARAMS), "--length", "20000", "--seed", "5",
+                     "--output", str(tmp_path / "long")])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "long" / "simulated.csv").read_bytes()).hexdigest()
+        assert digest == "baa369733122743f7534ddb2f89d8a013f0976fa49acd671a9b87790c9694160"
 
     @pytest.mark.parametrize("change, message", [
         ({"copula_eps": {"delta": 2.0}}, "lacks a 'family'"),

@@ -798,9 +798,36 @@ class TestStartStatistics:
             terms.append(math.log(kernel.push(point)[z1[t] - 1, z2[t] - 1]))
         assert conditional_loglik(params, data) == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("d1, d2", [(127, 127), (127, 128), (128, 127), (128, 128)])
+    def test_one_byte_states_never_wrap(self, random_params_factory, d1, d2):
+        # states up to 127 are stored in one byte, where z1 * d2 would wrap
+        # (d1 d2 = 16,129 at 127 x 127); the oracles take the states as
+        # int64 first
+        params = random_params_factory(substream(88, d1, d2), d1=d1, d2=d2, family="frank")
+        rng = substream(88, d1, d2, "series")
+        z1, z2 = rng.integers(1, d1 + 1, 400), rng.integers(1, d2 + 1, 400)
+        z1[[3, 9, 10, 11]] = z1[[2, 8, 8, 8]]  # repeats of each pattern
+        z2[[5, 9, 10, 12]] = z2[[4, 8, 8, 8]]
+        z1[-3:], z2[-3:] = d1, d2
+        data = BivariateOrdinalSeries(z1, z2, d1, d2)
+        assert data.z1.dtype == (np.int8 if max(d1, d2) <= 127 else np.int16)
+        z1, z2 = data.z1.astype(np.int64), data.z2.astype(np.int64)
+        step = ((z1[1:] == z1[:-1]).astype(np.int64), (z2[1:] == z2[:-1]).astype(np.int64), z1[1:] - 1, z2[1:] - 1)
+        want = np.zeros((2, 2, d1, d2))
+        np.add.at(want, step, 1)
+        assert np.array_equal(transition_counts(data), want)
+        assert want[1, 1].sum() and want[1, 0].sum() and want[0, 1].sum() and want[:, :, -1, -1].sum()
+        terms = np.log(TransitionKernel.from_params(params).by_pattern()[step])
+        assert conditional_loglik(params, data) == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
+        for x, y, dx, dy in ((data.z1, data.z2, d1, d2), (data.z1[1:], data.z1[:-1], d1, d1),
+                             (data.z2[1:], data.z2[:-1], d2, d2)):
+            table = np.zeros((dx, dy), dtype=np.int64)
+            np.add.at(table, (x.astype(np.int64) - 1, y.astype(np.int64) - 1), 1)
+            assert np.array_equal(cli._pair_table(x, y, dx, dy), table)
+
     def test_transition_counts_peak_memory(self, study_params):
         # temporaries of one block, whatever the series length: 0.35 MB
-        # measured, against 4 MB of int16 states
+        # measured, against 2 MB of int8 states
         data = simulate(study_params, 10**6, substream(83, "count-memory"))
         transition_counts(simulate(study_params, 100, substream(83, "warm")))
         tracemalloc.start()

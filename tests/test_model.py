@@ -117,13 +117,17 @@ class TestSeries:
 
     @pytest.mark.parametrize("value", [70_000, 65_537, -65_535])
     def test_out_of_range_state_is_checked_before_narrowing(self, value):
-        # as int16, 70,000 wraps to 4,464, and 65,537 and -65,535 wrap to 1
+        # as int8 (or int16), 65,537 and -65,535 wrap to 1; as int8, 70,000 wraps to 112
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):
             BivariateOrdinalSeries(np.array([1, value, 2]), np.array([1, 2, 3]), 3, 3)
 
-    def test_states_stored_as_int16_or_wider_when_needed(self):
+    def test_states_stored_as_int8_or_wider_when_needed(self):
         s = BivariateOrdinalSeries(np.array([1, 2, 3]), [3, 1, 2], 3, 3)
-        assert s.z1.dtype == s.z2.dtype == np.int16
+        assert s.z1.dtype == s.z2.dtype == np.int8
+        s = BivariateOrdinalSeries(np.array([1, 127]), np.array([2, 1]), 127, 2)
+        assert s.z1.dtype == s.z2.dtype == np.int8 and s.z1.tolist() == [1, 127]
+        s = BivariateOrdinalSeries(np.array([1, 2]), np.array([128, 1]), 2, 128)
+        assert s.z1.dtype == s.z2.dtype == np.int16 and s.z2.tolist() == [128, 1]
         top = 32_767
         s = BivariateOrdinalSeries(np.array([1, top]), np.array([top, 1]), top, top)
         assert s.z1.dtype == np.int16 and s.z1.tolist() == [1, top]
@@ -533,10 +537,13 @@ class TestBlockEdges:
     def test_simulate_matches_reference(self, request, params_name, length):
         params = request.getfixturevalue(params_name)
         key = (params_name, length)
-        got = simulate(params, length, substream(95, *key))
-        want1, want2 = _reference_simulate(params, length, substream(95, *key))
-        assert got.z1.dtype == got.z2.dtype == np.int16
+        rng, reference_rng = substream(95, *key), substream(95, *key)
+        got = simulate(params, length, rng)
+        want1, want2 = _reference_simulate(params, length, reference_rng)
+        assert got.z1.dtype == got.z2.dtype == np.int8
         assert np.array_equal(got.z1, want1) and np.array_equal(got.z2, want2)
+        # the blocked draws leave the generator where the plain ones do
+        assert rng.random() == reference_rng.random()
 
     def test_simulate_200_states_matches_reference(self, random_params_factory):
         params = random_params_factory(substream(94, "d200"), d1=200, d2=200, family="frank")
@@ -575,10 +582,12 @@ class TestBlockEdges:
 
 
 def test_simulate_peak_memory_is_near_its_output(study_params):
-    # the returned int16 states are 4 bytes per step; the two draws' codes
-    # add 2 bytes per step, the carry-forward blocks of fixed size (7.3
-    # bytes per step in all, measured)
-    steps = 200_000
+    # the returned int8 states are 2 bytes per step and the mechanism codes
+    # 1; the innovation codes live one block at a time, whose uniforms and
+    # bucket indices take 16 bytes per step of the block and its codes,
+    # fresh states and carry index a few more (20.3 per block step in all,
+    # measured)
+    steps = 1_000_000
     simulate(study_params, 1000, substream(91, "warm"))
     tracemalloc.start()
     try:
@@ -586,8 +595,8 @@ def test_simulate_peak_memory_is_near_its_output(study_params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.z1.nbytes + s.z2.nbytes == 4 * steps
-    assert peak <= 10 * steps
+    assert s.z1.nbytes + s.z2.nbytes == 2 * steps
+    assert peak <= 3 * steps + 24 * _BLOCK
 
 
 _FRANK_M5 = Bdar1Params(

@@ -57,6 +57,42 @@ def test_compare_counts_wins_drops_missing_and_ignores_ties(better, wins):
     }
 
 
+# ten parent values 10.0, 10.1, ..., 10.9: median 10.45, quartile distance 0.45
+_PARENT = [10.0 + 0.1 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("better, change, want", [
+    # every pair won, the medians 0.5 apart
+    ("lower", [p - 0.5 for p in _PARENT], "gain"),
+    ("higher", [p + 0.5 for p in _PARENT], "gain"),
+    # 9 won and a tie, the medians 0.5 apart
+    ("lower", [_PARENT[0]] + [p - 0.6 for p in _PARENT[1:]], "gain"),
+    # 8 won and two ties, the medians 0.8 apart: ties count for neither side
+    ("lower", _PARENT[:2] + [p - 1.0 for p in _PARENT[2:]], "within_bound"),
+    # every pair won, but the medians only 0.1 apart
+    ("lower", [p - 0.1 for p in _PARENT], "within_bound"),
+    # the change's median 2.7 worse, the bound 0.25 * 10.45 = 2.6125
+    ("lower", [p + 2.7 for p in _PARENT], "worse"),
+    ("higher", [p - 2.7 for p in _PARENT], "worse"),
+    ("lower", [p + 2.5 for p in _PARENT], "within_bound"),
+    ("lower", [None] * 10, "unresolved"),
+])
+def test_verdict_follows_the_acceptance_rule(better, change, want):
+    pairs = [_pair(a, b) for a, b in zip(_PARENT, change)]
+    result = bench_pairs.compare(pairs, bench_pairs.metric("pass_s"), better)
+    assert bench_pairs.verdict(result, 0.25) == want
+
+
+def test_verdict_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    # parent 10..19: quartile distance 4.5 against the bound's 0.25 * 14.5
+    parent = [10.0 + k for k in range(10)]
+    result = bench_pairs.compare([_pair(a, a + 0.1) for a in parent], bench_pairs.metric("pass_s"), "lower")
+    assert bench_pairs.verdict(result, 0.25) == "unresolved"
+    # the same pairs won by more than the quartile distance are a gain
+    result = bench_pairs.compare([_pair(a, a - 5.0) for a in parent], bench_pairs.metric("pass_s"), "lower")
+    assert bench_pairs.verdict(result, 0.25) == "gain"
+
+
 def test_count_mismatches_names_counts_that_differ_or_are_missing():
     def outcome(**values):
         units = {"evals": "count", "cells": "count", "spans": "count", "self_s": "s", "calls": "count"}
@@ -126,8 +162,8 @@ def test_peak_memory_reports_every_operation(capsys):
     names = [row[0] for row in rows[1:]]
     assert names == ["simulate", "transition_counts", "conditional_loglik", "forecast", "exact_forecast_pmf"]
     peaks = {row[0]: int(row[1]) for row in rows[1:]}
-    # simulate's peak holds at least its output, two int16 states per step
-    assert peaks["simulate"] >= 4 * steps
+    # simulate's peak holds at least its output, two int8 states per step
+    assert peaks["simulate"] >= 2 * steps
     assert all(float(row[2]) == pytest.approx(int(row[1]) / steps, abs=0.005) for row in rows[1:])
 
 

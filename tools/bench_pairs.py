@@ -6,10 +6,12 @@ side goes first, and reads the JSON object on the last line of each run's
 output. Per end-to-end metric it records each side's median and quartiles and
 in how many pairs the change was better, in all and split by the side that
 ran first in the pair, so that a run-order effect can be told from a
-difference between the sides. An odd number of seeds lets the parent run
-first once more than the change, and draws a warning. It also records every
-run's outcome and the ``attempted``/``failed`` counts. One ``--trace 1`` run
-per side (first seed) adds the per-layer metrics in ``TRACED``, and
+difference between the sides, and the acceptance rule's ``verdict`` on the
+metric (``gain``, ``worse``, ``unresolved`` or ``within_bound``). An odd
+number of seeds lets the parent run first once more than the change, and
+draws a warning. It also records every run's outcome and the
+``attempted``/``failed`` counts. One ``--trace 1`` run per side (first seed)
+adds the per-layer metrics in ``TRACED``, and
 ``count_mismatches``: the traced metrics of unit ``count`` whose two sides
 differ, which a change that keeps every value bit for bit leaves empty.
 Uses the standard library only.
@@ -125,6 +127,34 @@ def compare(pairs: list, read, better: str) -> dict:
     }
 
 
+def verdict(result: dict, bound: float) -> str:
+    """The acceptance rule's reading of one metric's ``compare`` result;
+    ``bound`` is the metric's bound in BENCHMARK.json, a fraction of the
+    parent's median:
+
+    - ``gain``: the change won at least 9 in 10 pairs (a tie counts for
+      neither side) and its median is better than the parent's by more than
+      the parent's quartile distance;
+    - ``worse``: the change's median is worse than the parent's by more than
+      the bound;
+    - ``unresolved``: the parent's quartile distance is wider than the bound,
+      or no pair has both sides;
+    - ``within_bound``: any other case.
+    """
+    parent, change = result["parent"], result["change"]
+    if not result["pairs"]:
+        return "unresolved"
+    sign = 1.0 if result["better"] == "lower" else -1.0
+    gained = sign * (parent["median"] - change["median"])
+    if 10 * result["change_better_pairs"] >= 9 * result["pairs"] and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gained > bound * abs(parent["median"]):
+        return "worse"
+    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]):
+        return "unresolved"
+    return "within_bound"
+
+
 def metric(name):
     def read(outcome):
         return outcome.get("metrics", {}).get(name, {}).get("value")
@@ -164,12 +194,18 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list, secon
             layers = outcome["metrics"]
             traced[side] = {name: layers[name]["value"] if name in layers else "absent" for name in TRACED}
     mismatches = count_mismatches(outcomes["parent"], outcomes["change"])
+    results = {}
+    for name, better, bound in end_to_end:
+        result = results[name] = compare(pairs, metric(name), better)
+        result["verdict"] = verdict(result, bound)
+    print(f"{workload} verdicts: " + ", ".join(f"{name} {r['verdict']}" for name, r in results.items()),
+          file=sys.stderr)
     print(f"{workload} traced counts that differ: {mismatches}", file=sys.stderr)
     return {
         "revisions": {side: revision(path) for side, path in sides.items()},
         "seeds": seeds,
         "seconds": seconds,
-        "end_to_end": {name: compare(pairs, metric(name), better) for name, better in end_to_end},
+        "end_to_end": results,
         "attempted": {side: sum(p[side].get("attempted", 0) for p in pairs) for side in sides},
         "failed": {side: sum(p[side].get("failed", 0) for p in pairs) for side in sides},
         "runs_not_correct": {side: sum(not p[side].get("correct") for p in pairs) for side in sides},
@@ -196,7 +232,7 @@ def main(argv=None) -> int:
             print(f"error: {checkout} has no perfbench/run.py", file=sys.stderr)
             return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    end_to_end = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    end_to_end = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
     out = json.loads(args.output.read_text()) if args.output.exists() else {"workloads": {}}
     out["machine"] = {
