@@ -158,7 +158,7 @@ def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float, va
     log_1mb = _log_one_minus_exp(neg_dv)
     log_v_far = _log_one_minus_exp(-delta * (1.0 - v))
     log_num = np.logaddexp(neg_du + log_1mb, neg_dv + log_v_far)
-    log_1mc = np.log(-np.expm1(-delta))
+    log_1mc = _log_one_minus_exp(-delta)
     cdf = -(log_num - log_1mc) / delta
     if values_only:
         return (cdf,)
