@@ -138,14 +138,6 @@ def _frank_cdf(u: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     return np.logaddexp(0.0, s) / a
 
 
-def _log_one_minus_exp(x):
-    # log(1 - e^x) for x < 0: np.log(-np.expm1(x)) bit for bit, with an
-    # array's one temporary negated and logged in place
-    out = np.expm1(x)
-    where = out if isinstance(out, np.ndarray) else None
-    return np.log(np.negative(out, out=where), out=where)
-
-
 def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float, values_only: bool):
     # delta > 0. With a = e^-du, b = e^-dv, c = e^-d the numerator of the
     # closed form C = -(log N - log(1 - c)) / d is N = a + b - ab - c,
@@ -155,15 +147,15 @@ def _frank_positive_with_partials(u: np.ndarray, v: np.ndarray, delta: float, va
     #   d * dC/dd = u dC/du + v dC/dv - C - K,  K = c(1 - a)(1 - b) / (N(1 - c)) >= 0.
     # C cancels near independence; below delta = 1 callers take _frank_cdf's.
     neg_du, neg_dv = -delta * u, -delta * v
-    log_1mb = _log_one_minus_exp(neg_dv)
-    log_v_far = _log_one_minus_exp(-delta * (1.0 - v))
+    log_1mb = np.log(-np.expm1(neg_dv))
+    log_v_far = np.log(-np.expm1(-delta * (1.0 - v)))
     log_num = np.logaddexp(neg_du + log_1mb, neg_dv + log_v_far)
-    log_1mc = _log_one_minus_exp(-delta)
+    log_1mc = np.log(-np.expm1(-delta))
     cdf = -(log_num - log_1mc) / delta
     if values_only:
         return (cdf,)
-    log_1ma = _log_one_minus_exp(neg_du)
-    log_u_far = _log_one_minus_exp(-delta * (1.0 - u))
+    log_1ma = np.log(-np.expm1(neg_du))
+    log_u_far = np.log(-np.expm1(-delta * (1.0 - u)))
     # delta * (v - u), not delta * v - delta * u: near the comonotone corner
     # the two products are ~1e10 and their difference would lose ~6 digits
     gap = delta * (v - u)
