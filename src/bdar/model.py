@@ -364,8 +364,8 @@ def simulate(params: Bdar1Params, length: int, rng: np.random.Generator) -> Biva
     the block, 0.33 MB), and the two tables (``joint._cell_table``): 64 to
     128 entries of 1 or 2 bytes per cell, at most 2^19 entries (1 MiB at
     200 x 200 states), with one 8-byte temporary per entry while each is
-    built. Up to 127 states that is 3 bytes per step and a fixed part
-    (3.5 MB at 10^6 steps and 30 x 30 states).
+    built. Up to 127 states that is 3 bytes per step plus a fixed part:
+    3.54 MB in all at 10^6 steps and 30 x 30 states.
     """
     if length < 2:
         raise ValueError("length must be >= 2")
