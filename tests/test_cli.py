@@ -574,8 +574,8 @@ class TestMainEntry:
         assert code == 0
         lines = (tmp_path / "out" / "simulated.csv").read_text().splitlines()
         assert len(lines) == 51
-        # the file's bytes, frozen from the rows built one numpy scalar at a
-        # time, on a path longer than one block of the simulation
+        # the file's bytes, frozen, on a path longer than one block of the
+        # simulation: how the rows are built must not change them
         code = main(["simulate", "--params", str(BUNDLED_PARAMS), "--length", "20000", "--seed", "5",
                      "--output", str(tmp_path / "long")])
         assert code == 0
